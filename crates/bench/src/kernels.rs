@@ -19,9 +19,9 @@
 //!
 //! Workloads are sized by `--scale` (committed results use 0.2, 1 and 5)
 //! and mirror the pipeline's real kernel shapes: the large square matmul,
-//! the tall-skinny GCN forward/backward products, the similarity
-//! `A · Aᵀ`, fused elementwise+normalize, CSLS adjustment, and the full
-//! decision stage.
+//! the tall-skinny GCN forward product and both backward products
+//! (`G · Wᵀ`, `Hᵀ · G`), the similarity `A · Aᵀ`, fused
+//! elementwise+normalize, CSLS adjustment, and the full decision stage.
 
 use ceaff::prelude::*;
 use ceaff::tensor::{kernels::reference, Matrix};
@@ -197,6 +197,21 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             par_threads,
             || reference::matmul(&h, &w),
             || h.matmul(&w),
+        ));
+    }
+
+    // GCN backward `G · Wᵀ`: the input gradient of every `H · W` layer,
+    // the product GCN training spends most of its time in.
+    {
+        let g = lcg_matrix(rows, 64, 37);
+        let w = lcg_matrix(64, 64, 41);
+        workloads.push(product_workload(
+            "matmul_transpose_grad",
+            format!("{rows}x64 * (64x64)^T"),
+            reps,
+            par_threads,
+            || reference::matmul_transpose(&g, &w),
+            || g.matmul_transpose(&w),
         ));
     }
 

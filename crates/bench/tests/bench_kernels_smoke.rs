@@ -44,6 +44,7 @@ fn bench_kernels_check_emits_schema_valid_json_with_every_workload() {
     for expected in [
         "matmul_large",
         "matmul_gcn_forward",
+        "matmul_transpose_grad",
         "matmul_transpose_sim",
         "transpose_matmul_grad",
         "fusion_elementwise",

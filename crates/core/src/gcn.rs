@@ -739,6 +739,30 @@ pub fn try_train_budgeted(
     })
 }
 
+/// Anchors scored per [`Matrix::matmul_transpose`] call in
+/// [`validation_hits1`] and [`nearest_pools`]: the score block is
+/// `SCORE_CHUNK × n`, so their extra memory stays O(n) however many seeds
+/// there are.
+const SCORE_CHUNK: usize = ceaff_tensor::kernels::ROW_BLOCK;
+
+/// Cosine scores of the `sources` rows of `queries` against every row of
+/// `keys` (both already row-normalised), one [`SCORE_CHUNK`] of sources at
+/// a time: `visit(i, row)` sees source `i`'s scores. Each cell is bitwise
+/// [`ceaff_tensor::dot`] of the two rows.
+fn for_each_score_row(
+    queries: &Matrix,
+    sources: &[usize],
+    keys: &Matrix,
+    mut visit: impl FnMut(usize, &[f32]),
+) {
+    for (c, chunk) in sources.chunks(SCORE_CHUNK).enumerate() {
+        let scores = queries.gather_rows(chunk).matmul_transpose(keys);
+        for i in 0..chunk.len() {
+            visit(c * SCORE_CHUNK + i, scores.row(i));
+        }
+    }
+}
+
 /// Hits@1 of held-out pairs: each validation source must rank its true
 /// counterpart first among *all* target entities under cosine similarity.
 fn validation_hits1(
@@ -746,19 +770,20 @@ fn validation_hits1(
     z2: &Matrix,
     val: &[(ceaff_graph::EntityId, ceaff_graph::EntityId)],
 ) -> f64 {
-    let n1 = z1.l2_normalized_rows();
-    let n2 = z2.l2_normalized_rows();
+    let sources: Vec<usize> = val.iter().map(|&(u, _)| u.index()).collect();
     let mut hits = 0usize;
-    for &(u, v) in val {
-        let row = n1.row(u.index());
-        let truth = ceaff_tensor::dot(row, n2.row(v.index()));
-        let beaten = (0..n2.rows())
-            .filter(|&j| j != v.index())
-            .all(|j| ceaff_tensor::dot(row, n2.row(j)) < truth);
-        if beaten {
-            hits += 1;
-        }
-    }
+    for_each_score_row(
+        &z1.l2_normalized_rows(),
+        &sources,
+        &z2.l2_normalized_rows(),
+        |i, row| {
+            let v = val[i].1.index();
+            let truth = row[v];
+            if row.iter().enumerate().all(|(j, &s)| j == v || s < truth) {
+                hits += 1;
+            }
+        },
+    );
     hits as f64 / val.len().max(1) as f64
 }
 
@@ -766,25 +791,27 @@ fn validation_hits1(
 /// under cosine similarity — the hard-negative candidate pools.
 fn nearest_pools(z: &Matrix, anchors: &[usize], k: usize) -> Vec<Vec<u32>> {
     let normed = z.l2_normalized_rows();
-    anchors
-        .iter()
-        .map(|&a| {
-            let row = normed.row(a);
-            let mut scored: Vec<(f32, u32)> = (0..normed.rows())
-                .filter(|&e| e != a)
-                .map(|e| (ceaff_tensor::dot(row, normed.row(e)), e as u32))
-                .collect();
-            let k = k.min(scored.len());
-            if k == 0 {
-                return Vec::new();
-            }
-            scored.select_nth_unstable_by(k - 1, |x, y| {
-                y.0.partial_cmp(&x.0).expect("cosines are finite")
-            });
-            scored.truncate(k);
-            scored.into_iter().map(|(_, e)| e).collect()
-        })
-        .collect()
+    let mut pools = Vec::with_capacity(anchors.len());
+    for_each_score_row(&normed, anchors, &normed, |i, row| {
+        let a = anchors[i];
+        let mut scored: Vec<(f32, u32)> = row
+            .iter()
+            .enumerate()
+            .filter(|&(e, _)| e != a)
+            .map(|(e, &s)| (s, e as u32))
+            .collect();
+        let k = k.min(scored.len());
+        if k == 0 {
+            pools.push(Vec::new());
+            return;
+        }
+        scored.select_nth_unstable_by(k - 1, |x, y| {
+            y.0.partial_cmp(&x.0).expect("cosines are finite")
+        });
+        scored.truncate(k);
+        pools.push(scored.into_iter().map(|(_, e)| e).collect());
+    });
+    pools
 }
 
 /// Average the input-feature rows of every seed pair across the two KGs.
@@ -1003,6 +1030,98 @@ mod tests {
         assert_eq!(
             cfg.num_trainable_parameters(1000, 1200),
             2 * 300 * 300 + 2200 * 300
+        );
+    }
+
+    /// A deterministic `rows × cols` embedding with no zero rows.
+    fn scoring_embedding(rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| ((i * 7919 + 13) % 1009) as f32 / 504.5 - 1.0 + 1e-3)
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn chunked_scoring_matches_per_pair_dot() {
+        // More anchors than one score chunk, and a ragged last chunk.
+        let (n, d) = (300, 12);
+        let z1 = scoring_embedding(n, d);
+        let z2 = scoring_embedding(n + 7, d);
+        let anchors: Vec<usize> = (0..3 * SCORE_CHUNK + 5).map(|i| (i * 37) % n).collect();
+
+        let normed = z1.l2_normalized_rows();
+        let expected: Vec<Vec<u32>> = anchors
+            .iter()
+            .map(|&a| {
+                let mut scored: Vec<(f32, u32)> = (0..n)
+                    .filter(|&e| e != a)
+                    .map(|e| (ceaff_tensor::dot(normed.row(a), normed.row(e)), e as u32))
+                    .collect();
+                scored.select_nth_unstable_by(9, |x, y| y.0.partial_cmp(&x.0).unwrap());
+                scored.truncate(10);
+                scored.into_iter().map(|(_, e)| e).collect()
+            })
+            .collect();
+        assert_eq!(nearest_pools(&z1, &anchors, 10), expected);
+
+        let val: Vec<(ceaff_graph::EntityId, ceaff_graph::EntityId)> = anchors
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let v = if i % 3 == 0 { a } else { (a * 11) % (n + 7) };
+                (
+                    ceaff_graph::EntityId::new(a as u32),
+                    ceaff_graph::EntityId::new(v as u32),
+                )
+            })
+            .collect();
+        let (n1, n2) = (z1.l2_normalized_rows(), z2.l2_normalized_rows());
+        let hits = val
+            .iter()
+            .filter(|&&(u, v)| {
+                let row = n1.row(u.index());
+                let truth = ceaff_tensor::dot(row, n2.row(v.index()));
+                (0..n2.rows())
+                    .filter(|&j| j != v.index())
+                    .all(|j| ceaff_tensor::dot(row, n2.row(j)) < truth)
+            })
+            .count();
+        let score = validation_hits1(&z1, &z2, &val);
+        assert!(hits > 0);
+        assert_eq!(score.to_bits(), (hits as f64 / val.len() as f64).to_bits());
+    }
+
+    #[test]
+    fn scoring_memory_stays_chunk_sized() {
+        // Many more anchors than one chunk: a single anchors × n score
+        // matrix would be 1.2 MB, far past the bound asserted below.
+        let (n, d, anchors) = (600, 16, 500);
+        let z = scoring_embedding(n, d);
+        let anchor_ids: Vec<usize> = (0..anchors).collect();
+        let val: Vec<(ceaff_graph::EntityId, ceaff_graph::EntityId)> = (0..anchors as u32)
+            .map(|i| (ceaff_graph::EntityId::new(i), ceaff_graph::EntityId::new(i)))
+            .collect();
+        let f32s = std::mem::size_of::<f32>();
+        // Normalised copies (and the kernel's packed copy of them), plus
+        // one gathered chunk and one chunk of scores.
+        let bound = (3 * n * d + SCORE_CHUNK * (d + n)) * f32s;
+        assert!(bound < anchors * n * f32s / 2);
+
+        let _limit = ceaff_tensor::install_mem_limit(usize::MAX);
+        let base = ceaff_tensor::mem_live_bytes();
+        let _ = nearest_pools(&z, &anchor_ids, 10);
+        let pools_peak = ceaff_tensor::mem_peak_bytes() - base;
+        assert!(
+            pools_peak <= bound,
+            "nearest_pools peaked at {pools_peak} B > {bound} B"
+        );
+
+        let _limit = ceaff_tensor::install_mem_limit(usize::MAX);
+        let _ = validation_hits1(&z, &z, &val);
+        let val_peak = ceaff_tensor::mem_peak_bytes() - base;
+        assert!(
+            val_peak <= bound,
+            "validation_hits1 peaked at {val_peak} B > {bound} B"
         );
     }
 

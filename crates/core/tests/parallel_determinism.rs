@@ -200,3 +200,48 @@ fn precomputed_feature_reuse_is_thread_count_independent() {
         assert_eq!(out.matching.pairs(), baseline.matching.pairs());
     }
 }
+
+/// FNV-1a over the bit patterns of a GCN run's embeddings and loss curve.
+fn gcn_bits_hash(enc: &ceaff_core::GcnEncoder) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = enc
+        .z_source
+        .as_slice()
+        .iter()
+        .chain(enc.z_target.as_slice())
+        .chain(&enc.loss_curve);
+    for v in words {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn gcn_training_bits_are_pinned_across_commits() {
+    // Cross-commit pin: `golden_metrics` rounds to six decimals, so a
+    // one-ulp reordering inside a matmul kernel would slip past it. These
+    // constants were recorded before the AVX backward kernels landed; any
+    // change to a per-cell accumulation order in the GCN's forward or
+    // backward products, the hard-negative pools or the validation scorer
+    // moves them. Dim 30 exercises every kernel edge (`k % 4 = 2`,
+    // `n % 8 = 6`, `n % 16 = 14`); dim 32 the full-width fast paths.
+    let ds = dataset();
+    for (dim, want) in [(30, 0x1044_fa94_1105_7dae_u64), (32, 0x1d2c_747b_25b8_9f50)] {
+        let cfg = GcnConfig {
+            dim,
+            epochs: 12,
+            hard_negative_refresh: 5,
+            validate_every: 4,
+            ..GcnConfig::default()
+        };
+        let enc = ceaff_core::gcn::train(&ds.pair, &cfg);
+        let got = gcn_bits_hash(&enc);
+        assert_eq!(
+            got, want,
+            "GCN training bits moved at dim {dim}: {got:#018x}"
+        );
+    }
+}

@@ -255,8 +255,6 @@ impl Graph {
             let Some(grad) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Reattach so callers can inspect it afterwards.
-            self.nodes[i].grad = Some(grad.clone());
             match &self.nodes[i].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
@@ -275,14 +273,14 @@ impl Graph {
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, grad);
+                    self.accumulate_ref(a, &grad);
+                    self.accumulate_ref(b, &grad);
                 }
                 Op::Sub(a, b) => {
                     let (a, b) = (*a, *b);
                     let mut neg = grad.clone();
                     neg.scale_assign(-1.0);
-                    self.accumulate(a, grad);
+                    self.accumulate_ref(a, &grad);
                     self.accumulate(b, neg);
                 }
                 Op::Mul(a, b) => {
@@ -294,13 +292,13 @@ impl Graph {
                 }
                 Op::Scale(a, c) => {
                     let (a, c) = (*a, *c);
-                    let mut g = grad;
+                    let mut g = grad.clone();
                     g.scale_assign(c);
                     self.accumulate(a, g);
                 }
                 Op::AddScalar(a) => {
                     let a = *a;
-                    self.accumulate(a, grad);
+                    self.accumulate_ref(a, &grad);
                 }
                 // The activation backward passes fuse mask/derivative
                 // construction with the gradient product: one pass, no
@@ -334,8 +332,7 @@ impl Graph {
                     let (a, idx, src_rows) = (*a, Rc::clone(idx), *src_rows);
                     let mut ga = Matrix::zeros(src_rows, grad.cols());
                     for (r, &src) in idx.iter().enumerate() {
-                        let grow = grad.row(r).to_vec();
-                        for (o, g) in ga.row_mut(src).iter_mut().zip(grow) {
+                        for (o, &g) in ga.row_mut(src).iter_mut().zip(grad.row(r)) {
                             *o += g;
                         }
                     }
@@ -343,34 +340,13 @@ impl Graph {
                 }
                 Op::RowL1Diff(a, b) => {
                     let (a, b) = (*a, *b);
-                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                    let (rows, cols) = av.shape();
-                    let mut ga = Matrix::zeros(rows, cols);
-                    for r in 0..rows {
-                        let gr = grad[(r, 0)];
-                        for c in 0..cols {
-                            let d = av[(r, c)] - bv[(r, c)];
-                            ga[(r, c)] = gr * sign(d);
-                        }
-                    }
-                    let mut gb = ga.clone();
-                    gb.scale_assign(-1.0);
+                    let (ga, gb) = self.row_pair_grads(a, b, &grad, |gr, x, y| gr * sign(x - y));
                     self.accumulate(a, ga);
                     self.accumulate(b, gb);
                 }
                 Op::RowL2Sq(a, b) => {
                     let (a, b) = (*a, *b);
-                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                    let (rows, cols) = av.shape();
-                    let mut ga = Matrix::zeros(rows, cols);
-                    for r in 0..rows {
-                        let gr = grad[(r, 0)];
-                        for c in 0..cols {
-                            ga[(r, c)] = gr * 2.0 * (av[(r, c)] - bv[(r, c)]);
-                        }
-                    }
-                    let mut gb = ga.clone();
-                    gb.scale_assign(-1.0);
+                    let (ga, gb) = self.row_pair_grads(a, b, &grad, |gr, x, y| gr * 2.0 * (x - y));
                     self.accumulate(a, ga);
                     self.accumulate(b, gb);
                 }
@@ -399,6 +375,42 @@ impl Graph {
                     self.accumulate(a, ga);
                 }
             }
+            // Reattach so callers can inspect it afterwards.
+            self.nodes[i].grad = Some(grad);
+        }
+    }
+
+    /// Gradients of a per-row distance between `a` and `b` (an n×1
+    /// column): `ga[r][c] = d(grad[r], a[r][c], b[r][c])` and
+    /// `gb[r][c] = ga[r][c] * -1.0`, the bits `scale_assign(-1.0)` gives.
+    fn row_pair_grads(
+        &self,
+        a: Var,
+        b: Var,
+        grad: &Matrix,
+        d: impl Fn(f32, f32, f32) -> f32,
+    ) -> (Matrix, Matrix) {
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (rows, cols) = av.shape();
+        let mut ga = Matrix::zeros(rows, cols);
+        let mut gb = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            let gr = grad[(r, 0)];
+            let outs = ga.row_mut(r).iter_mut().zip(gb.row_mut(r));
+            for ((oa, ob), (&x, &y)) in outs.zip(av.row(r).iter().zip(bv.row(r))) {
+                *oa = d(gr, x, y);
+                *ob = *oa * -1.0;
+            }
+        }
+        (ga, gb)
+    }
+
+    /// [`Graph::accumulate`] for a borrowed gradient: adds in place when
+    /// `v` already has one and copies only when it does not.
+    fn accumulate_ref(&mut self, v: Var, g: &Matrix) {
+        match &mut self.nodes[v.0].grad {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
         }
     }
 

@@ -19,11 +19,25 @@
 //!   `k` order, zeros dropped exactly where the reference's `continue`
 //!   fires); rows with no zeros take an unconditional strip kernel, which
 //!   accumulates the identical term sequence.
-//! * `matmul_transpose` — each cell is a [`dot`] with its 4-lane chunked
-//!   accumulation; the 4-wide micro-kernel [`dot4`] replays the exact
-//!   lane assignment and the exact `((l0+l1)+l2)+l3` reduction.
+//! * `matmul_transpose` — each cell is a [`dot`]: four lane accumulators
+//!   where lane `l` receives the products at positions `4i + l`, reduced
+//!   as `((l0+l1)+l2)+l3`, then the `k % 4` tail appended in order. B is
+//!   packed into 8-row panels laid out lane-major — `[4-lane chunk
+//!   i][lane l][row t]`, i.e. each panel transposed — so the operands of
+//!   one lane for eight cells are one contiguous vector. The kernel keeps
+//!   four accumulator vectors per panel: vector `l` holds lane `l` of all
+//!   eight cells, and each vector element is one cell's private lane
+//!   accumulator. The final reduction adds the four vectors in `dot`'s
+//!   order, element-wise, and the tail products follow one by one, so
+//!   every cell replays `dot`'s sequence exactly. Rows past `n` in the
+//!   last panel are zero padding whose lanes are never stored.
 //! * `transpose_matmul` — each cell accumulates `a[r][k] * b[r][j]` in
 //!   increasing `r` order, skipping `a == 0.0`, like both reference loops.
+//!   Output is register-tiled 4 rows × 16 columns while `r` streams
+//!   innermost in 64-row chunks; a tile carries its partial sums through
+//!   `out` between chunks, an exact f32 round trip. Both tiles skip a
+//!   zero `a` literally: it is one broadcast scalar per output row, so
+//!   the skip drops the whole row-of-16 update.
 //!
 //! Parallel dispatch splits output rows into fixed [`ROW_BLOCK`]-row
 //! blocks. The partition depends only on the problem shape — never the
@@ -33,26 +47,31 @@
 //!
 //! # SIMD
 //!
-//! On x86-64 the `matmul` strip kernels use runtime-detected AVX
-//! intrinsics (`is_x86_feature_detected!`), falling back to portable
-//! autovectorized loops elsewhere. This cannot perturb results: every
-//! vector lane is one output cell's private accumulator (no horizontal
-//! operations), and multiply and add stay separate instructions — FMA is
-//! deliberately *not* used, because fusing would skip the intermediate
-//! rounding and change bits. AVX and scalar paths are therefore
-//! bitwise-identical, which `kernel_parity.rs` asserts by forcing both.
+//! On x86-64 all three products run runtime-detected AVX intrinsics
+//! (`is_x86_feature_detected!`) — the `matmul` strips, the
+//! `matmul_transpose` panel kernel and the `transpose_matmul` register
+//! tile — and each has one portable scalar kernel over the same layout
+//! for other hosts and for the partial tiles at the edges. This cannot
+//! perturb results: every vector element is one output cell's private
+//! accumulator (the only cross-vector step, the `matmul_transpose` lane
+//! reduction, adds whole vectors element-wise in `dot`'s order, so it is
+//! still per-cell), and multiply and add stay separate instructions —
+//! FMA is deliberately *not* used, because fusing would skip the
+//! intermediate rounding and change bits. AVX and scalar paths are
+//! therefore bitwise-identical, which `kernel_parity.rs` asserts by
+//! forcing both through each kernel's `_impl` entry point.
 //!
 //! # Tile width
 //!
 //! The column tile width (packed-panel width for `matmul`, B-row tile for
-//! `matmul_transpose`) defaults to [`DEFAULT_TILE`], can be pinned
-//! process-wide with the `CEAFF_TILE` environment variable, and can be
-//! overridden for a scope with [`with_tile`] (a thread-local read at
-//! kernel entry, on the dispatching thread — the hook the determinism
-//! tests use to prove tile width never changes results). Small problems
-//! keep the naive path entirely: below [`TILED_MIN_FLOPS`]
-//! multiply-accumulates the packing and blocking bookkeeping costs more
-//! than it saves.
+//! `matmul_transpose`, rounded up to whole 8-row panels) defaults to
+//! [`DEFAULT_TILE`], can be pinned process-wide with the `CEAFF_TILE`
+//! environment variable, and can be overridden for a scope with
+//! [`with_tile`] (a thread-local read at kernel entry, on the dispatching
+//! thread — the hook the determinism tests use to prove tile width never
+//! changes results). Small problems keep the naive path entirely: below
+//! [`TILED_MIN_FLOPS`] multiply-accumulates the packing and blocking
+//! bookkeeping costs more than it saves.
 
 use crate::budget;
 use crate::matrix::dot;
@@ -324,6 +343,91 @@ mod avx {
             _mm256_storeu_ps(o.add(8 * l), *lane);
         }
     }
+
+    /// Eight `dot`s of `a_row` against one lane-major packed panel:
+    /// accumulator `l` holds lane `l` of all eight cells, the lanes reduce
+    /// as `((l0+l1)+l2)+l3` across the vector and the `k % 4` tail
+    /// appends in order — `dot`'s exact per-cell sequence.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX support; `panel` must hold at least
+    /// `a_row.len() · 8` floats.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn dot_panel8(a_row: &[f32], panel: &[f32], out: &mut [f32; 8]) {
+        let k = a_row.len();
+        debug_assert!(panel.len() >= k * 8);
+        let (a, p) = (a_row.as_ptr(), panel.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for i in 0..k / 4 {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                let kk = 4 * i + l;
+                let prod = _mm256_mul_ps(
+                    _mm256_broadcast_ss(&*a.add(kk)),
+                    _mm256_loadu_ps(p.add(8 * kk)),
+                );
+                *lane = _mm256_add_ps(*lane, prod);
+            }
+        }
+        let mut total = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), acc[2]), acc[3]);
+        for kk in k / 4 * 4..k {
+            let prod = _mm256_mul_ps(
+                _mm256_broadcast_ss(&*a.add(kk)),
+                _mm256_loadu_ps(p.add(8 * kk)),
+            );
+            total = _mm256_add_ps(total, prod);
+        }
+        _mm256_storeu_ps(out.as_mut_ptr(), total);
+    }
+
+    /// One full 4×16 `transpose_matmul` register tile (eight
+    /// accumulators): output rows `[q0, q0+4)` × columns `[j0, j0+16)` of
+    /// `out` (row stride `n`) continue their sums over the `A` rows `rs`
+    /// in increasing `r`, skipping `a == 0.0` like the reference.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX support; for every `r` in `rs`, `a[r·a_cols + kc .. +4]` and
+    /// `b[r·n + j0 .. +16]` must be in bounds, and `out` must hold rows
+    /// `q0..q0+4` of width `j0 + 16`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx")]
+    pub unsafe fn tm_tile4x16(
+        a: &[f32],
+        a_cols: usize,
+        kc: usize,
+        b: &[f32],
+        n: usize,
+        rs: std::ops::Range<usize>,
+        q0: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(rs.is_empty() || (rs.end - 1) * a_cols + kc + 4 <= a.len());
+        debug_assert!(rs.is_empty() || (rs.end - 1) * n + j0 + 16 <= b.len());
+        debug_assert!((q0 + 3) * n + j0 + 16 <= out.len());
+        let o = out.as_mut_ptr().add(q0 * n + j0);
+        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+        for (q, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm256_loadu_ps(o.add(q * n));
+            row[1] = _mm256_loadu_ps(o.add(q * n + 8));
+        }
+        for r in rs {
+            let bp = b.as_ptr().add(r * n + j0);
+            let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
+            let ap = a.as_ptr().add(r * a_cols + kc);
+            for (q, row) in acc.iter_mut().enumerate() {
+                if *ap.add(q) == 0.0 {
+                    continue;
+                }
+                let av = _mm256_broadcast_ss(&*ap.add(q));
+                row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(av, b0));
+                row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(av, b1));
+            }
+        }
+        for (q, row) in acc.iter().enumerate() {
+            _mm256_storeu_ps(o.add(q * n), row[0]);
+            _mm256_storeu_ps(o.add(q * n + 8), row[1]);
+        }
+    }
 }
 
 /// Whether this process may dispatch the AVX strip kernels.
@@ -557,81 +661,102 @@ pub fn matmul_tiled_impl(
 // matmul_transpose: C(m×n) = A(m×k) · B(n×k)ᵀ  (every cell a row·row dot)
 // ---------------------------------------------------------------------------
 
-/// Four dots sharing one `a` row, replaying [`dot`]'s exact 4-lane
-/// chunked accumulation per cell: lane `l` of cell `t` receives the
-/// products at positions `4i+l`, the lanes reduce as `((l0+l1)+l2)+l3`,
-/// and the tail appends sequentially. Bitwise-equal to four `dot` calls;
-/// 4× the arithmetic intensity because `a`'s loads are shared.
-#[inline]
-fn dot4(a: &[f32], b: [&[f32]; 4], out: &mut [f32]) {
-    let len = a.len();
-    let chunks = len / 4;
-    let mut acc = [[0.0f32; 4]; 4];
-    for i in 0..chunks {
-        let j = i * 4;
-        let a0 = a[j];
-        let a1 = a[j + 1];
-        let a2 = a[j + 2];
-        let a3 = a[j + 3];
-        for t in 0..4 {
-            let bt = b[t];
-            acc[t][0] += a0 * bt[j];
-            acc[t][1] += a1 * bt[j + 1];
-            acc[t][2] += a2 * bt[j + 2];
-            acc[t][3] += a3 * bt[j + 3];
+/// B rows per packed `matmul_transpose` panel: one 256-bit vector of
+/// output cells.
+const PANEL: usize = 8;
+
+/// Pack `b` (n×k row-major) into `ceil(n / PANEL)` panels of [`PANEL`]
+/// rows, each stored transposed: value `(kk, t)` sits at `kk · PANEL + t`
+/// and holds `b[p·PANEL + t][kk]`. Read as `[4-lane chunk i][lane l][row
+/// t]`, the operands one lane of [`dot`] consumes for all eight cells are
+/// contiguous. Rows past `n` stay zero; their lanes are computed and
+/// discarded. Pure relocation — no value changes.
+fn pack_bt_into(b: &[f32], k_dim: usize, n: usize, out: &mut [f32]) {
+    for j in 0..n {
+        let (p, t) = (j / PANEL, j % PANEL);
+        let panel = &mut out[p * PANEL * k_dim..(p + 1) * PANEL * k_dim];
+        for (kk, &v) in b[j * k_dim..(j + 1) * k_dim].iter().enumerate() {
+            panel[kk * PANEL + t] = v;
         }
-    }
-    for t in 0..4 {
-        let mut total = acc[t][0] + acc[t][1] + acc[t][2] + acc[t][3];
-        let bt = b[t];
-        for i in chunks * 4..len {
-            total += a[i] * bt[i];
-        }
-        out[t] = total;
     }
 }
 
-/// One row block of the tiled `A · Bᵀ`: `j`-tiles of B rows stay
-/// L1-resident across the [`ROW_BLOCK`] `a` rows.
+/// Portable panel kernel: eight [`dot`]s of `a_row` against one packed
+/// panel. Cell `t`'s lane `l` accumulates the products at `4i + l`, the
+/// lanes reduce as `((l0+l1)+l2)+l3`, and the `k % 4` tail appends in
+/// order — `dot`'s exact sequence, so each cell is bitwise `dot`.
+#[inline]
+fn dot_panel_scalar(a_row: &[f32], panel: &[f32], out: &mut [f32; PANEL]) {
+    let chunks = a_row.len() / 4;
+    let mut acc = [[0.0f32; PANEL]; 4];
+    for i in 0..chunks {
+        for (l, lane) in acc.iter_mut().enumerate() {
+            let kk = 4 * i + l;
+            let av = a_row[kk];
+            let bs = &panel[kk * PANEL..(kk + 1) * PANEL];
+            for t in 0..PANEL {
+                lane[t] += av * bs[t];
+            }
+        }
+    }
+    for (t, o) in out.iter_mut().enumerate() {
+        let mut total = acc[0][t] + acc[1][t] + acc[2][t] + acc[3][t];
+        for kk in chunks * 4..a_row.len() {
+            total += a_row[kk] * panel[kk * PANEL + t];
+        }
+        *o = total;
+    }
+}
+
+/// One row block of the tiled `A · Bᵀ`: tiles of `tile_panels` packed
+/// panels stay L1-resident across the [`ROW_BLOCK`] `a` rows.
+#[allow(clippy::too_many_arguments)]
 fn matmul_transpose_block(
     a: &[f32],
     k_dim: usize,
-    b: &[f32],
+    packed: &[f32],
     n: usize,
-    tile: usize,
+    tile_panels: usize,
+    simd: bool,
     i0: usize,
     out_block: &mut [f32],
 ) {
     let rows_here = out_block.len().checked_div(n).unwrap_or(0);
-    let mut j0 = 0;
-    while j0 < n {
-        let jw = tile.min(n - j0);
+    let panels = n.div_ceil(PANEL);
+    let panel_len = PANEL * k_dim;
+    let mut p0 = 0;
+    while p0 < panels {
+        let p1 = (p0 + tile_panels).min(panels);
         for ir in 0..rows_here {
             let a_row = &a[(i0 + ir) * k_dim..(i0 + ir + 1) * k_dim];
-            let out_row = &mut out_block[ir * n + j0..ir * n + j0 + jw];
-            let mut jj = 0;
-            while jj + 4 <= jw {
-                let j = j0 + jj;
-                let rows = [
-                    &b[j * k_dim..(j + 1) * k_dim],
-                    &b[(j + 1) * k_dim..(j + 2) * k_dim],
-                    &b[(j + 2) * k_dim..(j + 3) * k_dim],
-                    &b[(j + 3) * k_dim..(j + 4) * k_dim],
-                ];
-                dot4(a_row, rows, &mut out_row[jj..jj + 4]);
-                jj += 4;
-            }
-            while jj < jw {
-                let j = j0 + jj;
-                out_row[jj] = dot(a_row, &b[j * k_dim..(j + 1) * k_dim]);
-                jj += 1;
+            let out_row = &mut out_block[ir * n..(ir + 1) * n];
+            for p in p0..p1 {
+                let panel = &packed[p * panel_len..(p + 1) * panel_len];
+                let mut cells = [0.0f32; PANEL];
+                #[cfg(target_arch = "x86_64")]
+                if simd {
+                    // SAFETY: `simd` is only true after AVX detection and
+                    // the panel holds `a_row.len() · PANEL` floats.
+                    unsafe { avx::dot_panel8(a_row, panel, &mut cells) };
+                } else {
+                    dot_panel_scalar(a_row, panel, &mut cells);
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    let _ = simd;
+                    dot_panel_scalar(a_row, panel, &mut cells);
+                }
+                let j = p * PANEL;
+                let w = PANEL.min(n - j);
+                out_row[j..j + w].copy_from_slice(&cells[..w]);
             }
         }
-        j0 += jw;
+        p0 = p1;
     }
 }
 
 /// Tiled `C = A · Bᵀ` over raw buffers (`a`: m×k, `b`: n×k, `out`: m×n).
+/// Every cell is bitwise [`dot`] of its two rows.
 pub fn matmul_transpose_tiled(
     a: &[f32],
     m: usize,
@@ -640,16 +765,46 @@ pub fn matmul_transpose_tiled(
     n: usize,
     out: &mut [f32],
 ) {
-    let tile = tile_width();
+    matmul_transpose_tiled_impl(a, m, k_dim, b, n, out, simd_available());
+}
+
+/// [`matmul_transpose_tiled`] with SIMD dispatch forced on or off, like
+/// [`matmul_tiled_impl`]. Forcing `simd: true` without AVX support is
+/// rejected at dispatch.
+#[doc(hidden)]
+pub fn matmul_transpose_tiled_impl(
+    a: &[f32],
+    m: usize,
+    k_dim: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    simd: bool,
+) {
+    let simd = simd && simd_available();
+    let tile_panels = tile_width().div_ceil(PANEL);
+    let mut packed = TrackedScratch::zeroed(n.div_ceil(PANEL) * PANEL * k_dim);
+    pack_bt_into(b, k_dim, n, &mut packed.data);
+    let packed = &packed.data;
+    let block = |bi: usize, out_block: &mut [f32]| {
+        matmul_transpose_block(
+            a,
+            k_dim,
+            packed,
+            n,
+            tile_panels,
+            simd,
+            bi * ROW_BLOCK,
+            out_block,
+        );
+    };
     if m >= PAR_ROW_THRESHOLD {
         out.par_chunks_mut((ROW_BLOCK * n).max(1))
             .enumerate()
-            .for_each(|(bi, block)| {
-                matmul_transpose_block(a, k_dim, b, n, tile, bi * ROW_BLOCK, block);
-            });
+            .for_each(|(bi, out_block)| block(bi, out_block));
     } else {
-        for (bi, block) in out.chunks_mut((ROW_BLOCK * n).max(1)).enumerate() {
-            matmul_transpose_block(a, k_dim, b, n, tile, bi * ROW_BLOCK, block);
+        for (bi, out_block) in out.chunks_mut((ROW_BLOCK * n).max(1)).enumerate() {
+            block(bi, out_block);
         }
     }
 }
@@ -658,32 +813,106 @@ pub fn matmul_transpose_tiled(
 // transpose_matmul: C(k×n) = A(r×k)ᵀ · B(r×n)
 // ---------------------------------------------------------------------------
 
-/// One block of output rows `[k0, k1)`: stream A and B rows once, rank-1
-/// updating the block. Per-cell order: `r` increasing, `a == 0.0` terms
-/// skipped — the order of both reference loops.
+/// Output rows per `transpose_matmul` register tile.
+const TM_ROWS: usize = 4;
+
+/// Output columns per `transpose_matmul` register tile (two 256-bit
+/// vectors, so a full tile is eight accumulators).
+const TM_COLS: usize = 16;
+
+/// `A` rows streamed per pass over the output tiles: the chunk's rows of
+/// `A` and `B` stay L1-resident while every tile of the block passes over
+/// them, whatever the total row count.
+const TM_R_CHUNK: usize = 64;
+
+/// Portable register tile: output rows `[q0, q0+qh)` × columns
+/// `[j0, j0+jw)` of `out` (row stride `n`) continue their sums over `A`
+/// rows `rs`, in increasing `r`, skipping `a == 0.0` — the reference's
+/// per-cell sequence.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn tm_tile_scalar(
+    a: &[f32],
+    a_cols: usize,
+    k0: usize,
+    b: &[f32],
+    n: usize,
+    rs: std::ops::Range<usize>,
+    (q0, qh): (usize, usize),
+    (j0, jw): (usize, usize),
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; TM_COLS]; TM_ROWS];
+    for (q, row) in acc.iter_mut().enumerate().take(qh) {
+        row[..jw].copy_from_slice(&out[(q0 + q) * n + j0..(q0 + q) * n + j0 + jw]);
+    }
+    for r in rs {
+        let a_sub = &a[r * a_cols + k0 + q0..r * a_cols + k0 + q0 + qh];
+        let b_sub = &b[r * n + j0..r * n + j0 + jw];
+        for (row, &av) in acc.iter_mut().zip(a_sub) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in row.iter_mut().zip(b_sub) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (q, row) in acc.iter().enumerate().take(qh) {
+        out[(q0 + q) * n + j0..(q0 + q) * n + j0 + jw].copy_from_slice(&row[..jw]);
+    }
+}
+
+/// One block of output rows `[k0, k0 + kw)`. `A` rows stream in
+/// [`TM_R_CHUNK`] chunks; within a chunk every register tile carries its
+/// partial sums in from `out`, adds the chunk's rows in increasing `r`
+/// and stores them back (an exact f32 round trip), so each cell sees the
+/// reference's sequence whatever the chunking.
+#[allow(clippy::too_many_arguments)]
 fn transpose_matmul_block(
     a: &[f32],
     rows: usize,
     a_cols: usize,
     b: &[f32],
     n: usize,
+    simd: bool,
     k0: usize,
     out_block: &mut [f32],
 ) {
     let kw = out_block.len().checked_div(n).unwrap_or(0);
-    for r in 0..rows {
-        let a_sub = &a[r * a_cols + k0..r * a_cols + k0 + kw];
-        let b_row = &b[r * n..(r + 1) * n];
-        for (kk, &av) in a_sub.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut out_block[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+    for r0 in (0..rows).step_by(TM_R_CHUNK) {
+        let rs = r0..(r0 + TM_R_CHUNK).min(rows);
+        for j0 in (0..n).step_by(TM_COLS) {
+            let jw = TM_COLS.min(n - j0);
+            for q0 in (0..kw).step_by(TM_ROWS) {
+                let qh = TM_ROWS.min(kw - q0);
+                #[cfg(target_arch = "x86_64")]
+                if simd && qh == TM_ROWS && jw == TM_COLS {
+                    // SAFETY: `simd` is only true after AVX detection; the
+                    // tile's rows and columns lie inside
+                    // `a`, `b` and `out_block` because `qh`/`jw` are full
+                    // widths here.
+                    unsafe {
+                        avx::tm_tile4x16(a, a_cols, k0 + q0, b, n, rs.clone(), q0, j0, out_block)
+                    };
+                    continue;
+                }
+                tm_tile_scalar(
+                    a,
+                    a_cols,
+                    k0,
+                    b,
+                    n,
+                    rs.clone(),
+                    (q0, qh),
+                    (j0, jw),
+                    out_block,
+                );
             }
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
 }
 
 /// Blocked `C = Aᵀ · B` over raw buffers (`a`: rows×a_cols, `b`: rows×n,
@@ -696,15 +925,38 @@ pub fn transpose_matmul_blocked(
     n: usize,
     out: &mut [f32],
 ) {
+    transpose_matmul_blocked_impl(a, rows, a_cols, b, n, out, simd_available());
+}
+
+/// [`transpose_matmul_blocked`] with SIMD dispatch forced on or off, like
+/// [`matmul_tiled_impl`].
+#[doc(hidden)]
+pub fn transpose_matmul_blocked_impl(
+    a: &[f32],
+    rows: usize,
+    a_cols: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    simd: bool,
+) {
+    // The AVX tile reads through raw pointers: these lengths are what
+    // keeps it in bounds.
+    assert!(
+        a.len() == rows * a_cols && b.len() == rows * n && out.len() == a_cols * n,
+        "transpose_matmul: buffer lengths do not match {rows}x{a_cols} and {rows}x{n}"
+    );
+    let simd = simd && simd_available();
+    let block = |bi: usize, out_block: &mut [f32]| {
+        transpose_matmul_block(a, rows, a_cols, b, n, simd, bi * ROW_BLOCK, out_block);
+    };
     if a_cols >= PAR_ROW_THRESHOLD {
         out.par_chunks_mut((ROW_BLOCK * n).max(1))
             .enumerate()
-            .for_each(|(bi, block)| {
-                transpose_matmul_block(a, rows, a_cols, b, n, bi * ROW_BLOCK, block);
-            });
+            .for_each(|(bi, out_block)| block(bi, out_block));
     } else {
-        for (bi, block) in out.chunks_mut((ROW_BLOCK * n).max(1)).enumerate() {
-            transpose_matmul_block(a, rows, a_cols, b, n, bi * ROW_BLOCK, block);
+        for (bi, out_block) in out.chunks_mut((ROW_BLOCK * n).max(1)).enumerate() {
+            block(bi, out_block);
         }
     }
 }

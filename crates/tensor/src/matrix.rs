@@ -282,11 +282,12 @@ impl Matrix {
     /// `self · otherᵀ` without materialising the transpose. The workhorse of
     /// pairwise similarity matrices (every output cell is a row·row dot).
     ///
-    /// Large shapes run the j-tiled kernel
-    /// ([`crate::kernels::matmul_transpose_tiled`]), which keeps a tile of
-    /// `other`'s rows L1-resident across a 64-row block of `self` and
-    /// computes four dots per A-row load; every cell still reduces exactly
-    /// like [`dot`], so results are bitwise-identical to the naive loop.
+    /// Large shapes run the panel kernel
+    /// ([`crate::kernels::matmul_transpose_tiled`]), which packs `other`'s
+    /// rows into lane-major 8-row panels, keeps a tile of them L1-resident
+    /// across a 64-row block of `self` and computes eight dots per A-row
+    /// pass; every cell still reduces exactly like [`dot`], so results are
+    /// bitwise-identical to the naive loop.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -311,12 +312,11 @@ impl Matrix {
 
     /// `selfᵀ · other`, used by matmul backward passes.
     ///
-    /// Runs the r-streaming blocked kernel
-    /// ([`crate::kernels::transpose_matmul_blocked`]): 64-wide blocks of
-    /// output rows are rank-1-updated while A and B stream through once
-    /// per block, instead of the old parallel path's strided column walk.
-    /// Per-cell accumulation stays `r`-increasing with `a == 0.0` skipped,
-    /// so results are bitwise-identical to both old paths.
+    /// Runs the register-tiled kernel
+    /// ([`crate::kernels::transpose_matmul_blocked`]): 4×16 output tiles
+    /// stay in registers while the rows of A and B stream past in 64-row
+    /// chunks. Per-cell accumulation stays `r`-increasing with `a == 0.0`
+    /// skipped, so results are bitwise-identical to the reference loop.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,

@@ -8,11 +8,12 @@
 //! multiples of the tile width, sparse inputs (the `a == 0.0` skip), and
 //! every tile width in range. These tests call the raw tiled entry points
 //! directly, bypassing the `use_tiled` shape gate, so small shapes
-//! exercise the tiled path too.
+//! exercise the tiled path too. Each kernel's `_impl` entry point forces
+//! the AVX or the portable path, so both are held to the reference.
 
 use ceaff_tensor::kernels::{
-    self, matmul_tiled, matmul_tiled_impl, matmul_transpose_tiled, reference,
-    transpose_matmul_blocked, with_tile,
+    self, matmul_tiled, matmul_tiled_impl, matmul_transpose_tiled, matmul_transpose_tiled_impl,
+    reference, transpose_matmul_blocked, transpose_matmul_blocked_impl, with_tile,
 };
 use ceaff_tensor::Matrix;
 use proptest::prelude::*;
@@ -73,6 +74,40 @@ fn blocked_transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// `A · Bᵀ` through the forced AVX (`simd`) or portable path.
+fn matmul_transpose_forced(a: &Matrix, b: &Matrix, simd: bool) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    matmul_transpose_tiled_impl(
+        a.as_slice(),
+        a.rows(),
+        a.cols(),
+        b.as_slice(),
+        b.rows(),
+        out.as_mut_slice(),
+        simd,
+    );
+    out
+}
+
+/// `Aᵀ · B` through the forced AVX (`simd`) or portable path.
+fn transpose_matmul_forced(a: &Matrix, b: &Matrix, simd: bool) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    transpose_matmul_blocked_impl(
+        a.as_slice(),
+        a.rows(),
+        a.cols(),
+        b.as_slice(),
+        b.cols(),
+        out.as_mut_slice(),
+        simd,
+    );
+    out
+}
+
+fn path_label(kernel: &str, simd: bool) -> String {
+    format!("{kernel} {}", if simd { "simd" } else { "portable" })
+}
+
 /// Assert bitwise equality with a shape-and-tile-labelled message.
 fn assert_bitwise(label: &str, got: &Matrix, want: &Matrix, tile: usize) {
     assert_eq!(got.shape(), want.shape(), "{label}: shape (tile {tile})");
@@ -115,15 +150,16 @@ proptest! {
         }
     }
 
-    /// Tiled `A · Bᵀ` equals the reference (each cell a chunked dot) for
-    /// random shapes, including `k` not a multiple of the dot's 4-lane
-    /// chunk and column counts not a multiple of the 4-wide micro-kernel.
+    /// Tiled `A · Bᵀ` equals the reference (each cell a chunked dot) on
+    /// both the AVX and the portable panel kernels, for random shapes:
+    /// `k % 4 ≠ 0` tails, `n < 8` and `n % 8 ≠ 0` partial panels, and every
+    /// tile width in range.
     #[test]
     fn matmul_transpose_parity_random_shapes(
         m in 1usize..150,
         k in 0usize..40,
         n in 1usize..100,
-        tile in 8usize..128,
+        tile in 8usize..257,
         seed in 1u32..10_000,
     ) {
         let a = lcg_matrix(m, k, seed);
@@ -131,12 +167,19 @@ proptest! {
         let want = reference::matmul_transpose(&a, &b);
         let got = with_tile(tile, || tiled_matmul_transpose(&a, &b));
         assert_bitwise("matmul_transpose", &got, &want, tile);
+        for simd in [false, true] {
+            let got = with_tile(tile, || matmul_transpose_forced(&a, &b, simd));
+            assert_bitwise(&path_label("matmul_transpose", simd), &got, &want, tile);
+        }
     }
 
-    /// Blocked `Aᵀ · B` equals the reference for random shapes.
+    /// Blocked `Aᵀ · B` equals the reference on both the AVX and the
+    /// portable register tiles, for random shapes: output rows not a
+    /// multiple of the 4-row tile, columns not a multiple of the 16-wide
+    /// tile, and row counts spanning several streamed row chunks.
     #[test]
     fn transpose_matmul_parity_random_shapes(
-        rows in 0usize..120,
+        rows in 0usize..300,
         a_cols in 1usize..150,
         n in 1usize..60,
         seed in 1u32..10_000,
@@ -146,6 +189,10 @@ proptest! {
         let want = reference::transpose_matmul(&a, &b);
         let got = blocked_transpose_matmul(&a, &b);
         assert_bitwise("transpose_matmul", &got, &want, kernels::DEFAULT_TILE);
+        for simd in [false, true] {
+            let got = transpose_matmul_forced(&a, &b, simd);
+            assert_bitwise(&path_label("transpose_matmul", simd), &got, &want, kernels::DEFAULT_TILE);
+        }
     }
 
     /// The public `Matrix` methods (shape-gated dispatch) agree bitwise
@@ -266,4 +313,67 @@ fn special_values_survive_tiling() {
     let want = reference::matmul_transpose(&a, &bt);
     let got = with_tile(16, || tiled_matmul_transpose(&a, &bt));
     assert_bitwise("matmul_transpose with NaN/inf", &got, &want, 16);
+}
+
+/// A 130×67 matrix (a partial 4-row tile, a `% 4 = 3` tail, a partial
+/// 8-row panel, several 64-row streamed chunks) whose values include
+/// `-0.0`, whole `-0.0`/`0.0` rows and columns, NaN and `±∞`. Each
+/// non-finite value sits in its own row *and* column, so no output cell
+/// meets two NaN sources and the NaN payload is defined.
+fn special_matrix(seed: u32) -> Matrix {
+    let mut a = lcg_matrix(130, 67, seed);
+    for c in 0..67 {
+        a[(7, c)] = -0.0;
+        a[(8, c)] = 0.0;
+    }
+    for r in 0..130 {
+        a[(r, 11)] = -0.0;
+        a[(r, 12)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+    }
+    a[(20, 1)] = -0.0;
+    a[(30, 2)] = f32::NAN;
+    a[(64, 3)] = f32::INFINITY;
+    a[(129, 66)] = f32::NEG_INFINITY;
+    a
+}
+
+#[test]
+fn special_values_match_reference_on_both_paths() {
+    // `-0.0`, whole zero rows/columns, NaN and ±∞ in A exercise the zero
+    // skip; a B with its own ∞ must still match, where `0 · ∞` would be
+    // NaN if a skipped term were evaluated.
+    let a = special_matrix(41);
+    let bt = lcg_matrix(61, 67, 43);
+    let b = lcg_matrix(130, 53, 47);
+    let mut b_inf = b.clone();
+    b_inf[(50, 9)] = f32::INFINITY;
+    b_inf[(100, 40)] = f32::NEG_INFINITY;
+    let want_mt = reference::matmul_transpose(&a, &bt);
+    let want_tm = reference::transpose_matmul(&a, &b);
+    let want_tm_inf = reference::transpose_matmul(&a, &b_inf);
+    for simd in [false, true] {
+        for tile in [kernels::TILE_RANGE.0, 13, 64, kernels::TILE_RANGE.1] {
+            let got = with_tile(tile, || matmul_transpose_forced(&a, &bt, simd));
+            assert_bitwise(
+                &path_label("matmul_transpose special", simd),
+                &got,
+                &want_mt,
+                tile,
+            );
+        }
+        let got = transpose_matmul_forced(&a, &b, simd);
+        assert_bitwise(
+            &path_label("transpose_matmul special", simd),
+            &got,
+            &want_tm,
+            0,
+        );
+        let got = transpose_matmul_forced(&a, &b_inf, simd);
+        assert_bitwise(
+            &path_label("transpose_matmul special, ∞ in B", simd),
+            &got,
+            &want_tm_inf,
+            0,
+        );
+    }
 }
