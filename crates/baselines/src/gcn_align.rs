@@ -1,4 +1,4 @@
-//! GCN-Align (Wang et al., EMNLP 2018) — the paper's reference [25].
+//! GCN-Align (Wang et al., EMNLP 2018) — the paper's reference \[25\].
 //!
 //! Two views fused at outcome level with **fixed** weights: a structural
 //! GCN over the relation-functionality-weighted adjacency (exactly the

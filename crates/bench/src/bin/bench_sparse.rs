@@ -122,7 +122,14 @@ fn main() {
     let budget = ceaff::ExecBudget::unlimited().with_max_mem_bytes(cap_mb * 1024 * 1024);
 
     let start = Instant::now();
-    let dense_result = ceaff::try_run_with_budget(&task.input(), &cfg, &budget);
+    let dense_result = ceaff::run(
+        &task.input(),
+        &cfg,
+        &ceaff::RunOptions {
+            budget: &budget,
+            checkpoint: None,
+        },
+    );
     let dense_secs = start.elapsed().as_secs_f64();
     let dense_report = match dense_result {
         Err(ceaff::CeaffError::BudgetExceeded {
@@ -152,8 +159,15 @@ fn main() {
     };
 
     let start = Instant::now();
-    let blocked_out = ceaff::try_run_with_budget(&task.input(), &blocked_cfg, &budget)
-        .expect("blocked path must complete under the cap");
+    let blocked_out = ceaff::run(
+        &task.input(),
+        &blocked_cfg,
+        &ceaff::RunOptions {
+            budget: &budget,
+            checkpoint: None,
+        },
+    )
+    .expect("blocked path must complete under the cap");
     let blocked_secs = start.elapsed().as_secs_f64();
     // The budget scope re-bases the tensor ledger's high-water mark when
     // it is installed and leaves it in place on drop, so this is the

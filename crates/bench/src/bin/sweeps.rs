@@ -190,7 +190,15 @@ fn sweep_budget(opts: &HarnessOpts) {
         full,
     ] {
         let budget = ExecBudget::unlimited().with_step_limit(limit);
-        let out = ceaff::try_run_with_budget(&task.input(), &cfg, &budget).expect("budgeted run");
+        let out = ceaff::run(
+            &task.input(),
+            &cfg,
+            &ceaff::RunOptions {
+                budget: &budget,
+                checkpoint: None,
+            },
+        )
+        .expect("budgeted run");
         let degraded: Vec<String> = out
             .trace
             .degradations

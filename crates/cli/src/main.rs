@@ -161,7 +161,7 @@ SIGNALS:
 ";
 
 /// Set by the SIGINT handler; `align` polls it through a
-/// [`CancelToken`](ceaff::CancelToken) so Ctrl-C degrades the run
+/// [`ceaff::CancelToken`] so Ctrl-C degrades the run
 /// gracefully instead of killing it.
 static CANCEL_REQUESTED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
@@ -660,10 +660,17 @@ fn cmd_align(args: &Args) {
         pair.test_pairs().len(),
         pair.test_pairs().len()
     );
+    let run = |cfg: &ceaff::CeaffConfig, checkpoint: Option<&ceaff::Checkpointer>| {
+        let opts = ceaff::RunOptions {
+            budget: &budget,
+            checkpoint,
+        };
+        ceaff::run(&input, cfg, &opts)
+    };
     let result = match (args.get("checkpoint-dir"), args.has_switch("resume")) {
         (Some(ckdir), true) => {
             eprintln!("resuming from {ckdir}");
-            ceaff::resume_from_with_budget(ckdir, &input, &budget)
+            ceaff::Checkpointer::open(ckdir).and_then(|(ck, cfg)| run(&cfg, Some(&ck)))
         }
         (Some(ckdir), false) => {
             let every = args.get_parsed("checkpoint-every", 10usize);
@@ -673,10 +680,12 @@ fn cmd_align(args: &Args) {
                 ceaff::CheckpointPolicy::EveryNEpochs(every)
             };
             eprintln!("checkpointing to {ckdir}");
-            ceaff::try_run_checkpointed_with_budget(&input, &cfg, ckdir, policy, &budget)
+            cfg.validate()
+                .and_then(|()| ceaff::Checkpointer::create(ckdir, policy, &cfg))
+                .and_then(|ck| run(&cfg, Some(&ck)))
         }
         // `--resume` without `--checkpoint-dir` was rejected up front.
-        (None, _) => ceaff::try_run_with_budget(&input, &cfg, &budget),
+        (None, _) => run(&cfg, None),
     };
     let out = result.unwrap_or_else(|e| {
         eprintln!("error: {e}");

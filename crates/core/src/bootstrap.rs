@@ -12,7 +12,9 @@
 
 use crate::error::CeaffError;
 use crate::features::StructuralFeature;
-use crate::pipeline::{try_run_with_features, CeaffConfig, CeaffOutput, EaInput, FeatureSet};
+use crate::pipeline::{
+    try_run_with_features, CeaffConfig, CeaffOutput, EaInput, FeatureSet, RunOptions,
+};
 use ceaff_graph::{EntityId, KgPair};
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +103,7 @@ pub fn try_run_bootstrapped(
         let aug_input = EaInput::new(&augmented, input.source_embedder, input.target_embedder)
             .with_telemetry(telemetry.clone());
         let features = match carried.take() {
-            None => FeatureSet::compute(&aug_input, cfg),
+            None => FeatureSet::try_compute(&aug_input, cfg, &RunOptions::default())?,
             Some(mut prev) => {
                 if cfg.use_structural {
                     prev.structural = Some(StructuralFeature::compute_traced(
@@ -152,19 +154,6 @@ pub fn try_run_bootstrapped(
         accuracy_per_round,
         promotions_per_round,
     })
-}
-
-/// Deprecated panicking shim over [`try_run_bootstrapped`].
-///
-/// # Panics
-/// Panics when `boot.rounds == 0` or on an invalid configuration.
-#[deprecated(since = "0.1.0", note = "use `try_run_bootstrapped` instead")]
-pub fn run_bootstrapped(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    boot: &BootstrapConfig,
-) -> BootstrapOutput {
-    try_run_bootstrapped(input, cfg, boot).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Clone `pair` with `extra` appended to its seed list (test split kept).
@@ -278,24 +267,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CeaffError::InvalidConfig(_)));
         assert!(err.to_string().contains("at least one round"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "at least one round")]
-    fn deprecated_shim_panics_on_zero_rounds() {
-        let ds = dataset();
-        let src = ds.source_embedder(16);
-        let tgt = ds.target_embedder(16);
-        let input = EaInput::new(&ds.pair, &src, &tgt);
-        let _ = run_bootstrapped(
-            &input,
-            &fast_cfg(),
-            &BootstrapConfig {
-                rounds: 0,
-                ..BootstrapConfig::default()
-            },
-        );
     }
 
     #[test]

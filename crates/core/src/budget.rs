@@ -7,7 +7,7 @@
 //! once the cancel/deadline probe fires, and `ceaff-tensor` tracks live
 //! matrix bytes against the memory cap. Overruns surface as *graceful
 //! degradation* (a best-effort result plus a
-//! [`Degradation`](ceaff_telemetry::Degradation) record in the trace)
+//! [`ceaff_telemetry::Degradation`] record in the trace)
 //! for time-like budgets, and as a typed
 //! [`CeaffError::BudgetExceeded`] for the memory budget — never as an
 //! OOM abort or a silently wrong answer.

@@ -37,11 +37,10 @@ pub const STAGE_SEMANTIC: &str = "stage_semantic.bin";
 /// Completed string-stage artifact.
 pub const STAGE_STRING: &str = "stage_string.bin";
 
-/// When checkpoints are written during a run.
+/// When checkpoints are written during a checkpointed run (a run without
+/// a [`Checkpointer`] writes none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointPolicy {
-    /// No checkpointing (the default for plain `try_run`).
-    Off,
     /// Save each pipeline stage's output when the stage completes.
     PerStage,
     /// Per-stage outputs *plus* the GCN training state every `N` epochs,
@@ -397,7 +396,7 @@ impl Checkpointer {
             }
         }
         // (Re)write the envelope so the latest policy is what a later
-        // `resume_from` picks up.
+        // resume picks up.
         let envelope = ConfigEnvelope {
             version: FORMAT_VERSION,
             policy,
@@ -415,7 +414,8 @@ impl Checkpointer {
     }
 
     /// Open an existing run directory, recovering the configuration and
-    /// policy it was created with (the `resume_from` entry point).
+    /// policy it was created with — what a resumed run passes to
+    /// [`crate::pipeline::run`].
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, CeaffConfig), CeaffError> {
         let dir = dir.as_ref().to_path_buf();
         let envelope = Self::read_envelope(&dir.join("config.json"))?;

@@ -13,8 +13,8 @@
 //!   artifacts are the *raw* feature stores (pre-CSLS, pre-normalisation).
 //!   CSLS, min-max normalisation, adaptive fusion and collective matching
 //!   are global — every cell depends on row/column extremes — so they are
-//!   re-run in full through the very same
-//!   [`try_run_with_features`] the batch pipeline uses. Parity therefore
+//!   re-run in full through the very same decision body the batch
+//!   pipeline uses ([`try_run_with_features`]). Parity therefore
 //!   reduces to one local statement: *patched store ≡ fresh store*.
 //! * **Every dirty cell is recomputed by the same scalar function the
 //!   bulk kernel evaluates.** The repo's kernels are written so each
@@ -57,11 +57,10 @@ use crate::budget::ExecBudget;
 use crate::checkpoint::{config_fingerprint, crc32};
 use crate::error::CeaffError;
 use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
-use crate::gcn::GcnEncoder;
 use crate::matching::Matching;
 use crate::pipeline::{
-    block_candidates, try_run_with_features, try_run_with_features_budgeted, CandidateStrategy,
-    CeaffConfig, CeaffOutput, EaInput, FeatureSet, StructuralMode,
+    fuse_and_match, try_run_with_features, CandidateStrategy, CeaffConfig, CeaffOutput, EaInput,
+    FeatureSet, PropagationLayers, RunOptions, StructuralMode,
 };
 use crate::propagation;
 
@@ -130,70 +129,21 @@ impl DeltaState {
     /// incrementally (structural feature in [`StructuralMode::Trained`]).
     pub fn new(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<Self, CeaffError> {
         cfg.validate()?;
-        let layers = match (cfg.use_structural, cfg.structural) {
-            (true, StructuralMode::Trained) => {
-                return Err(CeaffError::Delta(
-                    "the trained-GCN structural mode cannot be updated incrementally \
-                     (every epoch couples all entities through shared weights); \
-                     configure StructuralMode::Propagation or disable the structural feature"
-                        .into(),
-                ));
-            }
-            (true, StructuralMode::Propagation { layers }) => Some(layers),
-            (false, _) => None,
-        };
-        let telemetry = &input.telemetry;
-        let prop = layers.map(|layers| {
-            let _span = telemetry.span("propagation");
-            (
-                propagation::propagate(&input.pair.source, cfg.gcn.dim, layers),
-                propagation::propagate(&input.pair.target, cfg.gcn.dim, layers),
-            )
-        });
-        let blocked = match &cfg.candidates {
-            CandidateStrategy::Dense => None,
-            CandidateStrategy::Blocked { k, blocking } => {
-                Some((block_candidates(input.pair, blocking, *k, telemetry), *k))
-            }
-        };
-        // Same constructors the batch pipeline's `compute_structural`
-        // reaches through `propagation::encode` — the cached layers are
-        // exactly what `encode` would have produced.
-        let structural = prop.as_ref().map(|(ls, lt)| {
-            let encoder = GcnEncoder {
-                z_source: ls.last().expect("at least layer 0").clone(),
-                z_target: lt.last().expect("at least layer 0").clone(),
-                loss_curve: Vec::new(),
-            };
-            match &blocked {
-                None => StructuralFeature::from_encoder(input.pair, encoder),
-                Some((c, k)) => StructuralFeature::from_encoder_blocked(input.pair, encoder, c, *k),
-            }
-        });
-        let semantic = cfg.use_semantic.then(|| match &blocked {
-            None => {
-                SemanticFeature::compute(input.pair, input.source_embedder, input.target_embedder)
-            }
-            Some((c, k)) => SemanticFeature::compute_blocked(
-                input.pair,
-                input.source_embedder,
-                input.target_embedder,
-                c,
-                *k,
-            ),
-        });
-        let string = cfg.use_string.then(|| match &blocked {
-            None => StringFeature::compute(input.pair),
-            Some((c, k)) => StringFeature::compute_blocked(input.pair, c, *k),
-        });
-        let features = FeatureSet {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        };
-        let output = try_run_with_features(input.pair, &features, cfg, telemetry)?;
-        let (prop_source, prop_target) = prop.unwrap_or_default();
+        if cfg.use_structural && matches!(cfg.structural, StructuralMode::Trained) {
+            return Err(CeaffError::Delta(
+                "the trained-GCN structural mode cannot be updated incrementally \
+                 (every epoch couples all entities through shared weights); \
+                 configure StructuralMode::Propagation or disable the structural feature"
+                    .into(),
+            ));
+        }
+        // The batch pipeline's own feature body, keeping the propagation
+        // layers it computed: the structural patcher's cache.
+        let mut layers = PropagationLayers::default();
+        let features =
+            FeatureSet::compute_stages(input, cfg, &RunOptions::default(), Some(&mut layers))?;
+        let output = try_run_with_features(input.pair, &features, cfg, &input.telemetry)?;
+        let (prop_source, prop_target) = layers;
         Ok(Self {
             cfg: cfg.clone(),
             pair: input.pair.clone(),
@@ -217,30 +167,25 @@ impl DeltaState {
         source_embedder: &dyn WordEmbedder,
         target_embedder: &dyn WordEmbedder,
     ) -> Result<AlignmentDiff, CeaffError> {
-        self.apply_inner(delta, source_embedder, target_embedder, None)
+        self.apply_budgeted(
+            delta,
+            source_embedder,
+            target_embedder,
+            RunOptions::default().budget,
+        )
     }
 
     /// [`DeltaState::apply`] under an execution budget: the fusion and
-    /// matching re-run goes through
-    /// [`try_run_with_features_budgeted`], so a tight decision budget
-    /// degrades the matcher exactly as it would in a batch run. Store
-    /// patching itself is not metered (it is the part deltas make cheap).
+    /// matching re-run goes through the batch pipeline's decision body
+    /// under `budget`, so a tight decision budget degrades the matcher
+    /// exactly as it would in a batch run. Store patching itself is not
+    /// metered (it is the part deltas make cheap).
     pub fn apply_budgeted(
         &mut self,
         delta: &KgDelta,
         source_embedder: &dyn WordEmbedder,
         target_embedder: &dyn WordEmbedder,
         budget: &ExecBudget,
-    ) -> Result<AlignmentDiff, CeaffError> {
-        self.apply_inner(delta, source_embedder, target_embedder, Some(budget))
-    }
-
-    fn apply_inner(
-        &mut self,
-        delta: &KgDelta,
-        source_embedder: &dyn WordEmbedder,
-        target_embedder: &dyn WordEmbedder,
-        budget: Option<&ExecBudget>,
     ) -> Result<AlignmentDiff, CeaffError> {
         let cfg = self.cfg.clone();
         let applied = delta
@@ -488,10 +433,7 @@ impl DeltaState {
 
         // Global stages re-run in full — identical to the batch pipeline.
         let telemetry = Telemetry::disabled();
-        let output = match budget {
-            None => try_run_with_features(&new_pair, &features, &cfg, &telemetry)?,
-            Some(b) => try_run_with_features_budgeted(&new_pair, &features, &cfg, &telemetry, b)?,
-        };
+        let output = fuse_and_match(&new_pair, &features, &cfg, &telemetry, budget)?;
 
         let (added, removed, changed) = diff_matchings(
             &named_matching(&self.output.matching, &old_tests),

@@ -4,10 +4,9 @@ use std::fmt;
 
 /// Everything that can go wrong before a pipeline run produces an output.
 ///
-/// Returned by [`crate::pipeline::try_run`],
-/// [`crate::pipeline::try_run_with_features`] and
-/// [`crate::pipeline::try_run_single_stage`]; the deprecated panicking
-/// entry points turn these into panics with the historical messages.
+/// Returned by [`crate::pipeline::run`] and every entry point that
+/// delegates to it ([`crate::pipeline::try_run`],
+/// [`crate::pipeline::try_run_with_features`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CeaffError {
     /// The configuration enables no feature that the feature set actually

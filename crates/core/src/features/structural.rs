@@ -31,79 +31,65 @@ impl StructuralFeature {
 
     /// [`StructuralFeature::compute`] with telemetry: encoder training is
     /// timed under the `"gcn"` stage and emits per-epoch loss gauges.
+    ///
+    /// # Panics
+    /// Panics when GCN training fails (see [`StructuralFeature::try_compute`]).
     pub fn compute_traced(pair: &KgPair, cfg: &GcnConfig, telemetry: &Telemetry) -> Self {
-        let encoder = gcn::train_traced(pair, cfg, telemetry);
-        Self::from_encoder(pair, encoder)
+        Self::try_compute(pair, cfg, telemetry, None, &ExecBudget::unlimited(), None)
+            .expect("GCN training failed")
     }
 
-    /// Fallible, checkpoint-aware variant of
-    /// [`StructuralFeature::compute_traced`]: with a [`Checkpointer`] the
-    /// GCN saves/resumes its training state, and numeric divergence comes
-    /// back as a typed error instead of a panic.
-    pub fn try_compute_traced(
+    /// [`StructuralFeature::compute_traced`] over a blocked candidate set.
+    ///
+    /// # Panics
+    /// Panics when GCN training fails (see [`StructuralFeature::try_compute`]).
+    pub fn compute_traced_blocked(
         pair: &KgPair,
         cfg: &GcnConfig,
         telemetry: &Telemetry,
-        checkpointer: Option<&Checkpointer>,
-    ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_traced(pair, cfg, telemetry, checkpointer)?;
-        Ok(Self::from_encoder(pair, encoder))
-    }
-
-    /// [`StructuralFeature::try_compute_traced`] under an execution
-    /// budget: GCN training consumes one budget step per epoch and stops
-    /// early (at the best snapshot so far, with a degradation record)
-    /// when the budget runs out — see
-    /// [`gcn::try_train_budgeted`](crate::gcn::try_train_budgeted).
-    pub fn try_compute_budgeted(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        checkpointer: Option<&Checkpointer>,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, checkpointer, budget)?;
-        Ok(Self::from_encoder(pair, encoder))
-    }
-
-    /// [`StructuralFeature::try_compute_budgeted`] scoring only the
-    /// blocked candidate pairs into a sparse top-k store. Training cost is
-    /// unchanged; the `O(n·t)` pairwise cosine stage shrinks to
-    /// `O(|candidates|)` dot products. No checkpointer: blocked runs are
-    /// cheap to restart and the checkpoint format is dense-only.
-    pub fn try_compute_budgeted_blocked(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        budget: &ExecBudget,
         candidates: &CandidateSet,
         k: usize,
+    ) -> Self {
+        let blocked = Some((candidates, k));
+        Self::try_compute(
+            pair,
+            cfg,
+            telemetry,
+            None,
+            &ExecBudget::unlimited(),
+            blocked,
+        )
+        .expect("GCN training failed")
+    }
+
+    /// Train the GCN (timed under the `"gcn"` stage) and score the test
+    /// split. Numeric divergence comes back as a typed error.
+    ///
+    /// * `checkpointer` — the GCN saves and resumes its training state
+    ///   there;
+    /// * `budget` — training consumes one step per epoch and stops early
+    ///   (at the best snapshot so far, with a degradation record) when the
+    ///   budget runs out — see
+    ///   [`gcn::try_train_budgeted`](crate::gcn::try_train_budgeted);
+    /// * `blocked` — score only these candidate pairs, keeping `k` per row
+    ///   in a sparse top-k store, instead of the dense `O(n·t)` cosine
+    ///   matrix. Training cost is unchanged.
+    pub fn try_compute(
+        pair: &KgPair,
+        cfg: &GcnConfig,
+        telemetry: &Telemetry,
+        checkpointer: Option<&Checkpointer>,
+        budget: &ExecBudget,
+        blocked: Option<(&CandidateSet, usize)>,
     ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, None, budget)?;
-        Ok(Self::from_encoder_blocked(pair, encoder, candidates, k))
+        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, checkpointer, budget)?;
+        Ok(Self::from_encoder_scoring(pair, encoder, blocked))
     }
 
     /// Build from an already-trained encoder (lets callers reuse one
     /// training run across ablations).
     pub fn from_encoder(pair: &KgPair, encoder: GcnEncoder) -> Self {
-        let GcnEncoder {
-            mut z_source,
-            mut z_target,
-            loss_curve,
-        } = encoder;
-        z_source.l2_normalize_rows();
-        z_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let zs = z_source.gather_rows(&src_idx);
-        let zt = z_target.gather_rows(&tgt_idx);
-        let test = SimStore::Dense(cosine_similarity_matrix(&zs, &zt));
-        Self {
-            z_source,
-            z_target,
-            test,
-            loss_curve,
-        }
+        Self::from_encoder_scoring(pair, encoder, None)
     }
 
     /// [`StructuralFeature::from_encoder`], scoring only the blocked
@@ -114,6 +100,17 @@ impl StructuralFeature {
         candidates: &CandidateSet,
         k: usize,
     ) -> Self {
+        Self::from_encoder_scoring(pair, encoder, Some((candidates, k)))
+    }
+
+    /// L2-normalise the encoder's embeddings and score the test split:
+    /// every pair into a dense cosine matrix, or only the `blocked`
+    /// candidate pairs into a sparse top-k store.
+    pub(crate) fn from_encoder_scoring(
+        pair: &KgPair,
+        encoder: GcnEncoder,
+        blocked: Option<(&CandidateSet, usize)>,
+    ) -> Self {
         let GcnEncoder {
             mut z_source,
             mut z_target,
@@ -125,28 +122,21 @@ impl StructuralFeature {
         let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
         let zs = z_source.gather_rows(&src_idx);
         let zt = z_target.gather_rows(&tgt_idx);
-        // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
-        });
+        let test = match blocked {
+            None => SimStore::Dense(cosine_similarity_matrix(&zs, &zt)),
+            // Rows are unit-normalised, so the dot product is the cosine.
+            Some((candidates, k)) => {
+                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i, j| {
+                    ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
+                }))
+            }
+        };
         Self {
             z_source,
             z_target,
-            test: SimStore::Sparse(sparse),
+            test,
             loss_curve,
         }
-    }
-
-    /// [`StructuralFeature::compute_traced`] over a blocked candidate set.
-    pub fn compute_traced_blocked(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        candidates: &CandidateSet,
-        k: usize,
-    ) -> Self {
-        let encoder = gcn::train_traced(pair, cfg, telemetry);
-        Self::from_encoder_blocked(pair, encoder, candidates, k)
     }
 
     /// Rebuild from checkpointed parts without recomputing anything.

@@ -21,6 +21,12 @@
 //!   paper's evaluation metrics ([`eval`]), and an end-to-end
 //!   [`pipeline`] with a switch for every Table V ablation.
 //!
+//! The pipeline has one path, [`run`]: features, then fusion and
+//! matching. Its [`RunOptions`] pick the execution budget ([`budget`]) and
+//! whether stages are checkpointed ([`checkpoint`]); the defaults — an
+//! unlimited budget, no checkpointer — are no-ops, which is what
+//! [`try_run`] passes.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -59,8 +65,6 @@ pub mod pipeline;
 pub mod propagation;
 pub mod snapshot;
 
-#[allow(deprecated)]
-pub use bootstrap::run_bootstrapped;
 pub use bootstrap::{try_run_bootstrapped, BootstrapConfig, BootstrapOutput};
 pub use budget::{BudgetScope, CancelToken, ExecBudget, StopReason};
 pub use ceaff_telemetry::{
@@ -90,14 +94,10 @@ pub use matching::{
     StableMarriage,
 };
 pub use pipeline::{
-    resume_from, resume_from_with_budget, run_decision_budgeted, try_run, try_run_checkpointed,
-    try_run_checkpointed_with_budget, try_run_single_stage, try_run_with_budget,
-    try_run_with_features, try_run_with_features_budgeted, CandidateStrategy, CeaffConfig,
-    CeaffConfigBuilder, CeaffOutput, DecisionOutput, EaInput, FeatureSet, StructuralMode,
-    WeightingMode,
+    run, run_decision_budgeted, try_run, try_run_with_features, CandidateStrategy, CeaffConfig,
+    CeaffConfigBuilder, CeaffOutput, DecisionOutput, EaInput, FeatureSet, RunOptions,
+    StructuralMode, WeightingMode,
 };
-#[allow(deprecated)]
-pub use pipeline::{run, run_single_stage, run_with_features};
 
 #[cfg(test)]
 mod doc_support {

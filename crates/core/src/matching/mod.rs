@@ -283,7 +283,11 @@ pub trait Matcher {
         }
     }
 
-    /// [`Matcher::matching_budgeted`] over either store backend.
+    /// [`Matcher::matching_budgeted`] over either store backend. The
+    /// default runs a sparse store through the exact
+    /// [`Matcher::matching_store_traced`] path — right for the greedy
+    /// strategies, whose single pass is itself the granule; matchers with
+    /// an anytime sparse path (deferred acceptance, Hungarian) override it.
     fn matching_store_budgeted(
         &self,
         s: &SimStore,
@@ -292,7 +296,7 @@ pub trait Matcher {
     ) -> AnytimeOutcome {
         match s {
             SimStore::Dense(m) => self.matching_budgeted(m, budget, telemetry),
-            SimStore::Sparse(sp) => self.matching_budgeted(&sp.to_dense(), budget, telemetry),
+            SimStore::Sparse(_) => AnytimeOutcome::exact(self.matching_store_traced(s, telemetry)),
         }
     }
 

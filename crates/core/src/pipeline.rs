@@ -2,14 +2,22 @@
 //! adaptive feature fusion → collective EA — with a switch for every
 //! ablation of Table V.
 //!
-//! The fallible entry points ([`try_run`], [`try_run_with_features`],
-//! [`try_run_single_stage`]) return `Result<CeaffOutput, CeaffError>` and
-//! thread a [`Telemetry`] handle through every stage; the produced
+//! There is one path through it. [`run`] computes the features
+//! ([`FeatureSet::try_compute`]) and then fuses and matches them; how the
+//! run executes — under which [`ExecBudget`], and whether its stages are
+//! checkpointed — is a [`RunOptions`] value, not a separate entry point.
+//! An unlimited budget and an absent checkpointer are no-ops inside that
+//! path. [`try_run`] and [`try_run_with_features`] are that path with the
+//! default options, the latter on precomputed features (how the ablation
+//! harness avoids retraining the GCN per table row).
+//!
+//! Every entry point returns `Result<CeaffOutput, CeaffError>` and
+//! threads a [`Telemetry`] handle through every stage; the produced
 //! [`CeaffOutput::trace`] records stage timings, counters and (with an
 //! active event stream) the full event sequence of the run.
 
 use crate::budget::{ExecBudget, StopReason};
-use crate::checkpoint::{self, CheckpointPolicy, Checkpointer};
+use crate::checkpoint::{self, Checkpointer};
 use crate::error::CeaffError;
 use crate::eval::{accuracy, ranking_metrics_store, RankingMetrics};
 use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
@@ -17,14 +25,16 @@ use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature
 use crate::fusion::{
     adaptive_fuse_store, fuse_store, two_stage_fuse_store, FusionConfig, FusionReport,
 };
-use crate::gcn::{GcnConfig, OptimKind};
+use crate::gcn::{GcnConfig, GcnEncoder, OptimKind};
 use crate::lr::{learn_weights, LrConfig};
 use crate::matching::{MatcherKind, Matching};
 use ceaff_embed::WordEmbedder;
 use ceaff_graph::KgPair;
 use ceaff_sim::{BlockingConfig, CandidateSet, SimStore, SimilarityMatrix};
 use ceaff_telemetry::{Degradation, RunTrace, Telemetry};
+use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// How candidate target entities are generated for each test source
 /// (tentpole of the sub-quadratic redesign).
@@ -549,7 +559,7 @@ pub struct FeatureSet {
 /// the recall ceiling of every downstream stage), `blocking/candidates`
 /// (total candidate pairs) and `blocking/scored_fraction` (fraction of
 /// the dense cross product that will be scored).
-pub(crate) fn block_candidates(
+fn block_candidates(
     pair: &KgPair,
     blocking: &BlockingConfig,
     k: usize,
@@ -581,43 +591,206 @@ pub(crate) fn block_candidates(
     candidates
 }
 
-/// Compute the structural feature under the configured encoder mode:
-/// GCN training for [`StructuralMode::Trained`], the deterministic
-/// propagation encoder (timed under a `"propagation"` span) for
-/// [`StructuralMode::Propagation`].
-fn compute_structural(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    telemetry: &Telemetry,
-    blocked: Option<(&CandidateSet, usize)>,
-) -> StructuralFeature {
-    match cfg.structural {
-        StructuralMode::Trained => match blocked {
-            None => StructuralFeature::compute_traced(input.pair, &cfg.gcn, telemetry),
-            Some((cands, k)) => {
-                StructuralFeature::compute_traced_blocked(input.pair, &cfg.gcn, telemetry, cands, k)
-            }
-        },
-        StructuralMode::Propagation { layers } => {
-            let _span = telemetry.span("propagation");
-            let encoder = crate::propagation::encode(input.pair, cfg.gcn.dim, layers);
-            match blocked {
-                None => StructuralFeature::from_encoder(input.pair, encoder),
-                Some((cands, k)) => {
-                    StructuralFeature::from_encoder_blocked(input.pair, encoder, cands, k)
-                }
-            }
+/// The propagation layers `[H₀…H_L]` of the source and target graphs —
+/// the cache the incremental pipeline patches.
+pub(crate) type PropagationLayers = (Vec<Matrix>, Vec<Matrix>);
+
+/// How one pipeline run executes: under which budget, and whether its
+/// feature stages are checkpointed. The default — an unlimited budget and
+/// no checkpointer — is a plain run; both are no-ops inside the one
+/// pipeline body, so the default reproduces a plain run bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Execution budget: GCN epochs, feature stages and matcher rounds
+    /// consume its steps, and its memory cap is checked at every stage
+    /// boundary. [`ExecBudget::unlimited`] by default.
+    pub budget: &'a ExecBudget,
+    /// Run directory to restore completed feature stages from and save
+    /// new ones to ([`Checkpointer::create`] for a fresh or continued
+    /// run, [`Checkpointer::open`] to resume with the pinned
+    /// configuration). `None` by default.
+    pub checkpoint: Option<&'a Checkpointer>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        static UNLIMITED: LazyLock<ExecBudget> = LazyLock::new(ExecBudget::unlimited);
+        Self {
+            budget: &UNLIMITED,
+            checkpoint: None,
         }
     }
 }
 
+/// Budget accounting across the feature stages of one run.
+#[derive(Default)]
+struct StageProgress {
+    /// Stages computed or restored so far.
+    done: usize,
+    /// Enabled stages the budget refused.
+    skipped: usize,
+    /// Why the budget refused them.
+    stop: Option<StopReason>,
+}
+
+impl StageProgress {
+    /// Produce one feature stage. A verified artifact in the run
+    /// directory is restored for free (no budget step). Otherwise every
+    /// stage after the first consumes one budget step — the first is
+    /// always computed, because a run without any feature could only
+    /// fail — and an exhausted budget skips the stage. A computed stage
+    /// is saved unless the budget stopped the run short, so a degraded
+    /// output never masquerades as the completed artifact. `artifact`
+    /// is `None` for stages that are never checkpointed.
+    fn stage<F>(
+        &mut self,
+        opts: &RunOptions<'_>,
+        telemetry: &Telemetry,
+        artifact: Option<&str>,
+        restore: impl FnOnce(&[u8]) -> Result<F, String>,
+        compute: impl FnOnce() -> Result<F, CeaffError>,
+        encode: impl FnOnce(&F) -> Vec<u8>,
+    ) -> Result<Option<F>, CeaffError> {
+        let store = opts.checkpoint.zip(artifact);
+        if let Some((ck, file)) = store {
+            if let Some(bytes) = ck.load(file)? {
+                let f = restore(&bytes).map_err(|reason| CeaffError::Checkpoint {
+                    file: file.to_owned(),
+                    reason,
+                })?;
+                telemetry.counter_add("checkpoint", "stages_resumed", 1);
+                self.done += 1;
+                return Ok(Some(f));
+            }
+        }
+        if self.done > 0 && self.stop.is_none() {
+            self.stop = opts.budget.consume_step();
+        }
+        if self.stop.is_some() {
+            self.skipped += 1;
+            return Ok(None);
+        }
+        opts.budget.check_mem("features")?;
+        let f = compute()?;
+        self.done += 1;
+        if let Some((ck, file)) = store {
+            if opts.budget.stop_reason().is_none() {
+                ck.save(file, &encode(&f))?;
+                if file == checkpoint::STAGE_STRUCTURAL {
+                    // The in-flight training state is subsumed by the
+                    // completed stage artifact.
+                    ck.remove(checkpoint::TRAIN_FILE)?;
+                }
+                telemetry.counter_add("checkpoint", "stages_saved", 1);
+            }
+        }
+        Ok(Some(f))
+    }
+}
+
+/// Compute the structural feature under the configured encoder mode:
+/// budgeted (and, with a checkpointer, resumable) GCN training for
+/// [`StructuralMode::Trained`]; the deterministic propagation encoder,
+/// timed under a `"propagation"` span and never checkpointed, for
+/// [`StructuralMode::Propagation`]. `keep_layers` receives the full
+/// propagation layer stacks; without it they are dropped as soon as the
+/// final layers are taken.
+fn compute_structural(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    opts: &RunOptions<'_>,
+    blocked: Option<(&CandidateSet, usize)>,
+    keep_layers: Option<&mut PropagationLayers>,
+) -> Result<StructuralFeature, CeaffError> {
+    let telemetry = &input.telemetry;
+    let layers = match cfg.structural {
+        StructuralMode::Trained => {
+            return StructuralFeature::try_compute(
+                input.pair,
+                &cfg.gcn,
+                telemetry,
+                opts.checkpoint,
+                opts.budget,
+                blocked,
+            )
+        }
+        StructuralMode::Propagation { layers } => layers,
+    };
+    // Propagation has no epoch granularity to meter; it runs
+    // uninterrupted like the other closed-form features.
+    let _probe_off = crate::budget::uninterruptible_scope();
+    let encoder = {
+        let _span = telemetry.span("propagation");
+        match keep_layers {
+            None => crate::propagation::encode(input.pair, cfg.gcn.dim, layers),
+            Some(keep) => {
+                let ls = crate::propagation::propagate(&input.pair.source, cfg.gcn.dim, layers);
+                let lt = crate::propagation::propagate(&input.pair.target, cfg.gcn.dim, layers);
+                let encoder = GcnEncoder {
+                    z_source: ls.last().expect("at least layer 0").clone(),
+                    z_target: lt.last().expect("at least layer 0").clone(),
+                    loss_curve: Vec::new(),
+                };
+                *keep = (ls, lt);
+                encoder
+            }
+        }
+    };
+    Ok(StructuralFeature::from_encoder_scoring(
+        input.pair, encoder, blocked,
+    ))
+}
+
 impl FeatureSet {
-    /// Compute every feature the configuration might need, reporting
+    /// Compute every feature the configuration enables, reporting
     /// per-stage timings (and, with an active event stream, GCN training
-    /// gauges) to `input.telemetry`. Under
-    /// [`CandidateStrategy::Blocked`] the candidate set is built once and
+    /// gauges) to `input.telemetry`. Under [`CandidateStrategy::Blocked`]
+    /// the candidate set is built once, under the `"blocking"` span, and
     /// every feature scores exactly those pairs into a sparse top-k store.
-    pub fn compute(input: &EaInput<'_>, cfg: &CeaffConfig) -> Self {
+    ///
+    /// `opts.budget` meters the run: GCN training consumes one step per
+    /// epoch (stopping at its best snapshot when the budget runs out),
+    /// each later feature consumes one step, and the memory cap is checked
+    /// at every stage boundary. Later features the exhausted budget
+    /// refuses are skipped and recorded as one `"features"`
+    /// [`Degradation`]; the closed-form kernels run under an
+    /// uninterruptible probe scope because their outputs feed fusion
+    /// unconditionally.
+    ///
+    /// With `opts.checkpoint`, each stage whose verified artifact already
+    /// exists is restored *without recomputation* (counted as
+    /// `checkpoint/stages_resumed`), each stage that runs to completion
+    /// saves its output (`checkpoint/stages_saved`), and the GCN saves and
+    /// resumes its epoch-level training state when the policy has an
+    /// epoch interval. Artifacts store the *normalised* matrices, so a
+    /// restored stage is bit-identical to a fresh one. Checkpointing
+    /// requires [`CandidateStrategy::Dense`].
+    pub fn try_compute(
+        input: &EaInput<'_>,
+        cfg: &CeaffConfig,
+        opts: &RunOptions<'_>,
+    ) -> Result<Self, CeaffError> {
+        Self::compute_stages(input, cfg, opts, None)
+    }
+
+    /// The body of [`FeatureSet::try_compute`]. `keep_layers` receives the
+    /// propagation layer stacks of a [`StructuralMode::Propagation`] run
+    /// (the incremental pipeline's patch cache).
+    pub(crate) fn compute_stages(
+        input: &EaInput<'_>,
+        cfg: &CeaffConfig,
+        opts: &RunOptions<'_>,
+        keep_layers: Option<&mut PropagationLayers>,
+    ) -> Result<Self, CeaffError> {
+        cfg.validate()?;
+        if opts.checkpoint.is_some() && !cfg.candidates.is_dense() {
+            return Err(CeaffError::InvalidConfig(
+                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
+                 checkpoint stage artifacts are dense-only, so checkpointing requires \
+                 CandidateStrategy::Dense"
+                    .into(),
+            ));
+        }
         let telemetry = &input.telemetry;
         telemetry.gauge(
             "parallel",
@@ -628,550 +801,144 @@ impl FeatureSet {
         let blocked = match &cfg.candidates {
             CandidateStrategy::Dense => None,
             CandidateStrategy::Blocked { k, blocking } => {
-                Some((block_candidates(input.pair, blocking, *k, telemetry), *k))
+                // Blocking is cheap relative to any feature; run it
+                // uninterrupted and let the memory check observe the
+                // candidate structure it allocated.
+                let cands = {
+                    let _probe_off = crate::budget::uninterruptible_scope();
+                    block_candidates(input.pair, blocking, *k, telemetry)
+                };
+                opts.budget.check_mem("blocking")?;
+                Some((cands, *k))
             }
         };
-        let structural = cfg.use_structural.then(|| {
-            compute_structural(
-                input,
-                cfg,
+        let blocked = blocked.as_ref().map(|(c, k)| (c, *k));
+        let mut progress = StageProgress::default();
+
+        let structural = if cfg.use_structural {
+            let trained = matches!(cfg.structural, StructuralMode::Trained);
+            progress.stage(
+                opts,
                 telemetry,
-                blocked.as_ref().map(|(c, k)| (c, *k)),
-            )
-        });
-        let semantic = cfg.use_semantic.then(|| {
-            let _span = telemetry.span("semantic");
-            match &blocked {
-                None => SemanticFeature::compute(
-                    input.pair,
-                    input.source_embedder,
-                    input.target_embedder,
-                ),
-                Some((cands, k)) => SemanticFeature::compute_blocked(
-                    input.pair,
-                    input.source_embedder,
-                    input.target_embedder,
-                    cands,
-                    *k,
-                ),
-            }
-        });
-        let string = cfg.use_string.then(|| {
-            let _span = telemetry.span("string");
-            match &blocked {
-                None => StringFeature::compute(input.pair),
-                Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, *k),
-            }
-        });
-        Self {
+                trained.then_some(checkpoint::STAGE_STRUCTURAL),
+                |bytes| {
+                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(bytes)?;
+                    Ok(StructuralFeature::from_saved_parts(
+                        zs,
+                        zt,
+                        SimilarityMatrix::new(test),
+                        loss_curve,
+                    ))
+                },
+                || compute_structural(input, cfg, opts, blocked, keep_layers),
+                |f| {
+                    checkpoint::encode_structural(
+                        f.source_embeddings(),
+                        f.target_embeddings(),
+                        f.test_matrix().as_matrix(),
+                        &f.loss_curve,
+                    )
+                },
+            )?
+        } else {
+            None
+        };
+
+        let semantic = if cfg.use_semantic {
+            progress.stage(
+                opts,
+                telemetry,
+                Some(checkpoint::STAGE_SEMANTIC),
+                |bytes| {
+                    let (ns, nt, test) = checkpoint::decode_embedding_stage(bytes)?;
+                    Ok(SemanticFeature::from_saved_parts(
+                        ns,
+                        nt,
+                        SimilarityMatrix::new(test),
+                    ))
+                },
+                || {
+                    let _probe_off = crate::budget::uninterruptible_scope();
+                    let _span = telemetry.span("semantic");
+                    let (src, tgt) = (input.source_embedder, input.target_embedder);
+                    Ok(match blocked {
+                        None => SemanticFeature::compute(input.pair, src, tgt),
+                        Some((cands, k)) => {
+                            SemanticFeature::compute_blocked(input.pair, src, tgt, cands, k)
+                        }
+                    })
+                },
+                |f| {
+                    checkpoint::encode_embedding_stage(
+                        f.source_embeddings(),
+                        f.target_embeddings(),
+                        f.test_matrix().as_matrix(),
+                    )
+                },
+            )?
+        } else {
+            None
+        };
+
+        let string = if cfg.use_string {
+            progress.stage(
+                opts,
+                telemetry,
+                Some(checkpoint::STAGE_STRING),
+                |bytes| {
+                    let test = checkpoint::decode_matrix_stage(bytes)?;
+                    Ok(StringFeature::from_saved_parts(
+                        input.pair,
+                        SimilarityMatrix::new(test),
+                    ))
+                },
+                || {
+                    let _probe_off = crate::budget::uninterruptible_scope();
+                    let _span = telemetry.span("string");
+                    Ok(match blocked {
+                        None => StringFeature::compute(input.pair),
+                        Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, k),
+                    })
+                },
+                |f| checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
+            )?
+        } else {
+            None
+        };
+
+        if progress.skipped > 0 {
+            let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
+                .iter()
+                .filter(|&&on| on)
+                .count();
+            opts.budget.record_degradation(
+                telemetry,
+                "features",
+                progress.stop.expect("skipping implies a stop reason"),
+                progress.done as u64,
+                progress.skipped as f64 / enabled as f64,
+            );
+        }
+        Ok(Self {
             structural,
             semantic,
             string,
             extra: Vec::new(),
-        }
+        })
+    }
+
+    /// [`FeatureSet::try_compute`] without a budget or checkpointer.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration or a diverged GCN.
+    pub fn compute(input: &EaInput<'_>, cfg: &CeaffConfig) -> Self {
+        Self::try_compute(input, cfg, &RunOptions::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Attach an additional feature (see [`FeatureSet::extra`]).
     pub fn with_extra(mut self, feature: Box<dyn Feature>) -> Self {
         self.extra.push(feature);
         self
-    }
-
-    /// Checkpoint-aware [`FeatureSet::compute`]: each stage whose verified
-    /// artifact already exists in the run directory is restored *without
-    /// recomputation* (counted as `checkpoint/stages_resumed`); each stage
-    /// that runs saves its output on completion
-    /// (`checkpoint/stages_saved`). The GCN additionally saves/resumes its
-    /// epoch-level training state when the policy has an epoch interval.
-    ///
-    /// Restored stage outputs are bit-identical to freshly computed ones —
-    /// artifacts store the *normalised* matrices, so no floating-point
-    /// operation is repeated on the resume path.
-    pub fn try_compute_checkpointed(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        ck: &Checkpointer,
-    ) -> Result<Self, CeaffError> {
-        if !cfg.candidates.is_dense() {
-            return Err(CeaffError::InvalidConfig(
-                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
-                 checkpoint stage artifacts are dense-only, so checkpointing requires \
-                 CandidateStrategy::Dense"
-                    .into(),
-            ));
-        }
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let stage_err = |file: &str| {
-            let file = file.to_owned();
-            move |reason: String| CeaffError::Checkpoint { file, reason }
-        };
-
-        let structural = if !cfg.use_structural {
-            None
-        } else if !matches!(cfg.structural, StructuralMode::Trained) {
-            // Propagation is deterministic and cheap; recomputing beats
-            // persisting an artifact, so the checkpoint store is bypassed.
-            Some(compute_structural(input, cfg, telemetry, None))
-        } else {
-            Some(match ck.load(checkpoint::STAGE_STRUCTURAL)? {
-                Some(bytes) => {
-                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRUCTURAL))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    StructuralFeature::from_saved_parts(
-                        zs,
-                        zt,
-                        SimilarityMatrix::new(test),
-                        loss_curve,
-                    )
-                }
-                None => {
-                    let f = StructuralFeature::try_compute_traced(
-                        input.pair,
-                        &cfg.gcn,
-                        telemetry,
-                        Some(ck),
-                    )?;
-                    ck.save(
-                        checkpoint::STAGE_STRUCTURAL,
-                        &checkpoint::encode_structural(
-                            f.source_embeddings(),
-                            f.target_embeddings(),
-                            f.test_matrix().as_matrix(),
-                            &f.loss_curve,
-                        ),
-                    )?;
-                    // The in-flight training state is subsumed by the
-                    // completed stage artifact.
-                    ck.remove(checkpoint::TRAIN_FILE)?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        };
-
-        let semantic = if cfg.use_semantic {
-            Some(match ck.load(checkpoint::STAGE_SEMANTIC)? {
-                Some(bytes) => {
-                    let (ns, nt, test) = checkpoint::decode_embedding_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_SEMANTIC))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    SemanticFeature::from_saved_parts(ns, nt, SimilarityMatrix::new(test))
-                }
-                None => {
-                    let f = {
-                        let _span = telemetry.span("semantic");
-                        SemanticFeature::compute(
-                            input.pair,
-                            input.source_embedder,
-                            input.target_embedder,
-                        )
-                    };
-                    ck.save(
-                        checkpoint::STAGE_SEMANTIC,
-                        &checkpoint::encode_embedding_stage(
-                            f.source_embeddings(),
-                            f.target_embeddings(),
-                            f.test_matrix().as_matrix(),
-                        ),
-                    )?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            Some(match ck.load(checkpoint::STAGE_STRING)? {
-                Some(bytes) => {
-                    let test = checkpoint::decode_matrix_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRING))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    StringFeature::from_saved_parts(input.pair, SimilarityMatrix::new(test))
-                }
-                None => {
-                    let f = {
-                        let _span = telemetry.span("string");
-                        StringFeature::compute(input.pair)
-                    };
-                    ck.save(
-                        checkpoint::STAGE_STRING,
-                        &checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
-                    )?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        } else {
-            None
-        };
-
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
-    }
-
-    /// Budget-aware [`FeatureSet::compute`]: GCN training consumes one
-    /// budget step per epoch (stopping at its best snapshot when the
-    /// budget runs out), each later feature consumes one step per stage,
-    /// and the memory cap is checked at every stage boundary.
-    ///
-    /// The first enabled feature is always computed — a run that produced
-    /// no feature at all could only fail, and the point of a budget is a
-    /// best-effort *result*. Later features that the exhausted budget
-    /// refuses are skipped and recorded as a `"features"`
-    /// [`Degradation`](ceaff_telemetry::Degradation); the
-    /// semantic/string kernels run under an uninterruptible probe scope
-    /// because their outputs feed fusion unconditionally (a
-    /// half-written matrix is never acceptable there).
-    pub fn try_compute_budgeted(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
-            .iter()
-            .filter(|&&on| on)
-            .count();
-        let mut computed = 0usize;
-        let mut skipped = 0usize;
-        let mut stop: Option<StopReason> = None;
-
-        let blocked = match &cfg.candidates {
-            CandidateStrategy::Dense => None,
-            CandidateStrategy::Blocked { k, blocking } => {
-                // Blocking is cheap relative to any feature; run it
-                // uninterrupted and let the memory check below observe
-                // the candidate structure it allocated.
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let cands = block_candidates(input.pair, blocking, *k, telemetry);
-                budget.check_mem("blocking")?;
-                Some((cands, *k))
-            }
-        };
-
-        let structural = if cfg.use_structural {
-            budget.check_mem("features")?;
-            let f = if !matches!(cfg.structural, StructuralMode::Trained) {
-                // Propagation has no epoch granularity to meter; it runs
-                // uninterrupted like the other closed-form features.
-                let _probe_off = crate::budget::uninterruptible_scope();
-                compute_structural(
-                    input,
-                    cfg,
-                    telemetry,
-                    blocked.as_ref().map(|(c, k)| (c, *k)),
-                )
-            } else {
-                match &blocked {
-                    None => StructuralFeature::try_compute_budgeted(
-                        input.pair, &cfg.gcn, telemetry, None, budget,
-                    )?,
-                    Some((cands, k)) => StructuralFeature::try_compute_budgeted_blocked(
-                        input.pair, &cfg.gcn, telemetry, budget, cands, *k,
-                    )?,
-                }
-            };
-            computed += 1;
-            Some(f)
-        } else {
-            None
-        };
-
-        let semantic = if cfg.use_semantic {
-            if computed > 0 && stop.is_none() {
-                stop = budget.consume_step();
-            }
-            if stop.is_none() {
-                budget.check_mem("features")?;
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let _span = telemetry.span("semantic");
-                computed += 1;
-                Some(match &blocked {
-                    None => SemanticFeature::compute(
-                        input.pair,
-                        input.source_embedder,
-                        input.target_embedder,
-                    ),
-                    Some((cands, k)) => SemanticFeature::compute_blocked(
-                        input.pair,
-                        input.source_embedder,
-                        input.target_embedder,
-                        cands,
-                        *k,
-                    ),
-                })
-            } else {
-                skipped += 1;
-                None
-            }
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            if computed > 0 && stop.is_none() {
-                stop = budget.consume_step();
-            }
-            if stop.is_none() {
-                budget.check_mem("features")?;
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let _span = telemetry.span("string");
-                computed += 1;
-                Some(match &blocked {
-                    None => StringFeature::compute(input.pair),
-                    Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, *k),
-                })
-            } else {
-                skipped += 1;
-                None
-            }
-        } else {
-            None
-        };
-
-        if skipped > 0 {
-            let reason = stop.expect("skipping implies a stop reason");
-            budget.record_degradation(
-                telemetry,
-                "features",
-                reason,
-                computed as u64,
-                skipped as f64 / enabled.max(1) as f64,
-            );
-        }
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
-    }
-
-    /// Budget-aware [`FeatureSet::try_compute_checkpointed`]: stages
-    /// already on disk are restored for free (no budget steps), stages
-    /// that run follow the same budget rules as
-    /// [`FeatureSet::try_compute_budgeted`], and a stage the budget
-    /// stopped *short* is **not** saved as a completed artifact — the
-    /// GCN's in-flight training state stays on disk instead, so a later
-    /// resume continues training rather than mistaking the degraded
-    /// snapshot for the real stage output.
-    pub fn try_compute_checkpointed_budgeted(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        ck: &Checkpointer,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        if !cfg.candidates.is_dense() {
-            return Err(CeaffError::InvalidConfig(
-                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
-                 checkpoint stage artifacts are dense-only, so checkpointing requires \
-                 CandidateStrategy::Dense"
-                    .into(),
-            ));
-        }
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let stage_err = |file: &str| {
-            let file = file.to_owned();
-            move |reason: String| CeaffError::Checkpoint { file, reason }
-        };
-        let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
-            .iter()
-            .filter(|&&on| on)
-            .count();
-        let mut computed = 0usize;
-        let mut skipped = 0usize;
-        let mut stop: Option<StopReason> = None;
-
-        let structural = if !cfg.use_structural {
-            None
-        } else if !matches!(cfg.structural, StructuralMode::Trained) {
-            // Deterministic and cheap: recompute, bypassing the
-            // checkpoint store (see `try_compute_checkpointed`).
-            budget.check_mem("features")?;
-            let f = {
-                let _probe_off = crate::budget::uninterruptible_scope();
-                compute_structural(input, cfg, telemetry, None)
-            };
-            computed += 1;
-            Some(f)
-        } else {
-            Some(match ck.load(checkpoint::STAGE_STRUCTURAL)? {
-                Some(bytes) => {
-                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRUCTURAL))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    StructuralFeature::from_saved_parts(
-                        zs,
-                        zt,
-                        SimilarityMatrix::new(test),
-                        loss_curve,
-                    )
-                }
-                None => {
-                    budget.check_mem("features")?;
-                    let f = StructuralFeature::try_compute_budgeted(
-                        input.pair,
-                        &cfg.gcn,
-                        telemetry,
-                        Some(ck),
-                        budget,
-                    )?;
-                    if budget.stop_reason().is_none() {
-                        ck.save(
-                            checkpoint::STAGE_STRUCTURAL,
-                            &checkpoint::encode_structural(
-                                f.source_embeddings(),
-                                f.target_embeddings(),
-                                f.test_matrix().as_matrix(),
-                                &f.loss_curve,
-                            ),
-                        )?;
-                        // The in-flight training state is subsumed by the
-                        // completed stage artifact.
-                        ck.remove(checkpoint::TRAIN_FILE)?;
-                        telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    }
-                    computed += 1;
-                    f
-                }
-            })
-        };
-
-        let semantic = if cfg.use_semantic {
-            match ck.load(checkpoint::STAGE_SEMANTIC)? {
-                Some(bytes) => {
-                    let (ns, nt, test) = checkpoint::decode_embedding_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_SEMANTIC))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    Some(SemanticFeature::from_saved_parts(
-                        ns,
-                        nt,
-                        SimilarityMatrix::new(test),
-                    ))
-                }
-                None => {
-                    if computed > 0 && stop.is_none() {
-                        stop = budget.consume_step();
-                    }
-                    if stop.is_none() {
-                        budget.check_mem("features")?;
-                        let f = {
-                            let _probe_off = crate::budget::uninterruptible_scope();
-                            let _span = telemetry.span("semantic");
-                            SemanticFeature::compute(
-                                input.pair,
-                                input.source_embedder,
-                                input.target_embedder,
-                            )
-                        };
-                        if budget.stop_reason().is_none() {
-                            ck.save(
-                                checkpoint::STAGE_SEMANTIC,
-                                &checkpoint::encode_embedding_stage(
-                                    f.source_embeddings(),
-                                    f.target_embeddings(),
-                                    f.test_matrix().as_matrix(),
-                                ),
-                            )?;
-                            telemetry.counter_add("checkpoint", "stages_saved", 1);
-                        }
-                        computed += 1;
-                        Some(f)
-                    } else {
-                        skipped += 1;
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            match ck.load(checkpoint::STAGE_STRING)? {
-                Some(bytes) => {
-                    let test = checkpoint::decode_matrix_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRING))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    Some(StringFeature::from_saved_parts(
-                        input.pair,
-                        SimilarityMatrix::new(test),
-                    ))
-                }
-                None => {
-                    if computed > 0 && stop.is_none() {
-                        stop = budget.consume_step();
-                    }
-                    if stop.is_none() {
-                        budget.check_mem("features")?;
-                        let f = {
-                            let _probe_off = crate::budget::uninterruptible_scope();
-                            let _span = telemetry.span("string");
-                            StringFeature::compute(input.pair)
-                        };
-                        if budget.stop_reason().is_none() {
-                            ck.save(
-                                checkpoint::STAGE_STRING,
-                                &checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
-                            )?;
-                            telemetry.counter_add("checkpoint", "stages_saved", 1);
-                        }
-                        computed += 1;
-                        Some(f)
-                    } else {
-                        skipped += 1;
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
-
-        if skipped > 0 {
-            let reason = stop.expect("skipping implies a stop reason");
-            budget.record_degradation(
-                telemetry,
-                "features",
-                reason,
-                computed as u64,
-                skipped as f64 / enabled.max(1) as f64,
-            );
-        }
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
     }
 
     /// Compute all three features regardless of the flags in `cfg` (for
@@ -1285,8 +1052,8 @@ fn emit_flat_weights(telemetry: &Telemetry, weights: &[f32]) {
     }
 }
 
-/// The fusion stage shared by [`try_run_with_features`] and its budgeted
-/// variant: preprocess every active feature store, then combine them
+/// The fusion stage of [`fuse_and_match`]: preprocess every active
+/// feature store, then combine them
 /// under the configured weighting mode. All-dense inputs take the
 /// bitwise-identical dense fusion path; any sparse input routes the
 /// merge through the sparse accumulator (see
@@ -1364,7 +1131,7 @@ fn fuse_active(
     }
 }
 
-/// Run fusion + matching on precomputed features.
+/// Run fusion + matching on precomputed features, without a budget.
 ///
 /// Fails with [`CeaffError::InvalidConfig`] on a bad configuration,
 /// [`CeaffError::EmptyFeatureSet`] when `cfg` enables no feature that
@@ -1379,67 +1146,24 @@ pub fn try_run_with_features(
     cfg: &CeaffConfig,
     telemetry: &Telemetry,
 ) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let active = features.active(cfg);
-    check_features(&active)?;
-    telemetry.gauge(
-        "parallel",
-        "threads",
-        None,
-        ceaff_parallel::current_threads() as f64,
-    );
-
-    let fusion_span = telemetry.span("fusion");
-    let (fused, textual_fusion, final_fusion, flat_weights) =
-        fuse_active(pair, features, &active, cfg);
-    if let Some(report) = &textual_fusion {
-        emit_fusion_report(telemetry, "textual", report);
-    }
-    if let Some(report) = &final_fusion {
-        emit_fusion_report(telemetry, "final", report);
-    }
-    if let Some(weights) = &flat_weights {
-        emit_flat_weights(telemetry, weights);
-    }
-    fusion_span.finish();
-
-    let matching = cfg.matcher.build().matching_store_traced(&fused, telemetry);
-    let acc = accuracy(&matching, fused.sources());
-    let ranking = ranking_metrics_store(&fused);
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
-    Ok(CeaffOutput {
-        fused,
-        matching,
-        accuracy: acc,
-        ranking,
-        textual_fusion,
-        final_fusion,
-        flat_weights,
-        trace: telemetry.take_trace(),
-    })
+    fuse_and_match(pair, features, cfg, telemetry, RunOptions::default().budget)
 }
 
-/// Budget-aware [`try_run_with_features`]: fusion runs uninterrupted
-/// (its output feeds matching unconditionally), the matcher becomes
-/// *anytime* — on deadline/cancel/step-limit it checkpoints its partial
-/// assignment and completes the unmatched rows greedily, recording a
-/// `"matcher"` [`Degradation`](ceaff_telemetry::Degradation) in the
-/// trace — and the memory cap is checked at each stage boundary.
-///
-/// An unlimited budget short-circuits to [`try_run_with_features`]
-/// itself, so the output is bitwise-identical to an unbudgeted run at
-/// any thread count.
-pub fn try_run_with_features_budgeted(
+/// The decision half of [`run`]: fusion, then collective matching, under
+/// `budget`. Fusion runs uninterrupted (its output feeds matching
+/// unconditionally); the matcher is *anytime* — on deadline, cancel or
+/// step limit it completes its partial assignment greedily and records a
+/// `"matcher"` [`Degradation`] in the trace — and the memory cap is
+/// checked at each stage boundary. An unlimited budget installs nothing
+/// and the matcher takes its exact path, so the output is bitwise that of
+/// an unbudgeted decision at any thread count.
+pub(crate) fn fuse_and_match(
     pair: &KgPair,
     features: &FeatureSet,
     cfg: &CeaffConfig,
     telemetry: &Telemetry,
     budget: &ExecBudget,
 ) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run_with_features(pair, features, cfg, telemetry);
-    }
     cfg.validate()?;
     let _armed = budget.install();
     let active = features.active(cfg);
@@ -1530,7 +1254,8 @@ pub struct DecisionOutput {
 /// mutated, so a degraded or failed decision cannot poison it.
 ///
 /// With an unlimited (or never-fired) budget the matching is
-/// bitwise-identical to [`Matcher::matching_store_traced`] at any thread
+/// bitwise-identical to
+/// [`Matcher::matching_store_traced`](crate::matching::Matcher::matching_store_traced) at any thread
 /// count — the anytime path short-circuits — so repeated identical
 /// requests return byte-identical responses.
 pub fn run_decision_budgeted(
@@ -1580,194 +1305,56 @@ fn preprocess_store(s: &SimStore, cfg: &CeaffConfig) -> SimStore {
     }
 }
 
-/// Compute features and run the pipeline in one call, reporting every
-/// stage to `input.telemetry`.
+/// Run the whole pipeline — features, adaptive fusion, collective
+/// matching — reporting every stage to `input.telemetry`.
+///
+/// `opts` decides how the run executes (see [`RunOptions`]):
+///
+/// * **budget** — GCN epochs, feature stages and matcher rounds run under
+///   it, degrading gracefully on deadline, cancel or step limit
+///   (partial-but-valid output plus [`Degradation`] records in the
+///   trace) and failing with [`CeaffError::BudgetExceeded`] when the
+///   memory cap is crossed;
+/// * **checkpoint** — completed feature stages (and, with
+///   [`EveryNEpochs`](checkpoint::CheckpointPolicy::EveryNEpochs), the GCN
+///   training state) are saved to the run directory as the run
+///   progresses, and whatever is already there is restored instead of
+///   recomputed. A stage the budget
+///   stopped short is not saved, so resuming later finishes the real
+///   computation. Resume an interrupted run by passing the checkpointer
+///   and configuration [`Checkpointer::open`] returns: the continued run
+///   produces **bitwise-identical** output to an uninterrupted one at any
+///   thread count.
+///
+/// An unlimited budget and an absent checkpointer are no-ops, so
+/// `run(input, cfg, &RunOptions::default())` is the plain pipeline.
+///
+/// ```no_run
+/// use ceaff_core::checkpoint::{CheckpointPolicy, Checkpointer};
+/// use ceaff_core::pipeline::{run, CeaffConfig, EaInput, RunOptions};
+/// use ceaff_core::ExecBudget;
+/// # fn demo(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<(), ceaff_core::CeaffError> {
+/// let budget = ExecBudget::unlimited().with_step_limit(100);
+/// let ck = Checkpointer::create("run-dir", CheckpointPolicy::EveryNEpochs(5), cfg)?;
+/// let out = run(input, cfg, &RunOptions { budget: &budget, checkpoint: Some(&ck) })?;
+/// // After an interruption: the directory pins the configuration.
+/// let (ck, cfg) = Checkpointer::open("run-dir")?;
+/// let resumed = run(input, &cfg, &RunOptions { checkpoint: Some(&ck), ..RunOptions::default() })?;
+/// # let _ = (out, resumed); Ok(()) }
+/// ```
+pub fn run(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    opts: &RunOptions<'_>,
+) -> Result<CeaffOutput, CeaffError> {
+    let _armed = opts.budget.install();
+    let features = FeatureSet::try_compute(input, cfg, opts)?;
+    fuse_and_match(input.pair, &features, cfg, &input.telemetry, opts.budget)
+}
+
+/// [`run`] with the default [`RunOptions`]: no budget, no checkpointing.
 pub fn try_run(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let features = FeatureSet::compute(input, cfg);
-    try_run_with_features(input.pair, &features, cfg, &input.telemetry)
-}
-
-/// Budget-aware [`try_run`]: the whole pipeline — GCN epochs, feature
-/// stages, fusion, matching — runs under `budget`, degrading gracefully
-/// on deadline/cancel/step-limit (partial-but-valid output plus
-/// [`Degradation`](ceaff_telemetry::Degradation) records in the trace)
-/// and failing with [`CeaffError::BudgetExceeded`] when the memory cap
-/// is crossed.
-///
-/// An unlimited budget short-circuits to [`try_run`], so the output is
-/// bitwise-identical to an unbudgeted run at any thread count.
-pub fn try_run_with_budget(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run(input, cfg);
-    }
-    cfg.validate()?;
-    let _armed = budget.install();
-    let features = FeatureSet::try_compute_budgeted(input, cfg, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, cfg, &input.telemetry, budget)
-}
-
-/// [`try_run`] with crash-safe checkpointing: stage outputs (and, with
-/// [`CheckpointPolicy::EveryNEpochs`], the GCN training state) are saved
-/// to `dir` as the run progresses. Call [`resume_from`] on the same
-/// directory after an interruption — the continued run skips completed
-/// work and produces **bitwise-identical** final metrics to an
-/// uninterrupted run at any thread count.
-///
-/// The directory is created if absent and pins the configuration: calling
-/// again with a different `cfg` is a [`CeaffError::Checkpoint`] error.
-pub fn try_run_checkpointed(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    dir: impl AsRef<std::path::Path>,
-    policy: CheckpointPolicy,
-) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    if matches!(policy, CheckpointPolicy::Off) {
-        return try_run(input, cfg);
-    }
-    let ck = Checkpointer::create(dir, policy, cfg)?;
-    let features = FeatureSet::try_compute_checkpointed(input, cfg, &ck)?;
-    try_run_with_features(input.pair, &features, cfg, &input.telemetry)
-}
-
-/// Budget-aware [`try_run_checkpointed`]: checkpointing and execution
-/// budgets compose — completed stages restore for free, running stages
-/// obey the budget, and a stage the budget stopped short keeps its
-/// in-flight training state on disk (it is *not* saved as a completed
-/// artifact), so resuming later finishes the real computation.
-///
-/// An unlimited budget short-circuits to [`try_run_checkpointed`].
-pub fn try_run_checkpointed_with_budget(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    dir: impl AsRef<std::path::Path>,
-    policy: CheckpointPolicy,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run_checkpointed(input, cfg, dir, policy);
-    }
-    cfg.validate()?;
-    if matches!(policy, CheckpointPolicy::Off) {
-        return try_run_with_budget(input, cfg, budget);
-    }
-    let _armed = budget.install();
-    let ck = Checkpointer::create(dir, policy, cfg)?;
-    let features = FeatureSet::try_compute_checkpointed_budgeted(input, cfg, &ck, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, cfg, &input.telemetry, budget)
-}
-
-/// Resume an interrupted [`try_run_checkpointed`] run from its directory.
-///
-/// The configuration (and policy) travel with the run directory, so the
-/// caller supplies only the input data. Completed stages are restored
-/// verified-and-verbatim; an interrupted GCN training continues from its
-/// last saved epoch boundary. Corrupt or truncated artifacts fail with
-/// [`CeaffError::Checkpoint`] before anything partial is used.
-pub fn resume_from(
-    dir: impl AsRef<std::path::Path>,
-    input: &EaInput<'_>,
-) -> Result<CeaffOutput, CeaffError> {
-    let (ck, cfg) = Checkpointer::open(dir)?;
-    cfg.validate()?;
-    let features = FeatureSet::try_compute_checkpointed(input, &cfg, &ck)?;
-    try_run_with_features(input.pair, &features, &cfg, &input.telemetry)
-}
-
-/// Budget-aware [`resume_from`]: resume an interrupted checkpointed run
-/// under an execution budget (see [`try_run_checkpointed_with_budget`]
-/// for the composition rules). An unlimited budget short-circuits to
-/// [`resume_from`].
-pub fn resume_from_with_budget(
-    dir: impl AsRef<std::path::Path>,
-    input: &EaInput<'_>,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return resume_from(dir, input);
-    }
-    let (ck, cfg) = Checkpointer::open(dir)?;
-    cfg.validate()?;
-    let _armed = budget.install();
-    let features = FeatureSet::try_compute_checkpointed_budgeted(input, &cfg, &ck, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, &cfg, &input.telemetry, budget)
-}
-
-/// A single-adaptive-stage variant fusing all active features at once —
-/// kept public to make the paper's claim that *two-stage* fusion adjusts
-/// weights better directly testable (see the `fusion` bench and the
-/// ablation experiments).
-pub fn try_run_single_stage(
-    features: &FeatureSet,
-    cfg: &CeaffConfig,
-    telemetry: &Telemetry,
-) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let active = features.active(cfg);
-    check_features(&active)?;
-    telemetry.gauge(
-        "parallel",
-        "threads",
-        None,
-        ceaff_parallel::current_threads() as f64,
-    );
-    let fusion_span = telemetry.span("fusion");
-    let normalized: Vec<SimStore> = active
-        .iter()
-        .map(|f| preprocess_store(f.test_store(), cfg))
-        .collect();
-    let stores: Vec<&SimStore> = normalized.iter().collect();
-    let (fused, report) = adaptive_fuse_store(&stores, &cfg.fusion);
-    emit_fusion_report(telemetry, "single", &report);
-    fusion_span.finish();
-    let matching = cfg.matcher.build().matching_store_traced(&fused, telemetry);
-    let acc = accuracy(&matching, fused.sources());
-    let ranking = ranking_metrics_store(&fused);
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
-    Ok(CeaffOutput {
-        fused,
-        matching,
-        accuracy: acc,
-        ranking,
-        textual_fusion: None,
-        final_fusion: Some(report),
-        flat_weights: None,
-        trace: telemetry.take_trace(),
-    })
-}
-
-/// Deprecated panicking shim over [`try_run_with_features`].
-///
-/// # Panics
-/// Panics if `cfg` enables no feature that `features` actually contains.
-#[deprecated(since = "0.1.0", note = "use `try_run_with_features` instead")]
-pub fn run_with_features(pair: &KgPair, features: &FeatureSet, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run_with_features(pair, features, cfg, &Telemetry::disabled())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Deprecated panicking shim over [`try_run`].
-///
-/// # Panics
-/// Panics on an invalid configuration or an empty feature set.
-#[deprecated(since = "0.1.0", note = "use `try_run` instead")]
-pub fn run(input: &EaInput<'_>, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run(input, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Deprecated panicking shim over [`try_run_single_stage`].
-///
-/// # Panics
-/// Panics if `cfg` enables no feature that `features` actually contains.
-#[deprecated(since = "0.1.0", note = "use `try_run_single_stage` instead")]
-pub fn run_single_stage(features: &FeatureSet, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run_single_stage(features, cfg, &Telemetry::disabled()).unwrap_or_else(|e| panic!("{e}"))
+    run(input, cfg, &RunOptions::default())
 }
 
 #[cfg(test)]
@@ -1985,7 +1572,13 @@ mod tests {
         let input = EaInput::new(&ds.pair, &src, &tgt);
         let cfg = fast_cfg().with_blocking(25);
         let dir = std::env::temp_dir().join(format!("ceaff-blocked-ck-{}", std::process::id()));
-        let err = try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::PerStage).unwrap_err();
+        let ck = Checkpointer::create(&dir, checkpoint::CheckpointPolicy::PerStage, &cfg)
+            .expect("run directory");
+        let opts = RunOptions {
+            checkpoint: Some(&ck),
+            ..RunOptions::default()
+        };
+        let err = run(&input, &cfg, &opts).unwrap_err();
         match &err {
             // The message must name both offending flags so a CLI user
             // knows exactly which pair of options conflicts.
@@ -2138,24 +1731,6 @@ mod tests {
         let err =
             try_run_with_features(&ds.pair, &features, &cfg, &Telemetry::disabled()).unwrap_err();
         assert_eq!(err, CeaffError::EmptyFeatureSet);
-        let err = try_run_single_stage(&features, &cfg, &Telemetry::disabled()).unwrap_err();
-        assert_eq!(err, CeaffError::EmptyFeatureSet);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "enables no computed feature")]
-    fn deprecated_shim_preserves_the_panic() {
-        let ds = dataset();
-        let src = ds.source_embedder(32);
-        let tgt = ds.target_embedder(32);
-        let input = EaInput::new(&ds.pair, &src, &tgt);
-        let mut cfg = fast_cfg();
-        cfg.use_structural = false;
-        cfg.use_semantic = false;
-        cfg.use_string = false;
-        let features = FeatureSet::compute(&input, &cfg);
-        let _ = run_with_features(&ds.pair, &features, &cfg);
     }
 
     /// A constant-matrix feature used to provoke a shape mismatch.

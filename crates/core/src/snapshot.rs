@@ -14,7 +14,7 @@
 //! Integrity discipline mirrors [`crate::checkpoint`]:
 //!
 //! * a magic + version header fails loudly on a foreign or future file,
-//! * the configuration is pinned by its [`config_fingerprint`] — the
+//! * the configuration is pinned by its fingerprint (CRC32 of its JSON) — the
 //!   caller rebuilds [`CeaffConfig`] from its own flags and decode
 //!   *verifies* it matches the one the snapshot was taken under,
 //! * every read is bounds-checked, so truncated or bit-flipped payloads

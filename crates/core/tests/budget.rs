@@ -3,15 +3,12 @@
 //! under step limits and cancellation, the typed memory-budget error,
 //! and the budget × checkpoint interplay.
 
-use ceaff_core::checkpoint::CheckpointPolicy;
+use ceaff_core::checkpoint::{CheckpointPolicy, Checkpointer};
 use ceaff_core::gcn::GcnConfig;
-use ceaff_core::pipeline::{
-    resume_from, try_run, try_run_checkpointed_with_budget, try_run_with_budget, CeaffConfig,
-    CeaffOutput, EaInput,
-};
-use ceaff_core::{CancelToken, CeaffError, ExecBudget};
+use ceaff_core::pipeline::{run, try_run, CeaffConfig, CeaffOutput, EaInput, RunOptions};
+use ceaff_core::{CancelToken, CeaffError, ExecBudget, MatcherKind, Telemetry};
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn dataset() -> GeneratedDataset {
@@ -52,10 +49,52 @@ fn run_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Bit-level equality of two runs' outputs: the fused matrix, the
-/// matching, and every metric.
+/// A run under `budget`, without checkpointing.
+fn run_budgeted(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    budget: &ExecBudget,
+) -> Result<CeaffOutput, CeaffError> {
+    let opts = RunOptions {
+        budget,
+        checkpoint: None,
+    };
+    run(input, cfg, &opts)
+}
+
+/// A run under `budget` that checkpoints to `dir` under `policy`.
+fn run_checkpointed(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    dir: impl AsRef<Path>,
+    policy: CheckpointPolicy,
+    budget: &ExecBudget,
+) -> Result<CeaffOutput, CeaffError> {
+    let ck = Checkpointer::create(dir, policy, cfg)?;
+    let opts = RunOptions {
+        budget,
+        checkpoint: Some(&ck),
+    };
+    run(input, cfg, &opts)
+}
+
+/// Resume the run checkpointed in `dir` under the configuration it pins.
+fn resume_dir(dir: impl AsRef<Path>, input: &EaInput<'_>) -> Result<CeaffOutput, CeaffError> {
+    let (ck, cfg) = Checkpointer::open(dir)?;
+    let opts = RunOptions {
+        checkpoint: Some(&ck),
+        ..RunOptions::default()
+    };
+    run(input, &cfg, &opts)
+}
+
+/// Bit-level equality of two runs' outputs: the fused store (backend,
+/// stored cells and every value), the matching, and every metric.
 fn assert_bitwise_equal(a: &CeaffOutput, b: &CeaffOutput) {
-    let (ma, mb) = (a.fused.as_matrix(), b.fused.as_matrix());
+    assert_eq!(a.fused.is_sparse(), b.fused.is_sparse());
+    assert_eq!(a.fused.nnz(), b.fused.nnz());
+    let (da, db) = (a.fused.to_dense(), b.fused.to_dense());
+    let (ma, mb) = (da.as_matrix(), db.as_matrix());
     assert_eq!((ma.rows(), ma.cols()), (mb.rows(), mb.cols()));
     for (x, y) in ma.as_slice().iter().zip(mb.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits(), "fused matrices diverge");
@@ -75,7 +114,7 @@ fn unlimited_budget_is_bitwise_identical_to_unbudgeted() {
     let cfg = cfg();
 
     let plain = try_run(&EaInput::new(&ds.pair, &src, &tgt), &cfg).expect("plain run");
-    let unlimited = try_run_with_budget(
+    let unlimited = run_budgeted(
         &EaInput::new(&ds.pair, &src, &tgt),
         &cfg,
         &ExecBudget::unlimited(),
@@ -100,8 +139,8 @@ fn unfired_constrained_budget_is_bitwise_identical_too() {
         .with_cancel(CancelToken::new())
         .with_deadline(Duration::from_secs(3600))
         .with_step_limit(u64::MAX);
-    let budgeted = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
-        .expect("budgeted run");
+    let budgeted =
+        run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget).expect("budgeted run");
     assert_bitwise_equal(&plain, &budgeted);
     assert!(budgeted.trace.degradations.is_empty());
     // ... but its trace does carry the budget accounting.
@@ -118,7 +157,7 @@ fn step_limited_run_degrades_gracefully() {
     // 10 granules against 30 GCN epochs + 2 feature stages + matcher
     // rounds: training is cut short and everything after it degrades.
     let budget = ExecBudget::unlimited().with_step_limit(10);
-    let out = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let out = run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
         .expect("degraded run still succeeds");
     let n = ds.pair.test_pairs().len();
     assert!(out.matching.is_one_to_one());
@@ -149,7 +188,7 @@ fn cancelled_before_start_still_returns_a_valid_result() {
     let token = CancelToken::new();
     token.cancel();
     let budget = ExecBudget::unlimited().with_cancel(token);
-    let out = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let out = run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
         .expect("cancelled run degrades, not errors");
     assert!(out.matching.is_one_to_one());
     assert_eq!(out.matching.len(), ds.pair.test_pairs().len());
@@ -176,7 +215,7 @@ fn already_expired_deadline_degrades_immediately_and_reproducibly() {
     let run = |threads: usize| {
         ceaff_parallel::with_threads(threads, || {
             let budget = ExecBudget::unlimited().with_deadline(Duration::ZERO);
-            try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+            run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
                 .expect("expired deadline degrades, not errors")
         })
     };
@@ -209,7 +248,7 @@ fn zero_step_limit_degrades_immediately_and_reproducibly() {
     let run = |threads: usize| {
         ceaff_parallel::with_threads(threads, || {
             let budget = ExecBudget::unlimited().with_step_limit(0);
-            try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+            run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
                 .expect("zero step limit degrades, not errors")
         })
     };
@@ -240,7 +279,7 @@ fn tiny_memory_budget_is_a_typed_error_not_an_abort() {
     let cfg = cfg();
 
     let budget = ExecBudget::unlimited().with_max_mem_bytes(4 * 1024);
-    let err = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let err = run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
         .expect_err("a 4 KiB cap cannot fit the GCN");
     match err {
         CeaffError::BudgetExceeded {
@@ -270,7 +309,7 @@ fn degraded_checkpoint_run_keeps_training_state_and_resumes_exactly() {
     // The degraded structural output must NOT be saved as a completed
     // stage artifact — only the in-flight training state stays.
     let budget = ExecBudget::unlimited().with_step_limit(10);
-    let degraded = try_run_checkpointed_with_budget(
+    let degraded = run_checkpointed(
         &EaInput::new(&ds.pair, &src, &tgt),
         &cfg,
         &dir,
@@ -290,7 +329,88 @@ fn degraded_checkpoint_run_keeps_training_state_and_resumes_exactly() {
 
     // Resuming without a budget finishes the real computation and lands
     // bit-for-bit on the uninterrupted answer.
-    let resumed = resume_from(&dir, &EaInput::new(&ds.pair, &src, &tgt)).expect("resume completes");
+    let resumed = resume_dir(&dir, &EaInput::new(&ds.pair, &src, &tgt)).expect("resume completes");
     assert_bitwise_equal(&plain, &resumed);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A budget with every dimension armed that never fires within a test.
+fn unfired_budget() -> ExecBudget {
+    ExecBudget::unlimited()
+        .with_cancel(CancelToken::new())
+        .with_deadline(Duration::from_secs(3600))
+        .with_step_limit(u64::MAX)
+}
+
+/// The stage names a run's trace recorded, in order.
+fn stage_names(out: &CeaffOutput) -> Vec<&str> {
+    out.trace.stages.iter().map(|t| t.stage.as_str()).collect()
+}
+
+/// An unfired constrained budget reproduces the plain run of `cfg` bit
+/// for bit and records the same stages.
+fn assert_unfired_budget_matches_plain(cfg: &CeaffConfig) {
+    let ds = dataset();
+    let src = ds.source_embedder(16);
+    let tgt = ds.target_embedder(16);
+
+    let plain = try_run(&EaInput::new(&ds.pair, &src, &tgt), cfg).expect("plain run");
+    let budgeted = run_budgeted(&EaInput::new(&ds.pair, &src, &tgt), cfg, &unfired_budget())
+        .expect("budgeted run");
+    assert_bitwise_equal(&plain, &budgeted);
+    assert_eq!(stage_names(&plain), stage_names(&budgeted));
+    assert!(budgeted.trace.degradations.is_empty());
+    // Both ran the matcher's exact path over the fused store.
+    let exact = cfg
+        .matcher
+        .build()
+        .matching_store_traced(&plain.fused, &Telemetry::disabled());
+    assert_eq!(plain.matching.pairs(), exact.pairs());
+}
+
+#[test]
+fn blocked_trained_run_under_unfired_budget_is_bitwise_identical() {
+    let cfg = cfg().with_blocking(20);
+    assert_unfired_budget_matches_plain(&cfg);
+}
+
+#[test]
+fn blocked_propagation_run_under_unfired_budget_is_bitwise_identical() {
+    for matcher in [
+        MatcherKind::StableMarriage,
+        MatcherKind::Hungarian,
+        MatcherKind::Greedy,
+        MatcherKind::GreedyOneToOne,
+    ] {
+        let mut cfg = cfg().with_blocking(20).with_propagation(2);
+        cfg.matcher = matcher;
+        assert_unfired_budget_matches_plain(&cfg);
+    }
+}
+
+#[test]
+fn checkpointed_run_under_unfired_budget_is_bitwise_identical() {
+    let ds = dataset();
+    let src = ds.source_embedder(16);
+    let tgt = ds.target_embedder(16);
+    let cfg = cfg();
+    let dir = run_dir("unfired-checkpointed");
+
+    let plain = try_run(&EaInput::new(&ds.pair, &src, &tgt), &cfg).expect("plain run");
+    let checkpointed = run_checkpointed(
+        &EaInput::new(&ds.pair, &src, &tgt),
+        &cfg,
+        &dir,
+        CheckpointPolicy::EveryNEpochs(5),
+        &unfired_budget(),
+    )
+    .expect("checkpointed run");
+    assert_bitwise_equal(&plain, &checkpointed);
+    assert_eq!(stage_names(&plain), stage_names(&checkpointed));
+    assert!(checkpointed.trace.degradations.is_empty());
+    assert_eq!(
+        checkpointed.trace.counter("checkpoint", "stages_saved"),
+        Some(3)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

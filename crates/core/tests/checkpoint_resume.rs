@@ -5,13 +5,11 @@
 
 use ceaff_core::checkpoint::{CheckpointPolicy, Checkpointer};
 use ceaff_core::gcn::GcnConfig;
-use ceaff_core::pipeline::{
-    resume_from, try_run, try_run_checkpointed, CeaffConfig, CeaffOutput, EaInput,
-};
+use ceaff_core::pipeline::{run, try_run, CeaffConfig, CeaffOutput, EaInput, RunOptions};
 use ceaff_core::CeaffError;
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
 use ceaff_faultinject::FaultPlan;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn dataset() -> GeneratedDataset {
     ceaff_datagen::generate(&GenConfig {
@@ -49,6 +47,31 @@ fn run_dir(tag: &str) -> PathBuf {
     ));
     std::fs::remove_dir_all(&dir).ok();
     dir
+}
+
+/// A run that checkpoints to `dir` under `policy`.
+fn run_checkpointed(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    dir: impl AsRef<Path>,
+    policy: CheckpointPolicy,
+) -> Result<CeaffOutput, CeaffError> {
+    let ck = Checkpointer::create(dir, policy, cfg)?;
+    let opts = RunOptions {
+        checkpoint: Some(&ck),
+        ..RunOptions::default()
+    };
+    run(input, cfg, &opts)
+}
+
+/// Resume the run checkpointed in `dir` under the configuration it pins.
+fn resume_dir(dir: impl AsRef<Path>, input: &EaInput<'_>) -> Result<CeaffOutput, CeaffError> {
+    let (ck, cfg) = Checkpointer::open(dir)?;
+    let opts = RunOptions {
+        checkpoint: Some(&ck),
+        ..RunOptions::default()
+    };
+    run(input, &cfg, &opts)
 }
 
 /// Bit-level equality of two runs' outputs: the fused matrix, the
@@ -97,7 +120,7 @@ fn crash_and_resume_matches(threads: usize, crash_epoch: usize) {
         .activate();
         ceaff_parallel::with_threads(threads, || {
             let input = EaInput::new(&ds.pair, &src, &tgt);
-            try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
+            run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
         })
     };
     match crashed {
@@ -111,7 +134,7 @@ fn crash_and_resume_matches(threads: usize, crash_epoch: usize) {
         let _quiet = FaultPlan::default().activate();
         ceaff_parallel::with_threads(threads, || {
             let input = EaInput::new(&ds.pair, &src, &tgt);
-            resume_from(&dir, &input).expect("resumed run")
+            resume_dir(&dir, &input).expect("resumed run")
         })
     };
     assert_bitwise_equal(&uninterrupted, &resumed);
@@ -160,7 +183,7 @@ fn resume_across_thread_counts_is_bitwise_identical() {
         .activate();
         ceaff_parallel::with_threads(1, || {
             let input = EaInput::new(&ds.pair, &src, &tgt);
-            try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
+            run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
         })
     };
     assert!(crashed.is_err());
@@ -168,7 +191,7 @@ fn resume_across_thread_counts_is_bitwise_identical() {
         let _quiet = FaultPlan::default().activate();
         ceaff_parallel::with_threads(4, || {
             let input = EaInput::new(&ds.pair, &src, &tgt);
-            resume_from(&dir, &input).expect("resumed run")
+            resume_dir(&dir, &input).expect("resumed run")
         })
     };
     assert_bitwise_equal(&uninterrupted, &resumed);
@@ -185,14 +208,14 @@ fn completed_stages_are_not_recomputed_on_resume() {
     let dir = run_dir("stages");
 
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let first = try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::PerStage)
+    let first = run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::PerStage)
         .expect("first run completes");
     assert_eq!(first.trace.counter("checkpoint", "stages_saved"), Some(3));
     assert_eq!(first.trace.counter("checkpoint", "stages_resumed"), None);
 
     // A second pass over the same directory restores all three stages.
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let second = resume_from(&dir, &input).expect("second run completes");
+    let second = resume_dir(&dir, &input).expect("second run completes");
     assert_eq!(
         second.trace.counter("checkpoint", "stages_resumed"),
         Some(3)
@@ -215,24 +238,10 @@ fn checkpointed_run_matches_plain_run_even_uninterrupted() {
     let input = EaInput::new(&ds.pair, &src, &tgt);
     let plain = try_run(&input, &cfg).expect("plain run");
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let checkpointed = try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
+    let checkpointed = run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
         .expect("checkpointed run");
     assert_bitwise_equal(&plain, &checkpointed);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn off_policy_runs_without_touching_disk() {
-    let _quiet = FaultPlan::default().activate();
-    let ds = dataset();
-    let src = ds.source_embedder(16);
-    let tgt = ds.target_embedder(16);
-    let dir = run_dir("off");
-    let input = EaInput::new(&ds.pair, &src, &tgt);
-    let out =
-        try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::Off).expect("off-policy run");
-    assert!(out.accuracy > 0.0);
-    assert!(!dir.exists(), "Off policy must not create a run directory");
 }
 
 #[test]
@@ -247,7 +256,7 @@ fn resume_rejects_a_directory_from_another_config() {
     let mut other = base;
     other.gcn.seed ^= 1;
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let err = try_run_checkpointed(&input, &other, &dir, CheckpointPolicy::PerStage).unwrap_err();
+    let err = run_checkpointed(&input, &other, &dir, CheckpointPolicy::PerStage).unwrap_err();
     assert!(matches!(err, CeaffError::Checkpoint { .. }));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -277,7 +286,7 @@ fn crashed_gcn_run_dir(
     }
     .activate();
     let input = EaInput::new(&ds.pair, src, tgt);
-    let crashed = try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5));
+    let crashed = run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5));
     assert!(crashed.is_err(), "the injected crash must abort the run");
     assert!(dir.join("gcn_train.ckpt").exists());
     dir
@@ -294,7 +303,7 @@ fn completed_stage_run_dir(
     let dir = run_dir(tag);
     let _quiet = FaultPlan::default().activate();
     let input = EaInput::new(&ds.pair, src, tgt);
-    try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage)
+    run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage)
         .expect("per-stage run completes");
     assert!(dir.join("stage_semantic.bin").exists());
     dir
@@ -317,7 +326,7 @@ fn corrupted_artifact_payload_is_rejected_with_a_typed_error() {
     {
         let _quiet = FaultPlan::default().activate();
         let input = EaInput::new(&ds.pair, &src, &tgt);
-        let err = resume_from(&dir, &input).expect_err("corrupt training state must be rejected");
+        let err = resume_dir(&dir, &input).expect_err("corrupt training state must be rejected");
         match &err {
             CeaffError::Checkpoint { file, .. } => assert_eq!(file, "gcn_train.ckpt"),
             other => panic!("expected a typed checkpoint error, got {other:?}"),
@@ -330,7 +339,7 @@ fn corrupted_artifact_payload_is_rejected_with_a_typed_error() {
     flip_middle_byte(&dir.join("stage_semantic.bin"));
     let _quiet = FaultPlan::default().activate();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let err = resume_from(&dir, &input).expect_err("corrupt stage artifact must be rejected");
+    let err = resume_dir(&dir, &input).expect_err("corrupt stage artifact must be rejected");
     match &err {
         CeaffError::Checkpoint { file, .. } => assert_eq!(file, "stage_semantic.bin"),
         other => panic!("expected a typed checkpoint error, got {other:?}"),
@@ -360,7 +369,7 @@ fn corrupted_manifest_is_rejected_with_a_typed_error() {
         flip_middle_byte(&dir.join("manifest.json"));
         let _quiet = FaultPlan::default().activate();
         let input = EaInput::new(&ds.pair, &src, &tgt);
-        let err = resume_from(&dir, &input)
+        let err = resume_dir(&dir, &input)
             .map(|_| ())
             .expect_err("corrupt manifest must be rejected");
         assert!(

@@ -5,13 +5,15 @@
 //! divergence becomes [`CeaffError::NumericDivergence`]; injected I/O
 //! errors fail checkpoint writes cleanly.
 
-use ceaff_core::checkpoint::{CheckpointPolicy, STAGE_STRING, STAGE_STRUCTURAL, TRAIN_FILE};
+use ceaff_core::checkpoint::{
+    CheckpointPolicy, Checkpointer, STAGE_STRING, STAGE_STRUCTURAL, TRAIN_FILE,
+};
 use ceaff_core::gcn::{self, GcnConfig, MAX_NUMERIC_RETRIES};
-use ceaff_core::pipeline::{resume_from, try_run_checkpointed, CeaffConfig, EaInput};
+use ceaff_core::pipeline::{run, CeaffConfig, CeaffOutput, EaInput, RunOptions};
 use ceaff_core::{CeaffError, InMemorySink, Telemetry};
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
 use ceaff_faultinject::FaultPlan;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn dataset() -> GeneratedDataset {
@@ -48,6 +50,31 @@ fn run_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A run that checkpoints to `dir` under `policy`.
+fn run_checkpointed(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    dir: impl AsRef<Path>,
+    policy: CheckpointPolicy,
+) -> Result<CeaffOutput, CeaffError> {
+    let ck = Checkpointer::create(dir, policy, cfg)?;
+    let opts = RunOptions {
+        checkpoint: Some(&ck),
+        ..RunOptions::default()
+    };
+    run(input, cfg, &opts)
+}
+
+/// Resume the run checkpointed in `dir` under the configuration it pins.
+fn resume_dir(dir: impl AsRef<Path>, input: &EaInput<'_>) -> Result<CeaffOutput, CeaffError> {
+    let (ck, cfg) = Checkpointer::open(dir)?;
+    let opts = RunOptions {
+        checkpoint: Some(&ck),
+        ..RunOptions::default()
+    };
+    run(input, &cfg, &opts)
+}
+
 /// Run to completion, corrupt one stage artifact, and verify the resume
 /// fails with a checksum error instead of loading garbage.
 #[test]
@@ -58,11 +85,11 @@ fn corrupted_stage_checkpoint_is_a_checksum_error() {
     let tgt = ds.target_embedder(16);
     let dir = run_dir("corrupt");
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage).expect("first run");
+    run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage).expect("first run");
 
     ceaff_faultinject::flip_byte(dir.join(STAGE_STRUCTURAL), 100).unwrap();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    match resume_from(&dir, &input) {
+    match resume_dir(&dir, &input) {
         Err(CeaffError::Checkpoint { file, reason }) => {
             assert_eq!(file, STAGE_STRUCTURAL);
             assert!(reason.contains("crc32"), "{reason}");
@@ -80,11 +107,11 @@ fn truncated_stage_checkpoint_is_a_typed_error() {
     let tgt = ds.target_embedder(16);
     let dir = run_dir("truncate");
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage).expect("first run");
+    run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage).expect("first run");
 
     ceaff_faultinject::truncate_file(dir.join(STAGE_STRING), 16).unwrap();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    match resume_from(&dir, &input) {
+    match resume_dir(&dir, &input) {
         Err(CeaffError::Checkpoint { file, reason }) => {
             assert_eq!(file, STAGE_STRING);
             assert!(reason.contains("truncated"), "{reason}");
@@ -110,7 +137,7 @@ fn truncated_train_checkpoint_fails_before_anything_loads() {
         }
         .activate();
         let input = EaInput::new(&ds.pair, &src, &tgt);
-        try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5))
+        run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5))
     };
     assert!(crashed.is_err());
     assert!(
@@ -121,7 +148,7 @@ fn truncated_train_checkpoint_fails_before_anything_loads() {
     ceaff_faultinject::truncate_file(dir.join(TRAIN_FILE), 32).unwrap();
     let _quiet = FaultPlan::default().activate();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    match resume_from(&dir, &input) {
+    match resume_dir(&dir, &input) {
         Err(CeaffError::Checkpoint { file, reason }) => {
             assert_eq!(file, TRAIN_FILE);
             assert!(reason.contains("truncated"), "{reason}");
@@ -208,7 +235,7 @@ fn nan_recovery_also_works_inside_the_checkpointed_pipeline() {
     }
     .activate();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    let out = try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5))
+    let out = run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::EveryNEpochs(5))
         .expect("recovers and completes");
     assert_eq!(out.trace.counter("gcn", "numeric_recovery"), Some(1));
     assert!(out.accuracy > 0.0);
@@ -227,7 +254,7 @@ fn injected_io_error_fails_checkpoint_saves_cleanly() {
     }
     .activate();
     let input = EaInput::new(&ds.pair, &src, &tgt);
-    match try_run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage) {
+    match run_checkpointed(&input, &cfg(), &dir, CheckpointPolicy::PerStage) {
         Err(CeaffError::Checkpoint { file, reason }) => {
             assert_eq!(file, STAGE_STRUCTURAL);
             assert!(reason.contains("injected"), "{reason}");

@@ -1,6 +1,6 @@
 //! Adjacency builders for graph-convolutional encoders.
 //!
-//! The paper constructs the GCN adjacency "according to [25]" (GCN-Align,
+//! The paper constructs the GCN adjacency "according to \[25\]" (GCN-Align,
 //! Wang et al. EMNLP 2018): edge weights derive from relation
 //! *functionality*, so that edges realised through near-functional relations
 //! (which identify their endpoints strongly) receive more mass than edges of

@@ -519,11 +519,13 @@ mod tests {
         std::fs::write(dir.join("triples_1"), "a\tr\tb\n").unwrap();
         std::fs::write(dir.join("triples_2"), "a2\tr\tb2\n").unwrap();
         std::fs::write(dir.join("links"), "a\ta2\n").unwrap();
+        // Thread-local: a process-wide plan would also fail the `triples_2`
+        // reads of tests running concurrently (e.g. `dir_roundtrip`).
         let _scope = ceaff_faultinject::FaultPlan {
             io_error_substring: Some("triples_2".into()),
             ..ceaff_faultinject::FaultPlan::default()
         }
-        .activate();
+        .activate_local();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let err = load_pair_from_dir(&dir, 0.3, &mut rng).unwrap_err();
         assert!(matches!(err, GraphError::Io(_)), "{err:?}");

@@ -317,7 +317,7 @@ impl KnowledgeGraph {
     }
 
     /// Relation *functionality* statistics used by the GCN-Align adjacency
-    /// (Wang et al., EMNLP 2018, the paper's [25]):
+    /// (Wang et al., EMNLP 2018, the paper's \[25\]):
     /// `fun(r) = #distinct heads of r / #triples of r` and
     /// `ifun(r) = #distinct tails of r / #triples of r`.
     ///

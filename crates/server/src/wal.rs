@@ -8,7 +8,8 @@
 //!
 //! * `snap-<S>.bin` — warm-state snapshot taken after step `S`:
 //!   `[u32 crc32(payload)][payload]`, where the payload is the
-//!   [`ceaff_core::snapshot`] encoding of the whole [`DeltaState`].
+//!   [`ceaff_core::snapshot`] encoding of the whole
+//!   [`DeltaState`](ceaff_core::DeltaState).
 //!   Written atomically (`.tmp` + fsync + rename + directory fsync),
 //!   exactly the discipline of `ceaff-core::checkpoint`.
 //! * `wal-<S>.log` — the log *generation* started right after the
@@ -23,7 +24,7 @@
 //!
 //! `POST /delta` applies in memory first (a rejected delta never touches
 //! the log), then appends + fsyncs the frame, then (when due) installs a
-//! snapshot, and only then publishes the new [`ServeCore`] snapshot to
+//! snapshot, and only then publishes the new [`ServeCore`](crate::ServeCore) snapshot to
 //! readers — so a delta is never *acknowledged* before it is durable,
 //! and a crash at any instant loses only unacknowledged work.
 //!

@@ -6,7 +6,7 @@
 //! [`SimilarityMatrix`] container shared by every feature, the unified
 //! [`SimStore`] (dense or sparse top-k) every consumer reads through,
 //! inverted-index [`blocking`] as the sub-quadratic candidate-generation
-//! stage, pairwise [`cosine`] similarity over embedding matrices, and
+//! stage, pairwise [`cosine`](mod@cosine) similarity over embedding matrices, and
 //! the paper's string-level feature — Levenshtein distance with unit and
 //! substitution-cost-2 variants plus the Levenshtein ratio (§IV-C).
 

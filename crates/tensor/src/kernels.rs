@@ -4,7 +4,7 @@
 //! # The bitwise contract
 //!
 //! Every tiled kernel here produces **bitwise-identical** output to its
-//! naive reference (see [`reference`]) for *every* input, at *every*
+//! naive reference (see [`reference`](mod@reference)) for *every* input, at *every*
 //! thread count and *every* tile width. Tiling is allowed to change only
 //! the *traversal* order — which output cells are visited when, and how
 //! operands are staged through the cache hierarchy — never the per-cell

@@ -402,7 +402,7 @@ impl Matrix {
     /// Normalise every row to unit L2 norm in place; zero rows are left zero.
     /// (Paper §IV-A: the GCN input matrix is L2-normalised on rows.)
     ///
-    /// Parallel work is chunked in fixed [`ROW_BLOCK`]-row blocks (one
+    /// Parallel work is chunked in fixed `ROW_BLOCK`-row blocks (one
     /// pool dispatch per 64 rows instead of per row); each row is still
     /// normalised independently, so the result is identical at any
     /// thread count.
@@ -472,8 +472,8 @@ impl Matrix {
     }
 
     /// Fused elementwise combine: `out[i] = f(self[i], other[i])` in a
-    /// single pass, parallel above [`PAR_ELEM_THRESHOLD`] in fixed
-    /// [`ELEM_CHUNK`] chunks. Replaces clone-then-`zip_assign` patterns
+    /// single pass, parallel above `PAR_ELEM_THRESHOLD` elements in fixed
+    /// `ELEM_CHUNK`-element chunks. Replaces clone-then-`zip_assign` patterns
     /// (one write per element instead of a copy plus a rewrite).
     ///
     /// # Panics
@@ -558,7 +558,7 @@ impl Matrix {
     /// Row-wise softmax as a new matrix: per row, subtract the max,
     /// exponentiate, and divide by the (sequentially accumulated) total.
     /// Fused read-compute-write — no intermediate clone — and parallel in
-    /// fixed [`ROW_BLOCK`]-row blocks with the per-row operation order of
+    /// fixed `ROW_BLOCK`-row blocks with the per-row operation order of
     /// the old sequential loop, so results are identical at any thread
     /// count.
     pub fn softmax_rows(&self) -> Matrix {

@@ -17,7 +17,10 @@
 //! * [`sim`] — similarity matrices, cosine, Levenshtein distance/ratio;
 //! * [`datagen`] — synthetic benchmarks mirroring DBP15K / DBP100K / SRPRS;
 //! * [`prelude`] and the re-exported core items — the CEAFF pipeline
-//!   itself (features, adaptive fusion, stable-matching collective EA);
+//!   itself (features, adaptive fusion, stable-matching collective EA),
+//!   one path through [`run`] whose [`RunOptions`] carry the execution
+//!   budget and the optional checkpointer ([`try_run`] is `run` with the
+//!   defaults);
 //! * [`baselines`] — MTransE, IPTransE, BootEA, RSN-lite, MuGNN-lite,
 //!   NAEA-lite, JAPE, GCN-Align, RDGCN-lite, GM-Align-lite, MultiKE-lite.
 //!
@@ -79,9 +82,9 @@ pub mod telemetry {
 pub mod prelude {
     pub use crate::task::DatasetTask;
     pub use ceaff_core::{
-        run_decision_budgeted, try_run, try_run_with_budget, try_run_with_features, AnytimeOutcome,
-        CancelToken, CandidateStrategy, CeaffConfig, CeaffError, CeaffOutput, DecisionOutput,
-        Degradation, EaInput, ExecBudget, FeatureSet, FusionConfig, GcnConfig, MatcherKind,
+        run, run_decision_budgeted, try_run, try_run_with_features, AnytimeOutcome, CancelToken,
+        CandidateStrategy, CeaffConfig, CeaffError, CeaffOutput, DecisionOutput, Degradation,
+        EaInput, ExecBudget, FeatureSet, FusionConfig, GcnConfig, MatcherKind, RunOptions,
         RunTrace, StopReason, Telemetry, WeightingMode,
     };
     pub use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel, Preset};
