@@ -7,10 +7,10 @@
 //! as the paper describes state-of-the-art behaviour (§I) — which is what
 //! CEAFF's collective strategy is compared against.
 
-use ceaff_core::eval::{ranking_metrics, RankingMetrics};
+use ceaff_core::eval::{ranking_metrics_store, RankingMetrics};
 use ceaff_embed::WordEmbedder;
 use ceaff_graph::{AttributeTable, KgPair};
-use ceaff_sim::SimilarityMatrix;
+use ceaff_sim::{SimStore, SimilarityMatrix};
 
 /// Everything a baseline may consume.
 pub struct BaselineInput<'a> {
@@ -53,9 +53,9 @@ pub struct MethodResult {
 /// Run a method and evaluate it against the diagonal ground truth.
 pub fn evaluate(method: &dyn AlignmentMethod, input: &BaselineInput<'_>) -> MethodResult {
     let start = std::time::Instant::now();
-    let m = method.align(input);
+    let m = SimStore::Dense(method.align(input));
     let seconds = start.elapsed().as_secs_f64();
-    let ranking = ranking_metrics(&m);
+    let ranking = ranking_metrics_store(&m);
     MethodResult {
         method: method.name(),
         accuracy: ranking.hits1,

@@ -3,17 +3,17 @@
 //! to be a negligible cost next to feature generation — this bench
 //! quantifies that.
 
-use ceaff::fusion::{adaptive_fuse, two_stage_fuse, FusionConfig};
-use ceaff::sim::SimilarityMatrix;
+use ceaff::fusion::{adaptive_fuse_store, two_stage_fuse_store, FusionConfig};
+use ceaff::sim::{SimStore, SimilarityMatrix};
 use ceaff::tensor::Matrix;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn random_matrix(n: usize, seed: u64) -> SimilarityMatrix {
+fn random_matrix(n: usize, seed: u64) -> SimStore {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let data: Vec<f32> = (0..n * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-    SimilarityMatrix::new(Matrix::from_vec(n, n, data))
+    SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(n, n, data)))
 }
 
 fn bench_fusion(c: &mut Criterion) {
@@ -24,10 +24,12 @@ fn bench_fusion(c: &mut Criterion) {
         let ml = random_matrix(n, 3);
         let cfg = FusionConfig::default();
         group.bench_with_input(BenchmarkId::new("adaptive-3", n), &n, |b, _| {
-            b.iter(|| adaptive_fuse(std::hint::black_box(&[&ms, &mn, &ml]), &cfg))
+            b.iter(|| adaptive_fuse_store(std::hint::black_box(&[&ms, &mn, &ml]), &cfg))
         });
         group.bench_with_input(BenchmarkId::new("two-stage", n), &n, |b, _| {
-            b.iter(|| two_stage_fuse(std::hint::black_box(Some(&ms)), Some(&mn), Some(&ml), &cfg))
+            b.iter(|| {
+                two_stage_fuse_store(std::hint::black_box(Some(&ms)), Some(&mn), Some(&ml), &cfg)
+            })
         });
     }
     group.finish();

@@ -105,19 +105,16 @@ fn main() {
 
     // Workload 2: two-stage adaptive fusion on the real feature matrices.
     let mats: Vec<_> = [
-        features
-            .structural
-            .as_ref()
-            .expect("computed")
-            .test_matrix(),
-        features.semantic.as_ref().expect("computed").test_matrix(),
-        features.string.as_ref().expect("computed").test_matrix(),
+        features.structural.as_ref().expect("computed").test_store(),
+        features.semantic.as_ref().expect("computed").test_store(),
+        features.string.as_ref().expect("computed").test_store(),
     ]
     .map(|m| m.min_max_normalized())
     .into_iter()
     .collect();
     let fuse = || {
-        ceaff::fusion::two_stage_fuse(Some(&mats[0]), Some(&mats[1]), Some(&mats[2]), &cfg.fusion).0
+        let (s, n, l) = (Some(&mats[0]), Some(&mats[1]), Some(&mats[2]));
+        ceaff::fusion::two_stage_fuse_store(s, n, l, &cfg.fusion).0
     };
     let (seq, f1) = time_with_threads(1, 5, fuse);
     let (par, fnn) = time_with_threads(threads, 5, fuse);

@@ -3,14 +3,14 @@
 //! The paper's primary metric is **accuracy**: correctly aligned source
 //! entities over all source entities (equivalent to Hits@1 when decisions
 //! are independent). For the ranking-style evaluation of Table VI, Hits@k
-//! and mean reciprocal rank (MRR) are computed from similarity matrices.
+//! and mean reciprocal rank (MRR) are computed from similarity stores.
 //!
 //! Throughout, matrices and matchings are in *test order*: source `i`'s
 //! ground-truth counterpart is target `i` (the construction of
 //! [`ceaff_graph::KgPair::test_sources`] / `test_targets` guarantees this).
 
 use crate::matching::Matching;
-use ceaff_sim::{SimStore, SimilarityMatrix};
+use ceaff_sim::SimStore;
 
 /// Accuracy of a matching against the diagonal ground truth: the number of
 /// source entities matched to their true counterpart, divided by the total
@@ -22,35 +22,6 @@ pub fn accuracy(matching: &Matching, n_sources: usize) -> f64 {
     }
     let correct = matching.pairs().iter().filter(|&&(i, j)| i == j).count();
     correct as f64 / n_sources as f64
-}
-
-/// Hits@k over a similarity matrix: the fraction of source rows whose
-/// ground-truth target ranks within the top `k`.
-pub fn hits_at_k(m: &SimilarityMatrix, k: usize) -> f64 {
-    if m.sources() == 0 {
-        return 0.0;
-    }
-    let hits = (0..m.sources())
-        .filter(|&i| i < m.targets() && m.rank_of(i, i) <= k)
-        .count();
-    hits as f64 / m.sources() as f64
-}
-
-/// Mean reciprocal rank of the ground-truth target.
-pub fn mrr(m: &SimilarityMatrix) -> f64 {
-    if m.sources() == 0 {
-        return 0.0;
-    }
-    let total: f64 = (0..m.sources())
-        .map(|i| {
-            if i < m.targets() {
-                1.0 / m.rank_of(i, i) as f64
-            } else {
-                0.0
-            }
-        })
-        .sum();
-    total / m.sources() as f64
 }
 
 /// Precision / recall / F1 of a (possibly partial) matching against the
@@ -104,17 +75,9 @@ pub struct RankingMetrics {
     pub mrr: f64,
 }
 
-/// Compute Hits@1/Hits@10/MRR in one pass.
-pub fn ranking_metrics(m: &SimilarityMatrix) -> RankingMetrics {
-    RankingMetrics {
-        hits1: hits_at_k(m, 1),
-        hits10: hits_at_k(m, 10),
-        mrr: mrr(m),
-    }
-}
-
-/// Hits@k over either store backend. The sparse arm ranks the ground-truth
-/// cell against stored entries plus the implicit zeros
+/// Hits@k: the fraction of source rows whose ground-truth target ranks
+/// within the top `k`. The sparse backend ranks the ground-truth cell
+/// against stored entries plus the implicit zeros
 /// ([`ceaff_sim::SparseTopK::rank_of`]), so on a complete store it equals
 /// the dense rank exactly; on a blocked store a truth pair pruned by the
 /// candidate stage ranks behind every stored entry — blocking recall losses
@@ -129,8 +92,8 @@ pub fn hits_at_k_store(s: &SimStore, k: usize) -> f64 {
     hits as f64 / s.sources() as f64
 }
 
-/// Mean reciprocal rank over either store backend (see [`hits_at_k_store`]
-/// for the sparse ranking semantics).
+/// Mean reciprocal rank of the ground-truth target (see
+/// [`hits_at_k_store`] for the sparse ranking semantics).
 pub fn mrr_store(s: &SimStore) -> f64 {
     if s.sources() == 0 {
         return 0.0;
@@ -147,8 +110,7 @@ pub fn mrr_store(s: &SimStore) -> f64 {
     total / s.sources() as f64
 }
 
-/// Compute Hits@1/Hits@10/MRR through the store API. Dense stores
-/// reproduce [`ranking_metrics`] exactly.
+/// Compute Hits@1/Hits@10/MRR in one call.
 pub fn ranking_metrics_store(s: &SimStore) -> RankingMetrics {
     RankingMetrics {
         hits1: hits_at_k_store(s, 1),
@@ -160,6 +122,7 @@ pub fn ranking_metrics_store(s: &SimStore) -> RankingMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceaff_sim::SimilarityMatrix;
     use ceaff_tensor::Matrix;
 
     #[test]
@@ -173,14 +136,14 @@ mod tests {
         assert_eq!(accuracy(&Matching::from_pairs(vec![]), 0), 0.0);
     }
 
-    fn toy_matrix() -> SimilarityMatrix {
+    fn toy_matrix() -> SimStore {
         // Ground truth = diagonal. Row 0: truth ranked 1; row 1: ranked 2;
         // row 2: ranked 3.
-        SimilarityMatrix::new(Matrix::from_rows(&[
+        SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(&[
             &[0.9, 0.1, 0.1],
             &[0.8, 0.5, 0.1],
             &[0.9, 0.8, 0.3],
-        ]))
+        ])))
     }
 
     #[test]
@@ -206,22 +169,25 @@ mod tests {
     #[test]
     fn hits_at_k_thresholds() {
         let m = toy_matrix();
-        assert!((hits_at_k(&m, 1) - 1.0 / 3.0).abs() < 1e-9);
-        assert!((hits_at_k(&m, 2) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((hits_at_k(&m, 3) - 1.0).abs() < 1e-9);
+        assert!((hits_at_k_store(&m, 1) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((hits_at_k_store(&m, 2) - 2.0 / 3.0).abs() < 1e-9);
+        assert!((hits_at_k_store(&m, 3) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn mrr_matches_hand_computation() {
         let m = toy_matrix();
         let expect = (1.0 + 0.5 + 1.0 / 3.0) / 3.0;
-        assert!((mrr(&m) - expect).abs() < 1e-9);
+        assert!((mrr_store(&m) - expect).abs() < 1e-9);
     }
 
     #[test]
     fn perfect_matrix_scores_one() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
-        let r = ranking_metrics(&m);
+        let m = SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(&[
+            &[1.0, 0.0],
+            &[0.0, 1.0],
+        ])));
+        let r = ranking_metrics_store(&m);
         assert_eq!(r.hits1, 1.0);
         assert_eq!(r.hits10, 1.0);
         assert_eq!(r.mrr, 1.0);
@@ -229,20 +195,20 @@ mod tests {
 
     #[test]
     fn empty_matrix_is_zero() {
-        let m = SimilarityMatrix::zeros(0, 0);
-        assert_eq!(hits_at_k(&m, 1), 0.0);
-        assert_eq!(mrr(&m), 0.0);
+        let m = SimStore::Dense(SimilarityMatrix::zeros(0, 0));
+        assert_eq!(hits_at_k_store(&m, 1), 0.0);
+        assert_eq!(mrr_store(&m), 0.0);
     }
 
     #[test]
-    fn store_metrics_match_dense_on_both_backends() {
+    fn complete_sparse_store_ranks_like_dense() {
         use ceaff_sim::SparseTopK;
         let m = toy_matrix();
-        let dense = ranking_metrics(&m);
-        assert_eq!(ranking_metrics_store(&SimStore::Dense(m.clone())), dense);
-        // A complete sparse store ranks identically.
-        let complete = SimStore::Sparse(SparseTopK::from_dense(&m, 3));
-        assert_eq!(ranking_metrics_store(&complete), dense);
+        let complete = SparseTopK::from_dense(m.as_dense().expect("dense"), 3);
+        assert_eq!(
+            ranking_metrics_store(&SimStore::Sparse(complete)),
+            ranking_metrics_store(&m)
+        );
     }
 
     #[test]
@@ -253,10 +219,21 @@ mod tests {
         // *and* tie with the other implicit zero? No other zeros here:
         // rank = 1 + 2 stored greater = 3.
         let m = toy_matrix();
-        let blocked = SimStore::Sparse(SparseTopK::from_dense(&m, 2));
+        let blocked = SimStore::Sparse(SparseTopK::from_dense(m.as_dense().expect("dense"), 2));
         let r = ranking_metrics_store(&blocked);
         assert!((r.hits1 - 1.0 / 3.0).abs() < 1e-9);
         let expect_mrr = (1.0 + 0.5 + 1.0 / 3.0) / 3.0;
         assert!((r.mrr - expect_mrr).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pruned_truth_is_no_hit_behind_negative_scores() {
+        use ceaff_sim::SparseTopK;
+        // Unnormalised scores can be negative. Row 0's truth (0,0) was
+        // pruned; its only candidate scores below zero. The truth must
+        // still rank behind it, so Hits@1 credits nothing.
+        let blocked = SimStore::Sparse(SparseTopK::from_rows(2, 1, vec![vec![(1, -0.5)]]));
+        assert_eq!(hits_at_k_store(&blocked, 1), 0.0);
+        assert_eq!(mrr_store(&blocked), 0.5);
     }
 }

@@ -75,7 +75,7 @@ mod tests {
     fn attribute_feature_carries_weak_but_real_signal() {
         let ds = dataset(NameChannel::Identical { typo_rate: 0.0 });
         let f = AttributeFeature::compute(&ds.pair, &ds.source_attributes, &ds.target_attributes);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(margin > 0.02, "attribute margin too small: {margin}");
         // But much weaker than the name features — the realistic profile.
         assert!(
@@ -90,7 +90,7 @@ mod tests {
         let f = AttributeFeature::compute(&ds.pair, &ds.source_attributes, &ds.target_attributes);
         let s = ds.pair.test_sources();
         let t = ds.pair.test_targets();
-        assert_eq!(f.test_matrix().get(3, 5), f.score(s[3], t[5]));
+        assert_eq!(f.test_store().get(3, 5), f.score(s[3], t[5]));
     }
 
     #[test]

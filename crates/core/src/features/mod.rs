@@ -22,7 +22,7 @@ pub use string::StringFeature;
 pub use structural::StructuralFeature;
 
 use ceaff_graph::EntityId;
-use ceaff_sim::{SimStore, SimilarityMatrix};
+use ceaff_sim::SimStore;
 
 /// A computed alignment feature.
 pub trait Feature: Send + Sync {
@@ -34,17 +34,6 @@ pub trait Feature: Send + Sync {
     /// pipeline, sparse top-k when the feature was scored over a blocked
     /// candidate set.
     fn test_store(&self) -> &SimStore;
-
-    /// Dense-only bridge to the pre-`SimStore` API.
-    ///
-    /// # Panics
-    /// Panics when the feature is backed by a sparse store — callers that
-    /// may see blocked features must use [`Feature::test_store`].
-    fn test_matrix(&self) -> &SimilarityMatrix {
-        self.test_store().as_dense().expect(
-            "Feature::test_matrix needs a dense store; use test_store() for blocked features",
-        )
-    }
 
     /// Similarity between any source-KG entity and any target-KG entity.
     fn score(&self, u: EntityId, v: EntityId) -> f32;
@@ -70,9 +59,9 @@ pub(crate) mod test_support {
     }
 
     /// Mean of the diagonal minus mean of the off-diagonal — a quick
-    /// separation score for a feature matrix whose ground truth is the
+    /// separation score for a feature store whose ground truth is the
     /// diagonal.
-    pub fn diagonal_margin(m: &ceaff_sim::SimilarityMatrix) -> f64 {
+    pub fn diagonal_margin(m: &ceaff_sim::SimStore) -> f64 {
         let n = m.sources().min(m.targets());
         let mut diag = 0.0f64;
         let mut off = 0.0f64;

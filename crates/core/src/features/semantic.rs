@@ -159,7 +159,7 @@ mod tests {
         let src = ds.source_embedder(32);
         let tgt = ds.target_embedder(32);
         let f = SemanticFeature::compute(&ds.pair, &src, &tgt);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(margin > 0.3, "semantic margin too small: {margin}");
     }
 
@@ -169,7 +169,7 @@ mod tests {
         let src = ds.source_embedder(32);
         let tgt = ds.target_embedder(32);
         let f = SemanticFeature::compute(&ds.pair, &src, &tgt);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(
             margin > 0.2,
             "cross-lingual semantic margin too small: {margin}"
@@ -213,7 +213,7 @@ mod tests {
             SemanticFeature::compute(&ds.pair, &ds.source_embedder(32), &ds.target_embedder(32));
         let s = ds.pair.test_sources();
         let t = ds.pair.test_targets();
-        assert!((f.test_matrix().get(2, 4) - f.score(s[2], t[4])).abs() < 1e-4);
+        assert!((f.test_store().get(2, 4) - f.score(s[2], t[4])).abs() < 1e-4);
     }
 
     #[test]

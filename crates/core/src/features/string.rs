@@ -131,10 +131,10 @@ mod tests {
     fn mono_lingual_string_is_nearly_perfect() {
         let ds = dataset(NameChannel::Identical { typo_rate: 0.02 });
         let f = StringFeature::compute(&ds.pair);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(margin > 0.5, "mono string margin too small: {margin}");
         // Diagonal should be ~1.
-        let m = f.test_matrix();
+        let m = f.test_store();
         let mean_diag: f32 =
             (0..m.sources()).map(|i| m.get(i, i)).sum::<f32>() / m.sources() as f32;
         assert!(mean_diag > 0.95, "mean diagonal {mean_diag}");
@@ -147,7 +147,7 @@ mod tests {
             replace_rate: 0.2,
         });
         let f = StringFeature::compute(&ds.pair);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(margin > 0.2, "close-lingual string margin: {margin}");
     }
 
@@ -155,7 +155,7 @@ mod tests {
     fn distant_lingual_string_is_useless() {
         let ds = dataset(NameChannel::DistantLingual);
         let f = StringFeature::compute(&ds.pair);
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(
             margin.abs() < 0.1,
             "distant-lingual string should carry no signal: {margin}"
@@ -168,7 +168,7 @@ mod tests {
         let f = StringFeature::compute(&ds.pair);
         let s = ds.pair.test_sources();
         let t = ds.pair.test_targets();
-        assert!((f.test_matrix().get(1, 1) - f.score(s[1], t[1])).abs() < 1e-6);
+        assert!((f.test_store().get(1, 1) - f.score(s[1], t[1])).abs() < 1e-6);
         // With a zero typo rate aligned names are identical: ratio 1.
         assert_eq!(f.score(s[1], t[1]), 1.0);
     }

@@ -221,7 +221,7 @@ mod tests {
     fn test_matrix_separates_ground_truth() {
         let ds = dataset(NameChannel::Identical { typo_rate: 0.0 });
         let f = StructuralFeature::compute(&ds.pair, &cfg());
-        let margin = diagonal_margin(f.test_matrix());
+        let margin = diagonal_margin(f.test_store());
         assert!(
             margin > 0.05,
             "structural diagonal margin too small: {margin}"
@@ -236,7 +236,7 @@ mod tests {
         let targets = ds.pair.test_targets();
         for i in [0usize, 3, 7] {
             for j in [0usize, 5] {
-                let expect = f.test_matrix().get(i, j);
+                let expect = f.test_store().get(i, j);
                 let got = f.score(sources[i], targets[j]);
                 assert!((expect - got).abs() < 1e-4, "mismatch at ({i},{j})");
             }
@@ -247,7 +247,7 @@ mod tests {
     fn matrix_dimensions_match_test_split() {
         let ds = dataset(NameChannel::Identical { typo_rate: 0.0 });
         let f = StructuralFeature::compute(&ds.pair, &cfg());
-        assert_eq!(f.test_matrix().sources(), ds.pair.test_pairs().len());
-        assert_eq!(f.test_matrix().targets(), ds.pair.test_pairs().len());
+        assert_eq!(f.test_store().sources(), ds.pair.test_pairs().len());
+        assert_eq!(f.test_store().targets(), ds.pair.test_pairs().len());
     }
 }

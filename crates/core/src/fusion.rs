@@ -19,9 +19,9 @@
 //!    weights when nothing is retained);
 //! 5. **Fusion** — the weighted sum of the matrices.
 //!
-//! [`two_stage_fuse`] applies the paper's composition: semantic and string
-//! matrices fuse into a textual matrix first, which then fuses with the
-//! structural matrix (§V, "Feature Fusion with Adaptive Weight").
+//! [`two_stage_fuse_store`] applies the paper's composition: semantic and
+//! string matrices fuse into a textual matrix first, which then fuses with
+//! the structural matrix (§V, "Feature Fusion with Adaptive Weight").
 
 use ceaff_sim::{SimStore, SimilarityMatrix};
 use serde::{Deserialize, Serialize};
@@ -73,42 +73,35 @@ pub struct FusionReport {
     pub fallback_equal: bool,
 }
 
-/// Stage 1: the candidate confident correspondences of one feature matrix —
+/// Stage 1: the candidate confident correspondences of one feature store —
 /// cells maximal along both their row and their column. The double-max
 /// constraint is deliberately strong; such cells are very likely correct
-/// matches (§V).
-pub fn confident_correspondences(m: &SimilarityMatrix) -> Vec<Candidate> {
-    if m.sources() == 0 || m.targets() == 0 {
+/// matches (§V). A sparse store reads row maxima from the stored rows
+/// (first entry — canonical order) and column maxima from a single pass
+/// over the stored cells, so it costs `O(nnz)` instead of
+/// `O(sources × targets)`. Tie-breaks agree across backends (lowest column
+/// along a row, lowest row along a column), so a complete store yields the
+/// dense candidate set.
+pub fn confident_correspondences_store(s: &SimStore) -> Vec<Candidate> {
+    if s.sources() == 0 || s.targets() == 0 {
         return Vec::new();
     }
-    let row_best = m.row_argmaxes();
-    let col_best = m.col_argmaxes();
-    (0..m.sources())
-        .filter_map(|i| {
-            let j = row_best[i];
-            (col_best[j] == i).then(|| Candidate {
-                source: i,
-                target: j,
-                score: m.get(i, j),
-            })
-        })
-        .collect()
-}
-
-/// Stage 1 over either backend. The dense arm is the exact
-/// [`confident_correspondences`]; the sparse arm reads row maxima from the
-/// stored rows (first entry — canonical order) and column maxima from a
-/// single pass over the stored cells, so it costs `O(nnz)` instead of
-/// `O(sources × targets)`. Tie-breaks match the dense path (lowest column
-/// along a row, lowest row along a column), so a complete store yields the
-/// identical candidate set.
-pub fn confident_correspondences_store(s: &SimStore) -> Vec<Candidate> {
     match s {
-        SimStore::Dense(m) => confident_correspondences(m),
+        SimStore::Dense(m) => {
+            let row_best = m.row_argmaxes();
+            let col_best = m.col_argmaxes();
+            (0..m.sources())
+                .filter_map(|i| {
+                    let j = row_best[i];
+                    (col_best[j] == i).then(|| Candidate {
+                        source: i,
+                        target: j,
+                        score: m.get(i, j),
+                    })
+                })
+                .collect()
+        }
         SimStore::Sparse(sp) => {
-            if sp.sources() == 0 || sp.targets() == 0 {
-                return Vec::new();
-            }
             let col_best = sp.col_best();
             (0..sp.sources())
                 .filter_map(|i| {
@@ -127,9 +120,8 @@ pub fn confident_correspondences_store(s: &SimStore) -> Vec<Candidate> {
     }
 }
 
-/// Stages 2–4, shared by the matrix and store entry points: filter the
-/// per-feature candidate sets and turn the retained occurrences into
-/// normalised feature weights.
+/// Stages 2–4: filter the per-feature candidate sets and turn the
+/// retained occurrences into normalised feature weights.
 fn weights_from_candidates(per_feature: &[Vec<Candidate>], cfg: &FusionConfig) -> FusionReport {
     let k = per_feature.len();
     let candidates_per_feature: Vec<usize> = per_feature.iter().map(Vec::len).collect();
@@ -202,27 +194,10 @@ fn weights_from_candidates(per_feature: &[Vec<Candidate>], cfg: &FusionConfig) -
     }
 }
 
-/// Stages 1–4: compute adaptive feature weights for `mats`.
+/// Stages 1–4: compute adaptive feature weights for `stores`, stage 1 by
+/// [`confident_correspondences_store`].
 ///
 /// Returns the normalised weights and the diagnostic report.
-///
-/// # Panics
-/// Panics if `mats` is empty or shapes disagree.
-pub fn adaptive_weights(mats: &[&SimilarityMatrix], cfg: &FusionConfig) -> FusionReport {
-    assert!(!mats.is_empty(), "need at least one feature matrix");
-    let shape = (mats[0].sources(), mats[0].targets());
-    assert!(
-        mats.iter().all(|m| (m.sources(), m.targets()) == shape),
-        "all feature matrices must share one shape"
-    );
-    let per_feature: Vec<Vec<Candidate>> =
-        mats.iter().map(|m| confident_correspondences(m)).collect();
-    weights_from_candidates(&per_feature, cfg)
-}
-
-/// Stages 1–4 over stores: identical filtering and weighting, with stage 1
-/// dispatched per backend by [`confident_correspondences_store`]. All-dense
-/// inputs reproduce [`adaptive_weights`] bitwise.
 ///
 /// # Panics
 /// Panics if `stores` is empty or shapes disagree.
@@ -240,23 +215,9 @@ pub fn adaptive_weights_store(stores: &[&SimStore], cfg: &FusionConfig) -> Fusio
     weights_from_candidates(&per_feature, cfg)
 }
 
-/// Stage 5: the weighted sum of the matrices.
-///
-/// # Panics
-/// Panics if lengths or shapes disagree.
-pub fn fuse(mats: &[&SimilarityMatrix], weights: &[f32]) -> SimilarityMatrix {
-    assert_eq!(mats.len(), weights.len(), "one weight per matrix");
-    assert!(!mats.is_empty(), "need at least one matrix");
-    let mut out = SimilarityMatrix::zeros(mats[0].sources(), mats[0].targets());
-    for (m, &w) in mats.iter().zip(weights) {
-        out.add_scaled(m, w);
-    }
-    out
-}
-
-/// Stage 5 over stores. All-dense inputs take the exact dense [`fuse`]
-/// (bitwise the golden path). Otherwise the result is sparse: each row is
-/// the union of the inputs' stored candidates, every cell accumulated in
+/// Stage 5: the weighted sum of the stores. All-dense inputs sum densely
+/// (the golden path). Otherwise the result is sparse: each row is the
+/// union of the inputs' stored candidates, every cell accumulated in
 /// feature order — the same per-cell f32 addition sequence the dense sweep
 /// performs — so complete stores fuse bitwise-identically to dense. Rows
 /// fan out across the pool; per-row work is sequential, keeping the result
@@ -274,11 +235,11 @@ pub fn fuse_store(stores: &[&SimStore], weights: &[f32]) -> SimStore {
         "all feature stores must share one shape"
     );
     if stores.iter().all(|s| !s.is_sparse()) {
-        let mats: Vec<&SimilarityMatrix> = stores
-            .iter()
-            .map(|s| s.as_dense().expect("all-dense checked above"))
-            .collect();
-        return SimStore::Dense(fuse(&mats, weights));
+        let mut out = SimilarityMatrix::zeros(n, t);
+        for (s, &w) in stores.iter().zip(weights) {
+            out.add_scaled(s.as_dense().expect("all-dense checked above"), w);
+        }
+        return SimStore::Dense(out);
     }
     let build = |i: usize| -> Vec<(u32, f32)> {
         // BTreeMap keys the union of this row's candidate columns; values
@@ -300,75 +261,38 @@ pub fn fuse_store(stores: &[&SimStore], weights: &[f32]) -> SimStore {
     SimStore::Sparse(SparseTopK::from_rows(t, k, rows))
 }
 
-/// Adaptive fusion in one call: weights from [`adaptive_weights`], result
-/// from [`fuse`].
+/// Adaptive fusion in one call: weights from [`adaptive_weights_store`],
+/// result from [`fuse_store`].
 ///
 /// ```
-/// use ceaff_core::fusion::{adaptive_fuse, FusionConfig};
-/// use ceaff_sim::SimilarityMatrix;
+/// use ceaff_core::fusion::{adaptive_fuse_store, FusionConfig};
+/// use ceaff_sim::{SimStore, SimilarityMatrix};
 /// use ceaff_tensor::Matrix;
 ///
 /// // One sharp feature, one flat feature: the sharp one earns the weight.
-/// let sharp = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9, 0.0], &[0.0, 0.9]]));
-/// let flat = SimilarityMatrix::new(Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]));
-/// let (fused, report) = adaptive_fuse(&[&sharp, &flat], &FusionConfig::default());
+/// let store = |rows: &[&[f32]]| SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(rows)));
+/// let sharp = store(&[&[0.9, 0.0], &[0.0, 0.9]]);
+/// let flat = store(&[&[0.5, 0.5], &[0.5, 0.5]]);
+/// let (fused, report) = adaptive_fuse_store(&[&sharp, &flat], &FusionConfig::default());
 /// assert!(report.weights[0] > report.weights[1]);
 /// assert_eq!(fused.sources(), 2);
 /// ```
-pub fn adaptive_fuse(
-    mats: &[&SimilarityMatrix],
-    cfg: &FusionConfig,
-) -> (SimilarityMatrix, FusionReport) {
-    let report = adaptive_weights(mats, cfg);
-    (fuse(mats, &report.weights), report)
-}
-
-/// Adaptive fusion over stores: weights from [`adaptive_weights_store`],
-/// result from [`fuse_store`].
 pub fn adaptive_fuse_store(stores: &[&SimStore], cfg: &FusionConfig) -> (SimStore, FusionReport) {
     let report = adaptive_weights_store(stores, cfg);
     (fuse_store(stores, &report.weights), report)
 }
 
-/// The paper's two-stage composition: `Mn + Ml → Mt`, then `Ms + Mt → M`.
+/// The paper's two-stage composition: `Mn + Ml → Mt`, then `Ms + Mt → M`,
+/// each stage through [`adaptive_fuse_store`].
 ///
 /// "Compared with fusing all features simultaneously, our proposed
 /// two-stage fusion framework can better adjust weight assignment" (§V).
 /// Any of the three inputs may be absent (the feature ablations of
-/// Table V); with a single present input it is returned unchanged.
+/// Table V); with a single present input it is returned unchanged. Sparse
+/// inputs keep the result sparse end to end.
 ///
-/// Returns the fused matrix plus the reports of the textual and final
+/// Returns the fused store plus the reports of the textual and final
 /// stages (when they ran).
-pub fn two_stage_fuse(
-    structural: Option<&SimilarityMatrix>,
-    semantic: Option<&SimilarityMatrix>,
-    string: Option<&SimilarityMatrix>,
-    cfg: &FusionConfig,
-) -> (SimilarityMatrix, Option<FusionReport>, Option<FusionReport>) {
-    let textual: Option<(SimilarityMatrix, Option<FusionReport>)> = match (semantic, string) {
-        (Some(n), Some(l)) => {
-            let (t, rep) = adaptive_fuse(&[n, l], cfg);
-            Some((t, Some(rep)))
-        }
-        (Some(n), None) => Some((n.clone(), None)),
-        (None, Some(l)) => Some((l.clone(), None)),
-        (None, None) => None,
-    };
-    match (structural, textual) {
-        (Some(s), Some((t, trep))) => {
-            let (m, rep) = adaptive_fuse(&[s, &t], cfg);
-            (m, trep, Some(rep))
-        }
-        (Some(s), None) => (s.clone(), None, None),
-        (None, Some((t, trep))) => (t, trep, None),
-        (None, None) => panic!("two_stage_fuse needs at least one feature matrix"),
-    }
-}
-
-/// The two-stage composition over stores: `Mn + Ml → Mt`, then
-/// `Ms + Mt → M`, each stage dispatched through [`adaptive_fuse_store`].
-/// All-dense inputs reproduce [`two_stage_fuse`] bitwise; sparse inputs
-/// keep the result sparse end to end.
 pub fn two_stage_fuse_store(
     structural: Option<&SimStore>,
     semantic: Option<&SimStore>,
@@ -391,7 +315,7 @@ pub fn two_stage_fuse_store(
         }
         (Some(s), None) => (s.clone(), None, None),
         (None, Some((t, trep))) => (t, trep, None),
-        (None, None) => panic!("two_stage_fuse needs at least one feature store"),
+        (None, None) => panic!("two_stage_fuse_store needs at least one feature store"),
     }
 }
 
@@ -401,8 +325,14 @@ mod tests {
     use ceaff_tensor::Matrix;
     use proptest::prelude::*;
 
-    fn sm(rows: &[&[f32]]) -> SimilarityMatrix {
-        SimilarityMatrix::new(Matrix::from_rows(rows))
+    fn sm(rows: &[&[f32]]) -> SimStore {
+        SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(rows)))
+    }
+
+    /// A complete sparse copy of a dense store.
+    fn complete(s: &SimStore) -> SimStore {
+        let m = s.as_dense().expect("dense");
+        SimStore::Sparse(ceaff_sim::SparseTopK::from_dense(m, m.targets()))
     }
 
     #[test]
@@ -411,13 +341,13 @@ mod tests {
         // Row 1's max (0.7) sits in column 0, whose column max is row 0, so
         // row 1 contributes nothing: the double-max constraint is strong.
         let m = sm(&[&[0.9, 0.1], &[0.7, 0.2]]);
-        let c = confident_correspondences(&m);
+        let c = confident_correspondences_store(&m);
         assert_eq!(c.len(), 1);
         assert_eq!((c[0].source, c[0].target, c[0].score), (0, 0, 0.9));
 
         // A diagonal-dominant matrix yields one candidate per row.
         let m = sm(&[&[0.9, 0.0], &[0.0, 0.8]]);
-        let c = confident_correspondences(&m);
+        let c = confident_correspondences_store(&m);
         assert_eq!(c.len(), 2);
     }
 
@@ -438,24 +368,24 @@ mod tests {
         let mn = sm(&[&[1.0, 0.5, 0.1], &[0.5, 1.0, 0.2], &[0.2, 0.2, 0.15]]);
         let ml = sm(&[&[0.6, 0.5, 0.4], &[0.1, 0.3, 0.6], &[0.4, 0.4, 0.3]]);
         // Verify the candidate sets match the figure.
-        let cs: Vec<_> = confident_correspondences(&ms)
+        let cs: Vec<_> = confident_correspondences_store(&ms)
             .iter()
             .map(|c| (c.source, c.target))
             .collect();
         assert_eq!(cs, vec![(1, 1), (2, 2)]);
-        let cn: Vec<_> = confident_correspondences(&mn)
+        let cn: Vec<_> = confident_correspondences_store(&mn)
             .iter()
             .map(|c| (c.source, c.target))
             .collect();
         assert_eq!(cn, vec![(0, 0), (1, 1)]);
-        let cl: Vec<_> = confident_correspondences(&ml)
+        let cl: Vec<_> = confident_correspondences_store(&ml)
             .iter()
             .map(|c| (c.source, c.target))
             .collect();
         assert_eq!(cl, vec![(0, 0), (1, 2)]);
 
         let cfg = FusionConfig::default(); // θ1 = 0.98, θ2 = 0.1
-        let report = adaptive_weights(&[&ms, &mn, &ml], &cfg);
+        let report = adaptive_weights_store(&[&ms, &mn, &ml], &cfg);
         let denom = 1.0 + 0.5 + 0.1;
         let expect = [1.0 / denom, 0.1 / denom, 0.5 / denom];
         for (w, e) in report.weights.iter().zip(expect) {
@@ -474,7 +404,7 @@ mod tests {
             cap_enabled: false,
             ..FusionConfig::default()
         };
-        let report = adaptive_weights(&[&ms, &mn, &ml], &cfg);
+        let report = adaptive_weights_store(&[&ms, &mn, &ml], &cfg);
         // Without the cap, Mn's (u1,v1) occurrence weighs 0.5 like Ml's.
         let denom = 1.0 + 0.5 + 0.5;
         let expect = [1.0 / denom, 0.5 / denom, 0.5 / denom];
@@ -490,7 +420,7 @@ mod tests {
         let b = sm(&[&[0.8, 0.3], &[0.1, 0.2]]);
         // b's candidates: (0,0) and (1,1) — (1,1)=0.2 is row-1 max? 0.2 > 0.1
         // yes, col-1 max? 0.3 > 0.2 no. So only (0,0).
-        let report = adaptive_weights(&[&a, &b], &FusionConfig::default());
+        let report = adaptive_weights_store(&[&a, &b], &FusionConfig::default());
         assert!(report.fallback_equal);
         assert_eq!(report.weights, vec![0.5, 0.5]);
     }
@@ -498,7 +428,7 @@ mod tests {
     #[test]
     fn single_feature_gets_full_weight() {
         let a = sm(&[&[0.9, 0.1], &[0.2, 0.8]]);
-        let report = adaptive_weights(&[&a], &FusionConfig::default());
+        let report = adaptive_weights_store(&[&a], &FusionConfig::default());
         assert_eq!(report.weights, vec![1.0]);
     }
 
@@ -506,7 +436,7 @@ mod tests {
     fn fuse_weighted_sum() {
         let a = sm(&[&[1.0, 0.0]]);
         let b = sm(&[&[0.0, 1.0]]);
-        let f = fuse(&[&a, &b], &[0.75, 0.25]);
+        let f = fuse_store(&[&a, &b], &[0.75, 0.25]);
         assert!((f.get(0, 0) - 0.75).abs() < 1e-6);
         assert!((f.get(0, 1) - 0.25).abs() < 1e-6);
     }
@@ -517,18 +447,20 @@ mod tests {
         let n = sm(&[&[0.7, 0.2], &[0.3, 0.9]]);
         let l = sm(&[&[0.8, 0.0], &[0.0, 0.6]]);
         let (full, trep, frep) =
-            two_stage_fuse(Some(&s), Some(&n), Some(&l), &FusionConfig::default());
+            two_stage_fuse_store(Some(&s), Some(&n), Some(&l), &FusionConfig::default());
         assert!(trep.is_some());
         assert!(frep.is_some());
         assert_eq!(full.sources(), 2);
 
         // w/o structural: only the textual stage runs.
-        let (_, trep, frep) = two_stage_fuse(None, Some(&n), Some(&l), &FusionConfig::default());
+        let (_, trep, frep) =
+            two_stage_fuse_store(None, Some(&n), Some(&l), &FusionConfig::default());
         assert!(trep.is_some());
         assert!(frep.is_none());
 
         // w/o semantic and string: the structural matrix passes through.
-        let (only_s, trep, frep) = two_stage_fuse(Some(&s), None, None, &FusionConfig::default());
+        let (only_s, trep, frep) =
+            two_stage_fuse_store(Some(&s), None, None, &FusionConfig::default());
         assert_eq!(only_s, s);
         assert!(trep.is_none());
         assert!(frep.is_none());
@@ -537,38 +469,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one feature")]
     fn two_stage_rejects_empty() {
-        let _ = two_stage_fuse(None, None, None, &FusionConfig::default());
-    }
-
-    #[test]
-    fn store_fusion_dense_path_is_bitwise() {
-        let s = sm(&[&[0.9, 0.1], &[0.1, 0.8]]);
-        let n = sm(&[&[0.7, 0.2], &[0.3, 0.9]]);
-        let l = sm(&[&[0.8, 0.0], &[0.0, 0.6]]);
-        let cfg = FusionConfig::default();
-        let (dense, dt, df) = two_stage_fuse(Some(&s), Some(&n), Some(&l), &cfg);
-        let (store, st, sf) = two_stage_fuse_store(
-            Some(&SimStore::Dense(s)),
-            Some(&SimStore::Dense(n)),
-            Some(&SimStore::Dense(l)),
-            &cfg,
-        );
-        assert_eq!(store.as_dense().expect("dense in, dense out"), &dense);
-        assert_eq!(dt.map(|r| r.weights), st.map(|r| r.weights));
-        assert_eq!(df.map(|r| r.weights), sf.map(|r| r.weights));
+        let _ = two_stage_fuse_store(None, None, None, &FusionConfig::default());
     }
 
     #[test]
     fn complete_sparse_fusion_matches_dense_bitwise() {
-        use ceaff_sim::SparseTopK;
         let s = sm(&[&[0.9, 0.1, 0.3], &[0.1, 0.8, 0.2], &[0.4, 0.2, 0.7]]);
         let n = sm(&[&[0.7, 0.2, 0.1], &[0.3, 0.9, 0.4], &[0.1, 0.5, 0.6]]);
         let l = sm(&[&[0.8, 0.0, 0.2], &[0.0, 0.6, 0.1], &[0.2, 0.3, 0.9]]);
         let cfg = FusionConfig::default();
-        let (dense, _, _) = two_stage_fuse(Some(&s), Some(&n), Some(&l), &cfg);
-        let sp = |m: &SimilarityMatrix| SimStore::Sparse(SparseTopK::from_dense(m, 3));
-        let (store, _, _) = two_stage_fuse_store(Some(&sp(&s)), Some(&sp(&n)), Some(&sp(&l)), &cfg);
-        let fused = store.as_sparse().expect("sparse in, sparse out");
+        let (dense, _, _) = two_stage_fuse_store(Some(&s), Some(&n), Some(&l), &cfg);
+        let (sparse, _, _) = two_stage_fuse_store(
+            Some(&complete(&s)),
+            Some(&complete(&n)),
+            Some(&complete(&l)),
+            &cfg,
+        );
+        let fused = sparse.as_sparse().expect("sparse in, sparse out");
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(
@@ -582,11 +499,9 @@ mod tests {
 
     #[test]
     fn sparse_confident_correspondences_match_dense_on_complete_store() {
-        use ceaff_sim::SparseTopK;
         let m = sm(&[&[0.6, 0.5, 0.2], &[0.7, 1.0, 0.1], &[0.2, 0.2, 0.4]]);
-        let dense = confident_correspondences(&m);
-        let sparse =
-            confident_correspondences_store(&SimStore::Sparse(SparseTopK::from_dense(&m, 3)));
+        let dense = confident_correspondences_store(&m);
+        let sparse = confident_correspondences_store(&complete(&m));
         assert_eq!(dense, sparse);
     }
 
@@ -622,10 +537,10 @@ mod tests {
             b in proptest::collection::vec(0.0f32..1.0, 9),
             c in proptest::collection::vec(0.0f32..1.0, 9),
         ) {
-            let ma = SimilarityMatrix::new(Matrix::from_vec(3, 3, a));
-            let mb = SimilarityMatrix::new(Matrix::from_vec(3, 3, b));
-            let mc = SimilarityMatrix::new(Matrix::from_vec(3, 3, c));
-            let report = adaptive_weights(&[&ma, &mb, &mc], &FusionConfig::default());
+            let ma = SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(3, 3, a)));
+            let mb = SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(3, 3, b)));
+            let mc = SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(3, 3, c)));
+            let report = adaptive_weights_store(&[&ma, &mb, &mc], &FusionConfig::default());
             let sum: f32 = report.weights.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "weights {:?}", report.weights);
             prop_assert!(report.weights.iter().all(|&w| (0.0..=1.0 + 1e-6).contains(&w)));
@@ -634,8 +549,8 @@ mod tests {
         /// Fusing a matrix with itself under any simplex weights returns it.
         #[test]
         fn self_fusion_is_identity(vals in proptest::collection::vec(0.0f32..1.0, 9), w in 0.0f32..1.0) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(3, 3, vals));
-            let f = fuse(&[&m, &m], &[w, 1.0 - w]);
+            let m = SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(3, 3, vals)));
+            let f = fuse_store(&[&m, &m], &[w, 1.0 - w]);
             for i in 0..3 {
                 for j in 0..3 {
                     prop_assert!((f.get(i, j) - m.get(i, j)).abs() < 1e-5);

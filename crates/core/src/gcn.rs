@@ -207,20 +207,21 @@ fn identity(dim: usize) -> Matrix {
     m
 }
 
-/// Train the shared-weight GCN pair on `pair`'s seed alignment.
+/// Train the shared-weight GCN pair on `pair`'s seed alignment:
+/// [`try_train_budgeted`] with telemetry off, no checkpointer and an
+/// unlimited budget.
+///
+/// # Panics
+/// Panics with the typed error's text when training fails.
 pub fn train(pair: &KgPair, cfg: &GcnConfig) -> GcnEncoder {
-    train_traced(pair, cfg, &Telemetry::disabled())
-}
-
-/// [`train`] with telemetry: the whole run is timed under the `"gcn"`
-/// stage, and with an active event stream every epoch emits an
-/// `epoch_loss` and a `grad_norm` gauge.
-pub fn train_traced(pair: &KgPair, cfg: &GcnConfig, telemetry: &Telemetry) -> GcnEncoder {
-    assert!(
-        cfg.dim > 0 && cfg.negatives > 0,
-        "invalid GCN configuration"
-    );
-    try_train_traced(pair, cfg, telemetry, None).expect("GCN training failed")
+    try_train_budgeted(
+        pair,
+        cfg,
+        &Telemetry::disabled(),
+        None,
+        &ExecBudget::unlimited(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Capture everything needed to re-enter the training loop at an epoch
@@ -324,18 +325,10 @@ fn restore_state(
 /// snapshot, halves the learning rate, and bumps the `numeric_recovery`
 /// telemetry counter; after [`MAX_NUMERIC_RETRIES`] failed recoveries it
 /// returns [`CeaffError::NumericDivergence`].
-pub fn try_train_traced(
-    pair: &KgPair,
-    cfg: &GcnConfig,
-    telemetry: &Telemetry,
-    checkpointer: Option<&Checkpointer>,
-) -> Result<GcnEncoder, CeaffError> {
-    try_train_budgeted(pair, cfg, telemetry, checkpointer, &ExecBudget::unlimited())
-}
-
-/// [`try_train_traced`] under an execution budget. The granule is one
-/// epoch: each epoch boundary consumes a budget step, polls the memory
-/// cap, and reports a progress heartbeat. When the budget stops the run
+///
+/// Training runs under `budget`. The granule is one epoch: each epoch
+/// boundary consumes a budget step, polls the memory cap, and reports a
+/// progress heartbeat. When the budget stops the run
 /// before `cfg.epochs`, training ends at the last *completed* epoch, the
 /// epilogue returns the best validation snapshot so far (exactly as if
 /// `epochs` had been configured lower), and a `"gcn"` [`Degradation`]
@@ -345,7 +338,9 @@ pub fn try_train_traced(
 /// step, no loss-curve entry) so corrupt data never reaches the
 /// parameters.
 ///
-/// An unlimited budget is bitwise-identical to [`try_train_traced`].
+/// An unlimited budget never stops the run. The whole run is timed under
+/// the `"gcn"` stage, and with an active event stream every epoch emits
+/// an `epoch_loss` and a `grad_norm` gauge.
 ///
 /// [`Degradation`]: ceaff_telemetry::Degradation
 pub fn try_train_budgeted(

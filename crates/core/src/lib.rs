@@ -75,18 +75,16 @@ pub use checkpoint::{CheckpointPolicy, Checkpointer};
 pub use delta::{AlignmentDiff, DeltaState};
 pub use error::CeaffError;
 pub use eval::{
-    accuracy, hits_at_k, hits_at_k_store, mrr, mrr_store, precision_recall, ranking_metrics,
-    ranking_metrics_store, PrecisionRecall, RankingMetrics,
+    accuracy, hits_at_k_store, mrr_store, precision_recall, ranking_metrics_store, PrecisionRecall,
+    RankingMetrics,
 };
 pub use features::{AttributeFeature, Feature, SemanticFeature, StringFeature, StructuralFeature};
 pub use fusion::{
-    adaptive_fuse, adaptive_fuse_store, adaptive_weights, adaptive_weights_store,
-    confident_correspondences, confident_correspondences_store, fuse, fuse_store, two_stage_fuse,
+    adaptive_fuse_store, adaptive_weights_store, confident_correspondences_store, fuse_store,
     two_stage_fuse_store, Candidate, FusionConfig, FusionReport,
 };
 pub use gcn::{
-    try_train_budgeted, try_train_traced, Activation, GcnConfig, GcnEncoder, OptimKind,
-    MAX_NUMERIC_RETRIES,
+    try_train_budgeted, Activation, GcnConfig, GcnEncoder, OptimKind, MAX_NUMERIC_RETRIES,
 };
 pub use lr::{learn_weights, LearnedWeights, LrConfig};
 pub use matching::{

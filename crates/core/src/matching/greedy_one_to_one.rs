@@ -9,157 +9,59 @@
 //! an earlier-taken target), but one-to-one and strong in practice when
 //! scores are well calibrated.
 
-use super::{Matcher, Matching};
-use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
+use super::{greedy_complete, AnytimeOutcome, Matcher, Matching};
+use crate::budget::ExecBudget;
+use ceaff_sim::SimStore;
 use ceaff_telemetry::Telemetry;
 
 /// Descending-score greedy one-to-one assignment.
 ///
-/// Complexity `O(n·m·log(n·m))` for the global sort.
+/// Complexity `O(c·log c)` for the global sort of the `c` stored cells
+/// (`n·m` on a dense store). Over a sparse store only the candidate cells
+/// enter the sort, in the same `(score desc, row asc, col asc)` order, so a
+/// complete store yields the dense matching.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyOneToOne;
-
-impl GreedyOneToOne {
-    /// Run the assignment, returning the matching plus the number of cells
-    /// visited and of cells skipped because a side was already taken.
-    fn solve(&self, m: &SimilarityMatrix) -> (Matching, u64, u64) {
-        let mut visited = 0u64;
-        let mut skipped = 0u64;
-        let (n, t) = (m.sources(), m.targets());
-        if n == 0 || t == 0 {
-            return (Matching::from_pairs(Vec::new()), visited, skipped);
-        }
-        let mut cells: Vec<(f32, u32, u32)> = Vec::with_capacity(n * t);
-        for i in 0..n {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                cells.push((v, i as u32, j as u32));
-            }
-        }
-        cells.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("similarity scores must not be NaN")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-        let mut src_taken = vec![false; n];
-        let mut tgt_taken = vec![false; t];
-        let mut pairs = Vec::with_capacity(n.min(t));
-        for (_, i, j) in cells {
-            visited += 1;
-            let (i, j) = (i as usize, j as usize);
-            if src_taken[i] || tgt_taken[j] {
-                skipped += 1;
-                continue;
-            }
-            src_taken[i] = true;
-            tgt_taken[j] = true;
-            pairs.push((i, j));
-            if pairs.len() == n.min(t) {
-                break;
-            }
-        }
-        pairs.sort_unstable();
-        (Matching::from_pairs(pairs), visited, skipped)
-    }
-
-    /// Sparse variant: only the stored candidate cells enter the global
-    /// sort — same comparator `(score desc, row asc, col asc)`, so on a
-    /// complete store (`k ≥ targets`) the visit order, and hence the
-    /// matching, is identical to the dense path.
-    fn solve_sparse(&self, s: &SparseTopK) -> (Matching, u64, u64) {
-        let mut visited = 0u64;
-        let mut skipped = 0u64;
-        let (n, t) = (s.sources(), s.targets());
-        if n == 0 || t == 0 || s.nnz() == 0 {
-            return (Matching::from_pairs(Vec::new()), visited, skipped);
-        }
-        let mut cells: Vec<(f32, u32, u32)> = Vec::with_capacity(s.nnz());
-        for i in 0..n {
-            let (cols, scores) = s.row_entries(i);
-            for (&j, &v) in cols.iter().zip(scores) {
-                cells.push((v, i as u32, j));
-            }
-        }
-        cells.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("similarity scores must not be NaN")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-        let mut src_taken = vec![false; n];
-        let mut tgt_taken = vec![false; t];
-        let mut pairs = Vec::with_capacity(n.min(t));
-        for (_, i, j) in cells {
-            visited += 1;
-            let (i, j) = (i as usize, j as usize);
-            if src_taken[i] || tgt_taken[j] {
-                skipped += 1;
-                continue;
-            }
-            src_taken[i] = true;
-            tgt_taken[j] = true;
-            pairs.push((i, j));
-            if pairs.len() == n.min(t) {
-                break;
-            }
-        }
-        pairs.sort_unstable();
-        (Matching::from_pairs(pairs), visited, skipped)
-    }
-}
 
 impl Matcher for GreedyOneToOne {
     fn name(&self) -> &'static str {
         "greedy-one-to-one"
     }
 
-    fn matching(&self, m: &SimilarityMatrix) -> Matching {
-        self.solve(m).0
-    }
-
-    fn matching_traced(&self, m: &SimilarityMatrix, telemetry: &Telemetry) -> Matching {
+    /// One pass, so the budget never cuts it short.
+    fn matching_store_budgeted(
+        &self,
+        s: &SimStore,
+        _budget: &ExecBudget,
+        telemetry: &Telemetry,
+    ) -> AnytimeOutcome {
         let _span = telemetry.span("matcher");
-        let (matching, visited, skipped) = self.solve(m);
+        let mut src_taken = vec![false; s.sources()];
+        let mut tgt_taken = vec![false; s.targets()];
+        let mut pairs = Vec::with_capacity(s.sources().min(s.targets()));
+        let (visited, skipped) = greedy_complete(s, &mut src_taken, &mut tgt_taken, &mut pairs);
         telemetry.counter_add("matcher", "iterations", visited);
         telemetry.counter_add("matcher", "conflicts", skipped);
-        matching
-    }
-
-    fn matching_store(&self, s: &SimStore) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching(m),
-            SimStore::Sparse(sp) => self.solve_sparse(sp).0,
-        }
-    }
-
-    fn matching_store_traced(&self, s: &SimStore, telemetry: &Telemetry) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching_traced(m, telemetry),
-            SimStore::Sparse(sp) => {
-                let _span = telemetry.span("matcher");
-                let (matching, visited, skipped) = self.solve_sparse(sp);
-                telemetry.counter_add("matcher", "iterations", visited);
-                telemetry.counter_add("matcher", "conflicts", skipped);
-                matching
-            }
-        }
+        pairs.sort_unstable();
+        AnytimeOutcome::exact(Matching::from_pairs(pairs))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::dense_store;
     use super::*;
     use ceaff_tensor::Matrix;
     use proptest::prelude::*;
 
     #[test]
     fn solves_figure1() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[
+        let m = dense_store(Matrix::from_rows(&[
             &[0.9, 0.6, 0.1],
             &[0.7, 0.5, 0.2],
             &[0.2, 0.4, 0.2],
         ]));
-        let matching = GreedyOneToOne.matching(&m);
+        let matching = GreedyOneToOne.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 0), (1, 1), (2, 2)]);
     }
 
@@ -167,23 +69,23 @@ mod tests {
     fn takes_global_best_first() {
         // (1,0)=0.95 is globally best, so source 0 must settle for col 1
         // even though it slightly prefers col 0.
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9, 0.8], &[0.95, 0.1]]));
-        let matching = GreedyOneToOne.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.9, 0.8], &[0.95, 0.1]]));
+        let matching = GreedyOneToOne.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 1), (1, 0)]);
     }
 
     #[test]
     fn rectangular_matches_min_side() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9, 0.1, 0.5]]));
-        assert_eq!(GreedyOneToOne.matching(&m).pairs(), &[(0, 0)]);
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9], &[0.5]]));
-        assert_eq!(GreedyOneToOne.matching(&m).pairs(), &[(0, 0)]);
+        let m = dense_store(Matrix::from_rows(&[&[0.9, 0.1, 0.5]]));
+        assert_eq!(GreedyOneToOne.matching_store(&m).pairs(), &[(0, 0)]);
+        let m = dense_store(Matrix::from_rows(&[&[0.9], &[0.5]]));
+        assert_eq!(GreedyOneToOne.matching_store(&m).pairs(), &[(0, 0)]);
     }
 
     #[test]
     fn empty() {
         assert!(GreedyOneToOne
-            .matching(&SimilarityMatrix::zeros(0, 0))
+            .matching_store(&dense_store(Matrix::zeros(0, 0)))
             .is_empty());
     }
 
@@ -193,8 +95,8 @@ mod tests {
         /// not guaranteed — but one-to-one-ness and perfection are.
         #[test]
         fn perfect_and_one_to_one(vals in proptest::collection::vec(0.0f32..1.0, 25)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(5, 5, vals));
-            let matching = GreedyOneToOne.matching(&m);
+            let m = dense_store(Matrix::from_vec(5, 5, vals));
+            let matching = GreedyOneToOne.matching_store(&m);
             prop_assert_eq!(matching.len(), 5);
             prop_assert!(matching.is_one_to_one());
         }
@@ -202,7 +104,7 @@ mod tests {
         /// The first (highest) cell of the matrix is always matched.
         #[test]
         fn global_max_is_matched(vals in proptest::collection::vec(0.0f32..1.0, 16)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(4, 4, vals));
+            let m = dense_store(Matrix::from_vec(4, 4, vals));
             // Find global max cell.
             let mut best = (0usize, 0usize);
             for i in 0..4 {
@@ -212,7 +114,7 @@ mod tests {
                     }
                 }
             }
-            let matching = GreedyOneToOne.matching(&m);
+            let matching = GreedyOneToOne.matching_store(&m);
             prop_assert!(matching.pairs().contains(&best));
         }
     }

@@ -5,7 +5,7 @@
 //! against DAA's near-quadratic behaviour). Implemented here so the
 //! discussion is measurable (see the `matching` bench).
 
-use super::{greedy_complete, AnytimeOutcome, Matcher, Matching};
+use super::{degrade, AnytimeOutcome, Matcher, Matching};
 use crate::budget::ExecBudget;
 use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
 use ceaff_telemetry::Telemetry;
@@ -14,18 +14,30 @@ use ceaff_tensor::Matrix;
 /// Kuhn–Munkres assignment maximising total similarity, O(n²·m).
 ///
 /// Rectangular inputs are supported: with `n` sources and `m` targets,
-/// `min(n, m)` pairs are produced.
+/// `min(n, m)` pairs are produced. A sparse store is solved exactly over
+/// its candidate submatrix: the columns any row stored, with missing
+/// cells read as `0.0`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Hungarian;
 
 impl Hungarian {
-    /// Run the assignment, returning the matching plus the number of
-    /// potential-update iterations the augmenting search performed.
-    fn solve(&self, m: &SimilarityMatrix) -> (Matching, u64) {
+    /// Anytime Kuhn–Munkres over a dense matrix. The granule is one row
+    /// augmentation: after each augmenting path the partial assignment of
+    /// the processed rows is a valid (optimal-so-far) one-to-one matching,
+    /// so that is the checkpoint. Cancel/deadline is also polled inside
+    /// the O(cols²) augmenting search — potentials mutate during the
+    /// search but `p[]` only changes in the final augment step, so
+    /// aborting mid-search leaves the last checkpoint intact. Rows never
+    /// processed are completed greedily. Note the degraded matching is
+    /// *valid* but not weight-optimal; unlike stable marriage there is no
+    /// per-row stability guarantee to preserve (optimal assignments
+    /// legitimately contain blocking pairs).
+    fn solve(m: &SimilarityMatrix, budget: &ExecBudget, telemetry: &Telemetry) -> AnytimeOutcome {
         let mut iterations = 0u64;
         let (n, t) = (m.sources(), m.targets());
         if n == 0 || t == 0 {
-            return (Matching::from_pairs(Vec::new()), iterations);
+            telemetry.counter_add("matcher", "iterations", iterations);
+            return AnytimeOutcome::exact(Matching::from_pairs(Vec::new()));
         }
         // The potential-based algorithm needs rows ≤ columns; transpose if
         // needed and flip the result.
@@ -41,164 +53,6 @@ impl Hungarian {
         let mut u = vec![0.0f64; rows + 1];
         let mut v = vec![0.0f64; cols + 1];
         let mut p = vec![0usize; cols + 1]; // p[j] = row matched to column j
-        let mut way = vec![0usize; cols + 1];
-        for i in 1..=rows {
-            p[0] = i;
-            let mut j0 = 0usize;
-            let mut minv = vec![INF; cols + 1];
-            let mut used = vec![false; cols + 1];
-            loop {
-                iterations += 1;
-                used[j0] = true;
-                let i0 = p[j0];
-                let mut delta = INF;
-                let mut j1 = 0usize;
-                for j in 1..=cols {
-                    if used[j] {
-                        continue;
-                    }
-                    let cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
-                        way[j] = j0;
-                    }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
-                    }
-                }
-                for j in 0..=cols {
-                    if used[j] {
-                        u[p[j]] += delta;
-                        v[j] -= delta;
-                    } else {
-                        minv[j] -= delta;
-                    }
-                }
-                j0 = j1;
-                if p[j0] == 0 {
-                    break;
-                }
-            }
-            // Augment along the found path.
-            loop {
-                let j1 = way[j0];
-                p[j0] = p[j1];
-                j0 = j1;
-                if j0 == 0 {
-                    break;
-                }
-            }
-        }
-
-        let mut pairs: Vec<(usize, usize)> = (1..=cols)
-            .filter(|&j| p[j] != 0)
-            .map(|j| {
-                let (r, c) = (p[j] - 1, j - 1);
-                if transposed {
-                    (c, r)
-                } else {
-                    (r, c)
-                }
-            })
-            .collect();
-        pairs.sort_unstable();
-        (Matching::from_pairs(pairs), iterations)
-    }
-
-    /// Densify only the candidate submatrix: the columns are the ascending
-    /// union of every row's stored candidates, missing cells become `0.0`.
-    /// Kuhn–Munkres is then exact over that submatrix — `O(n² · |union|)`
-    /// instead of `O(n² · targets)`. On a complete store the union is every
-    /// column, the submatrix is the dense matrix, and the column remap is
-    /// the identity, so results are bitwise those of the dense path.
-    fn densify_candidates(s: &SparseTopK) -> (SimilarityMatrix, Vec<usize>) {
-        let (n, t) = (s.sources(), s.targets());
-        let mut present = vec![false; t];
-        for i in 0..n {
-            for &c in s.row_entries(i).0 {
-                present[c as usize] = true;
-            }
-        }
-        let union: Vec<usize> = (0..t).filter(|&j| present[j]).collect();
-        let mut inv = vec![usize::MAX; t];
-        for (idx, &j) in union.iter().enumerate() {
-            inv[j] = idx;
-        }
-        let mut m = Matrix::zeros(n, union.len());
-        for i in 0..n {
-            let (cols, scores) = s.row_entries(i);
-            for (&c, &v) in cols.iter().zip(scores) {
-                m[(i, inv[c as usize])] = v;
-            }
-        }
-        (SimilarityMatrix::new(m), union)
-    }
-
-    /// Remap submatrix column indices back to original target indices.
-    fn remap(matching: Matching, union: &[usize]) -> Matching {
-        let pairs = matching
-            .pairs()
-            .iter()
-            .map(|&(i, j)| (i, union[j]))
-            .collect();
-        Matching::from_pairs(pairs)
-    }
-}
-
-impl Matcher for Hungarian {
-    fn name(&self) -> &'static str {
-        "hungarian"
-    }
-
-    fn matching(&self, m: &SimilarityMatrix) -> Matching {
-        self.solve(m).0
-    }
-
-    fn matching_traced(&self, m: &SimilarityMatrix, telemetry: &Telemetry) -> Matching {
-        let _span = telemetry.span("matcher");
-        let (matching, iterations) = self.solve(m);
-        telemetry.counter_add("matcher", "iterations", iterations);
-        matching
-    }
-
-    /// Anytime Kuhn–Munkres. The granule is one row augmentation: after
-    /// each augmenting path the partial assignment of the processed rows
-    /// is a valid (optimal-so-far) one-to-one matching, so that is the
-    /// checkpoint. Cancel/deadline is also polled inside the O(cols²)
-    /// augmenting search — potentials mutate during the search but `p[]`
-    /// only changes in the final augment step, so aborting mid-search
-    /// leaves the last checkpoint intact. Rows never processed are
-    /// completed greedily. Note the degraded matching is *valid* but not
-    /// weight-optimal; unlike stable marriage there is no per-row
-    /// stability guarantee to preserve (optimal assignments legitimately
-    /// contain blocking pairs).
-    fn matching_budgeted(
-        &self,
-        m: &SimilarityMatrix,
-        budget: &ExecBudget,
-        telemetry: &Telemetry,
-    ) -> AnytimeOutcome {
-        if budget.is_unlimited() {
-            return AnytimeOutcome::exact(self.matching_traced(m, telemetry));
-        }
-        let _span = telemetry.span("matcher");
-        let mut iterations = 0u64;
-        let (n, t) = (m.sources(), m.targets());
-        if n == 0 || t == 0 {
-            return AnytimeOutcome::exact(Matching::from_pairs(Vec::new()));
-        }
-        let transposed = n > t;
-        let (rows, cols) = if transposed { (t, n) } else { (n, t) };
-        let cost = |i: usize, j: usize| -> f64 {
-            let v = if transposed { m.get(j, i) } else { m.get(i, j) };
-            -(v as f64)
-        };
-
-        const INF: f64 = f64::INFINITY;
-        let mut u = vec![0.0f64; rows + 1];
-        let mut v = vec![0.0f64; cols + 1];
-        let mut p = vec![0usize; cols + 1];
         let mut way = vec![0usize; cols + 1];
         let mut stop = None;
         let mut rounds = 0u64;
@@ -251,20 +105,19 @@ impl Matcher for Hungarian {
                     break;
                 }
             }
-            if stop.is_none() {
-                loop {
-                    let j1 = way[j0];
-                    p[j0] = p[j1];
-                    j0 = j1;
-                    if j0 == 0 {
-                        break;
-                    }
+            // Augment along the found path.
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
                 }
-                rounds += 1;
             }
+            rounds += 1;
         }
 
-        let mut pairs: Vec<(usize, usize)> = (1..=cols)
+        let pairs: Vec<(usize, usize)> = (1..=cols)
             .filter(|&j| p[j] != 0)
             .map(|j| {
                 let (r, c) = (p[j] - 1, j - 1);
@@ -275,53 +128,44 @@ impl Matcher for Hungarian {
                 }
             })
             .collect();
-        pairs.sort_unstable();
         telemetry.counter_add("matcher", "iterations", iterations);
         telemetry.progress("matcher", rows as u64, rows as u64);
-        let Some(reason) = stop else {
-            return AnytimeOutcome::exact(Matching::from_pairs(pairs));
-        };
-        let mut src_taken = vec![false; n];
-        let mut tgt_taken = vec![false; t];
-        for &(i, j) in &pairs {
-            src_taken[i] = true;
-            tgt_taken[j] = true;
-        }
-        let degraded_rows: Vec<usize> = (0..n).filter(|&i| !src_taken[i]).collect();
-        greedy_complete(m, &mut src_taken, &mut tgt_taken, &mut pairs);
-        pairs.sort_unstable();
-        let degradation = budget.record_degradation(
-            telemetry,
-            "matcher",
-            reason,
-            rounds,
-            degraded_rows.len() as f64 / n as f64,
-        );
-        AnytimeOutcome {
-            matching: Matching::from_pairs(pairs),
-            degradation: Some(degradation),
-            degraded_rows,
-        }
+        degrade(m, pairs, stop, rounds, budget, telemetry)
     }
 
-    fn matching_store(&self, s: &SimStore) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching(m),
-            SimStore::Sparse(sp) => {
-                let (sub, union) = Self::densify_candidates(sp);
-                Self::remap(self.matching(&sub), &union)
+    /// Densify only the candidate submatrix: the columns are the ascending
+    /// union of every row's stored candidates, missing cells become `0.0`.
+    /// Kuhn–Munkres is then exact over that submatrix — `O(n² · |union|)`
+    /// instead of `O(n² · targets)`. On a complete store the union is every
+    /// column, the submatrix is the dense matrix, and the column remap is
+    /// the identity, so results are bitwise those of the dense path.
+    fn densify_candidates(s: &SparseTopK) -> (SimilarityMatrix, Vec<usize>) {
+        let (n, t) = (s.sources(), s.targets());
+        let mut present = vec![false; t];
+        for i in 0..n {
+            for &c in s.row_entries(i).0 {
+                present[c as usize] = true;
             }
         }
+        let union: Vec<usize> = (0..t).filter(|&j| present[j]).collect();
+        let mut inv = vec![usize::MAX; t];
+        for (idx, &j) in union.iter().enumerate() {
+            inv[j] = idx;
+        }
+        let mut m = Matrix::zeros(n, union.len());
+        for i in 0..n {
+            let (cols, scores) = s.row_entries(i);
+            for (&c, &v) in cols.iter().zip(scores) {
+                m[(i, inv[c as usize])] = v;
+            }
+        }
+        (SimilarityMatrix::new(m), union)
     }
+}
 
-    fn matching_store_traced(&self, s: &SimStore, telemetry: &Telemetry) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching_traced(m, telemetry),
-            SimStore::Sparse(sp) => {
-                let (sub, union) = Self::densify_candidates(sp);
-                Self::remap(self.matching_traced(&sub, telemetry), &union)
-            }
-        }
+impl Matcher for Hungarian {
+    fn name(&self) -> &'static str {
+        "hungarian"
     }
 
     fn matching_store_budgeted(
@@ -330,16 +174,15 @@ impl Matcher for Hungarian {
         budget: &ExecBudget,
         telemetry: &Telemetry,
     ) -> AnytimeOutcome {
+        let _span = telemetry.span("matcher");
         match s {
-            SimStore::Dense(m) => self.matching_budgeted(m, budget, telemetry),
+            SimStore::Dense(m) => Self::solve(m, budget, telemetry),
             SimStore::Sparse(sp) => {
                 let (sub, union) = Self::densify_candidates(sp);
-                let out = self.matching_budgeted(&sub, budget, telemetry);
-                AnytimeOutcome {
-                    matching: Self::remap(out.matching, &union),
-                    degradation: out.degradation,
-                    degraded_rows: out.degraded_rows,
-                }
+                let mut out = Self::solve(&sub, budget, telemetry);
+                let pairs = out.matching.pairs().iter().map(|&(i, j)| (i, union[j]));
+                out.matching = Matching::from_pairs(pairs.collect());
+                out
             }
         }
     }
@@ -347,18 +190,19 @@ impl Matcher for Hungarian {
 
 #[cfg(test)]
 mod tests {
+    use super::super::dense_store;
     use super::*;
     use ceaff_tensor::Matrix;
     use proptest::prelude::*;
 
     #[test]
     fn solves_figure1_optimally() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[
+        let m = dense_store(Matrix::from_rows(&[
             &[0.9, 0.6, 0.1],
             &[0.7, 0.5, 0.2],
             &[0.2, 0.4, 0.2],
         ]));
-        let matching = Hungarian.matching(&m);
+        let matching = Hungarian.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 0), (1, 1), (2, 2)]);
         // Total 1.6 is the maximum over all permutations.
         assert!((matching.total_weight(&m) - 1.6).abs() < 1e-6);
@@ -367,15 +211,15 @@ mod tests {
     #[test]
     fn picks_off_diagonal_optimum() {
         // Optimal assignment is anti-diagonal.
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.1, 1.0], &[1.0, 0.1]]));
-        let matching = Hungarian.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.1, 1.0], &[1.0, 0.1]]));
+        let matching = Hungarian.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 1), (1, 0)]);
     }
 
     #[test]
     fn rectangular_wide() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.1, 0.9, 0.2], &[0.8, 0.7, 0.1]]));
-        let matching = Hungarian.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.1, 0.9, 0.2], &[0.8, 0.7, 0.1]]));
+        let matching = Hungarian.matching_store(&m);
         assert_eq!(matching.len(), 2);
         assert!(matching.is_one_to_one());
         assert_eq!(matching.pairs(), &[(0, 1), (1, 0)]);
@@ -383,20 +227,20 @@ mod tests {
 
     #[test]
     fn rectangular_tall() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9], &[0.95], &[0.1]]));
-        let matching = Hungarian.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.9], &[0.95], &[0.1]]));
+        let matching = Hungarian.matching_store(&m);
         assert_eq!(matching.pairs(), &[(1, 0)]);
     }
 
     #[test]
     fn empty() {
         assert!(Hungarian
-            .matching(&SimilarityMatrix::zeros(0, 3))
+            .matching_store(&dense_store(Matrix::zeros(0, 3)))
             .is_empty());
     }
 
     /// Brute-force optimum over all permutations for small n.
-    fn brute_force_max(m: &SimilarityMatrix) -> f64 {
+    fn brute_force_max(m: &SimStore) -> f64 {
         fn perms(n: usize) -> Vec<Vec<usize>> {
             if n == 0 {
                 return vec![vec![]];
@@ -427,8 +271,8 @@ mod tests {
         /// and produces perfect one-to-one matchings.
         #[test]
         fn matches_brute_force(vals in proptest::collection::vec(0.0f32..1.0, 16)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(4, 4, vals));
-            let matching = Hungarian.matching(&m);
+            let m = dense_store(Matrix::from_vec(4, 4, vals));
+            let matching = Hungarian.matching_store(&m);
             prop_assert_eq!(matching.len(), 4);
             prop_assert!(matching.is_one_to_one());
             let best = brute_force_max(&m);
@@ -440,9 +284,9 @@ mod tests {
         /// ≥ 0 on non-negative matrices (the §VI utility discussion).
         #[test]
         fn dominates_stable_marriage_weight(vals in proptest::collection::vec(0.0f32..1.0, 25)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(5, 5, vals));
-            let h = Hungarian.matching(&m).total_weight(&m);
-            let s = super::super::StableMarriage.matching(&m).total_weight(&m);
+            let m = dense_store(Matrix::from_vec(5, 5, vals));
+            let h = Hungarian.matching_store(&m).total_weight(&m);
+            let s = super::super::StableMarriage.matching_store(&m).total_weight(&m);
             prop_assert!(h >= s - 1e-5, "hungarian {h} < stable {s}");
         }
     }

@@ -1,7 +1,9 @@
 //! Collective EA decision making (paper §VI).
 //!
-//! Given the fused similarity matrix, three decision strategies are
-//! implemented behind the [`Matcher`] trait:
+//! Given the fused similarity store (dense or sparse top-k), four
+//! decision strategies are implemented behind the [`Matcher`] trait, each
+//! as one anytime body that an unlimited [`ExecBudget`] runs to the exact
+//! answer:
 //!
 //! * [`Greedy`] — the independent per-source argmax used by prior
 //!   embedding-based EA work (and by "CEAFF w/o C" in the ablation);
@@ -9,7 +11,9 @@
 //!   problem, solved by the deferred acceptance algorithm;
 //! * [`Hungarian`] — maximum-weight bipartite matching, the alternative
 //!   formulation discussed (and argued against on efficiency grounds) in
-//!   §VI.
+//!   §VI;
+//! * [`GreedyOneToOne`] — descending-score one-to-one assignment, whose
+//!   rule also completes the unsettled rows of a budget-stopped run.
 
 mod greedy;
 mod greedy_one_to_one;
@@ -21,8 +25,8 @@ pub use greedy_one_to_one::GreedyOneToOne;
 pub use hungarian::Hungarian;
 pub use stable_marriage::StableMarriage;
 
-use crate::budget::ExecBudget;
-use ceaff_sim::{SimScores, SimStore, SimilarityMatrix, SparseTopK};
+use crate::budget::{ExecBudget, StopReason};
+use ceaff_sim::{SimScores, SimStore};
 use ceaff_telemetry::{Degradation, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -159,29 +163,31 @@ impl AnytimeOutcome {
     }
 }
 
-/// Complete a partial assignment the way [`GreedyOneToOne`] would:
-/// visit the still-free cells in descending similarity (ties broken by
-/// row then column index) and match a pair whenever both sides are
-/// free. Mutates the taken-masks and appends to `pairs`; returns the
-/// rows that received a greedy assignment, ascending.
-pub(crate) fn greedy_complete(
-    m: &SimilarityMatrix,
+/// The greedy one-to-one rule over the still-free stored cells: visit
+/// them in descending similarity (ties broken by row then column index)
+/// and match a pair whenever both sides are free. Mutates the taken-masks
+/// and appends to `pairs`; returns how many cells were visited and how
+/// many of those were skipped because a side was already taken. Stops as
+/// soon as either side has no free entity left. A sparse row whose every
+/// candidate is taken stays unmatched — a non-candidate is never
+/// assigned. On a complete sparse store the cell set equals the dense
+/// cross product, so both backends visit the same cells in the same
+/// order.
+pub(crate) fn greedy_complete<S: SimScores + ?Sized>(
+    s: &S,
     src_taken: &mut [bool],
     tgt_taken: &mut [bool],
     pairs: &mut Vec<(usize, usize)>,
-) -> Vec<usize> {
-    let free_rows: Vec<usize> = (0..m.sources()).filter(|&i| !src_taken[i]).collect();
-    let free_targets = (0..m.targets()).filter(|&j| !tgt_taken[j]).count();
-    if free_rows.is_empty() || free_targets == 0 {
-        return Vec::new();
-    }
-    let mut cells: Vec<(f32, u32, u32)> = Vec::with_capacity(free_rows.len() * free_targets);
-    for &i in &free_rows {
-        for (j, &v) in m.row(i).iter().enumerate() {
+) -> (u64, u64) {
+    let mut free_src = src_taken.iter().filter(|&&taken| !taken).count();
+    let mut free_tgt = tgt_taken.iter().filter(|&&taken| !taken).count();
+    let mut cells: Vec<(f32, u32, u32)> = Vec::new();
+    for i in (0..src_taken.len()).filter(|&i| !src_taken[i]) {
+        s.for_each_row_entry(i, &mut |j, v| {
             if !tgt_taken[j] {
                 cells.push((v, i as u32, j as u32));
             }
-        }
+        });
     }
     cells.sort_unstable_by(|a, b| {
         b.0.partial_cmp(&a.0)
@@ -189,146 +195,109 @@ pub(crate) fn greedy_complete(
             .then(a.1.cmp(&b.1))
             .then(a.2.cmp(&b.2))
     });
-    let mut completed = Vec::new();
+    let (mut visited, mut skipped) = (0u64, 0u64);
     for (_, i, j) in cells {
+        if free_src == 0 || free_tgt == 0 {
+            break;
+        }
+        visited += 1;
         let (i, j) = (i as usize, j as usize);
         if src_taken[i] || tgt_taken[j] {
+            skipped += 1;
             continue;
         }
         src_taken[i] = true;
         tgt_taken[j] = true;
         pairs.push((i, j));
-        completed.push(i);
+        free_src -= 1;
+        free_tgt -= 1;
     }
-    completed.sort_unstable();
-    completed
+    (visited, skipped)
 }
 
-/// Sparse analogue of [`greedy_complete`]: visit the still-free *stored*
-/// cells in descending similarity (ties broken by row then column index)
-/// and match a pair whenever both sides are free. On a complete store
-/// (`k ≥ targets`) the cell set equals the dense cross product, so the
-/// completion is bitwise-identical to the dense helper. Rows whose every
-/// candidate is taken stay unmatched — a non-candidate is never assigned.
-pub(crate) fn greedy_complete_sparse(
-    s: &SparseTopK,
-    src_taken: &mut [bool],
-    tgt_taken: &mut [bool],
-    pairs: &mut Vec<(usize, usize)>,
-) -> Vec<usize> {
-    let mut cells: Vec<(f32, u32, u32)> = Vec::new();
-    for (i, &taken) in src_taken.iter().enumerate().take(s.sources()) {
-        if taken {
-            continue;
-        }
-        let (cols, scores) = s.row_entries(i);
-        for (&j, &v) in cols.iter().zip(scores) {
-            if !tgt_taken[j as usize] {
-                cells.push((v, i as u32, j));
-            }
-        }
-    }
-    cells.sort_unstable_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .expect("similarity scores must not be NaN")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    let mut completed = Vec::new();
-    for (_, i, j) in cells {
-        let (i, j) = (i as usize, j as usize);
-        if src_taken[i] || tgt_taken[j] {
-            continue;
-        }
+/// The shared tail of the anytime matchers. `pairs` is the exact
+/// algorithm's (partial) assignment when it finished or was stopped for
+/// `stop`, after `rounds` completed granules. A finished run is exact;
+/// a stopped one completes its unsettled rows with [`greedy_complete`]
+/// and registers a `"matcher"` [`Degradation`] with `telemetry`.
+pub(crate) fn degrade<S: SimScores + ?Sized>(
+    s: &S,
+    mut pairs: Vec<(usize, usize)>,
+    stop: Option<StopReason>,
+    rounds: u64,
+    budget: &ExecBudget,
+    telemetry: &Telemetry,
+) -> AnytimeOutcome {
+    let Some(reason) = stop else {
+        pairs.sort_unstable();
+        return AnytimeOutcome::exact(Matching::from_pairs(pairs));
+    };
+    let n = s.sources();
+    let mut src_taken = vec![false; n];
+    let mut tgt_taken = vec![false; s.targets()];
+    for &(i, j) in &pairs {
         src_taken[i] = true;
         tgt_taken[j] = true;
-        pairs.push((i, j));
-        completed.push(i);
     }
-    completed.sort_unstable();
-    completed
+    let degraded_rows: Vec<usize> = (0..n).filter(|&i| !src_taken[i]).collect();
+    greedy_complete(s, &mut src_taken, &mut tgt_taken, &mut pairs);
+    pairs.sort_unstable();
+    let degradation = budget.record_degradation(
+        telemetry,
+        "matcher",
+        reason,
+        rounds,
+        degraded_rows.len() as f64 / n as f64,
+    );
+    AnytimeOutcome {
+        matching: Matching::from_pairs(pairs),
+        degradation: Some(degradation),
+        degraded_rows,
+    }
 }
 
-/// A strategy turning a similarity matrix into an alignment decision.
+/// A strategy turning a similarity store into an alignment decision.
 ///
-/// The `matching*` methods consume the dense [`SimilarityMatrix`]
-/// directly; the `matching_store*` methods accept either [`SimStore`]
-/// backend. Dense stores dispatch to the dense methods bit for bit. The
-/// built-in matchers override the sparse path to read candidate
-/// preference lists straight from the store (stable marriage, the
-/// greedy strategies) or to densify only the candidate submatrix
-/// (Hungarian); the default sparse fallback densifies the whole store
-/// and is intended for external [`Matcher`] impls only.
+/// Every built-in matcher has one body, its anytime form, which reads
+/// either [`SimStore`] backend: stable marriage and the greedy
+/// strategies read candidate preference lists straight from the store,
+/// Hungarian densifies only the candidate submatrix of a sparse store.
+/// An unlimited [`ExecBudget`] never stops that body, so it is the exact
+/// algorithm.
 pub trait Matcher {
     /// Human-readable strategy name.
     fn name(&self) -> &'static str;
 
-    /// Compute the matching.
-    fn matching(&self, m: &SimilarityMatrix) -> Matching;
-
-    /// Compute the matching from either store backend.
-    fn matching_store(&self, s: &SimStore) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching(m),
-            SimStore::Sparse(sp) => self.matching(&sp.to_dense()),
-        }
-    }
-
-    /// [`Matcher::matching_store`] with telemetry (see
-    /// [`Matcher::matching_traced`] for the counters contract).
-    fn matching_store_traced(&self, s: &SimStore, telemetry: &Telemetry) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching_traced(m, telemetry),
-            SimStore::Sparse(sp) => self.matching_traced(&sp.to_dense(), telemetry),
-        }
-    }
-
-    /// [`Matcher::matching_budgeted`] over either store backend. The
-    /// default runs a sparse store through the exact
-    /// [`Matcher::matching_store_traced`] path — right for the greedy
-    /// strategies, whose single pass is itself the granule; matchers with
-    /// an anytime sparse path (deferred acceptance, Hungarian) override it.
+    /// Compute the matching under `budget`, timed under the `"matcher"`
+    /// stage. Every built-in matcher adds an `iterations` counter total,
+    /// plus `proposals`/`trade_ups` (deferred acceptance) or `conflicts`
+    /// (greedy strategies). The exact algorithms checkpoint their partial
+    /// assignment at each round; when the budget stops the run (deadline,
+    /// cancellation, step limit), unsettled rows are completed by the
+    /// [`GreedyOneToOne`] rule against the still-free targets and the
+    /// outcome carries a [`Degradation`] record. A budget that never
+    /// fires, unlimited or not, yields the exact matching. The greedy
+    /// strategies, whose single pass is itself the granule, always return
+    /// the exact matching.
     fn matching_store_budgeted(
         &self,
         s: &SimStore,
         budget: &ExecBudget,
         telemetry: &Telemetry,
-    ) -> AnytimeOutcome {
-        match s {
-            SimStore::Dense(m) => self.matching_budgeted(m, budget, telemetry),
-            SimStore::Sparse(_) => AnytimeOutcome::exact(self.matching_store_traced(s, telemetry)),
-        }
-    }
+    ) -> AnytimeOutcome;
 
-    /// [`Matcher::matching`] with telemetry: the decision is timed under
-    /// the `"matcher"` stage and implementations add algorithm-specific
-    /// counters — every built-in matcher emits an `iterations` total, plus
-    /// `proposals`/`trade_ups` (deferred acceptance) or `conflicts`
-    /// (greedy strategies). The default implementation only times.
-    fn matching_traced(&self, m: &SimilarityMatrix, telemetry: &Telemetry) -> Matching {
-        let _span = telemetry.span("matcher");
-        self.matching(m)
+    /// The exact matching: [`Matcher::matching_store_budgeted`] under an
+    /// unlimited budget with telemetry off.
+    fn matching_store(&self, s: &SimStore) -> Matching {
+        self.matching_store_budgeted(s, &ExecBudget::unlimited(), &Telemetry::disabled())
+            .matching
     }
+}
 
-    /// *Anytime* variant: run under `budget`, checkpointing the partial
-    /// assignment at each algorithm round. When the budget stops the run
-    /// (deadline, cancellation, step limit), unsettled rows are completed
-    /// by the [`GreedyOneToOne`] rule against the still-free targets and
-    /// the outcome carries a [`Degradation`] record. An unlimited budget
-    /// takes the exact [`Matcher::matching_traced`] path bit for bit; a
-    /// constrained budget that never fires produces the identical
-    /// matching with no degradation. The default implementation (greedy
-    /// strategies, whose single pass is itself the granule) always
-    /// returns the exact matching.
-    fn matching_budgeted(
-        &self,
-        m: &SimilarityMatrix,
-        budget: &ExecBudget,
-        telemetry: &Telemetry,
-    ) -> AnytimeOutcome {
-        let _ = budget;
-        AnytimeOutcome::exact(self.matching_traced(m, telemetry))
-    }
+/// A dense test matrix as a store (shared by the matcher unit tests).
+#[cfg(test)]
+fn dense_store(m: ceaff_tensor::Matrix) -> SimStore {
+    SimStore::Dense(ceaff_sim::SimilarityMatrix::new(m))
 }
 
 /// Which matcher a pipeline should use (config-friendly enum mirror).
@@ -360,6 +329,7 @@ impl MatcherKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceaff_sim::SimilarityMatrix;
     use ceaff_tensor::Matrix;
 
     #[test]

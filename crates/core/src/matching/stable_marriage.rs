@@ -8,7 +8,7 @@
 //! provisional matches and trade up. The result is source-optimal and
 //! contains no blocking pair.
 
-use super::{greedy_complete, greedy_complete_sparse, AnytimeOutcome, Matcher, Matching};
+use super::{degrade, AnytimeOutcome, Matcher};
 use crate::budget::ExecBudget;
 use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
 use ceaff_telemetry::Telemetry;
@@ -19,155 +19,176 @@ use std::collections::VecDeque;
 /// Complexity: `O(n·m)` proposals worst case over an `n × m` matrix, after
 /// an `O(n·m·log m)` preference-sort. When `n > m`, the `n − m` sources
 /// whose every proposal is rejected stay unmatched (the paper's benchmark
-/// test sets are square).
+/// test sets are square). Over a sparse store the stored rows *are* the
+/// preference lists — already sorted (score desc, col asc), the exact
+/// comparator of the dense build — so no sort happens, and a source that
+/// exhausts its candidates stays unmatched. On a complete store the
+/// proposal schedule, and hence the matching, is that of the dense store.
 ///
 /// The paper's Figure 1 matrix, where independent decisions collide:
 ///
 /// ```
 /// use ceaff_core::matching::{Matcher, StableMarriage};
-/// use ceaff_sim::SimilarityMatrix;
+/// use ceaff_sim::{SimStore, SimilarityMatrix};
 /// use ceaff_tensor::Matrix;
 ///
-/// let m = SimilarityMatrix::new(Matrix::from_rows(&[
+/// let m = SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(&[
 ///     &[0.9, 0.6, 0.1],
 ///     &[0.7, 0.5, 0.2],
 ///     &[0.2, 0.4, 0.2],
-/// ]));
-/// let matching = StableMarriage.matching(&m);
+/// ])));
+/// let matching = StableMarriage.matching_store(&m);
 /// assert_eq!(matching.pairs(), &[(0, 0), (1, 1), (2, 2)]);
 /// assert!(matching.find_blocking_pair(&m).is_none());
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StableMarriage;
 
-impl StableMarriage {
-    /// Run deferred acceptance, returning the matching plus the number of
-    /// proposals made and of times a target traded its holder up.
-    fn solve(&self, m: &SimilarityMatrix) -> (Matching, u64, u64) {
-        let mut proposals = 0u64;
-        let mut trade_ups = 0u64;
-        let (n, t) = (m.sources(), m.targets());
-        if n == 0 || t == 0 {
-            return (Matching::from_pairs(Vec::new()), proposals, trade_ups);
-        }
-        // Descending preference list per source. The `O(n·m·log m)` sort
-        // dominates the proposal loop, and rows are independent, so large
-        // instances build their lists across the pool (each row's sort is
-        // a fixed comparison sequence, so the lists — and hence the whole
-        // proposal schedule — are identical at any thread count).
-        let build_prefs = |i: usize| {
-            let row = m.row(i);
-            let mut idx: Vec<u32> = (0..t as u32).collect();
-            idx.sort_by(|&a, &b| {
-                row[b as usize]
-                    .partial_cmp(&row[a as usize])
-                    .expect("similarity scores must not be NaN")
-                    .then(a.cmp(&b))
-            });
-            idx
-        };
-        let prefs: Vec<Vec<u32>> = if n >= 64 {
-            ceaff_parallel::par_map(n, 16, build_prefs)
-        } else {
-            (0..n).map(build_prefs).collect()
-        };
-        // next_proposal[i] = cursor into prefs[i].
-        let mut next_proposal = vec![0usize; n];
-        // holder[j] = source currently provisionally matched to target j.
-        let mut holder: Vec<Option<usize>> = vec![None; t];
-        let mut queue: VecDeque<usize> = (0..n).collect();
+/// Where the proposal loop reads preference lists from.
+trait Prefs {
+    /// Source `u`'s `cursor`-th choice and its score, `None` once the
+    /// list is exhausted.
+    fn choice(&self, u: usize, cursor: usize) -> Option<(usize, f32)>;
+    /// Score of cell `(u, v)`: how much target `v` likes source `u`.
+    fn score(&self, u: usize, v: usize) -> f32;
+}
 
-        while let Some(u) = queue.pop_front() {
-            // Propose down u's preference list until accepted or exhausted.
-            let mut u = u;
-            loop {
-                let cursor = next_proposal[u];
-                if cursor >= t {
-                    break; // exhausted every target; stays unmatched
-                }
-                next_proposal[u] += 1;
-                proposals += 1;
-                let v = prefs[u][cursor] as usize;
-                match holder[v] {
-                    None => {
-                        holder[v] = Some(u);
-                        break;
-                    }
-                    Some(cur) => {
-                        // Target v trades up if it prefers u over cur.
-                        if m.get(u, v) > m.get(cur, v) {
-                            holder[v] = Some(u);
-                            trade_ups += 1;
-                            u = cur; // the dumped source proposes next
-                        }
-                        // else: rejected, u proposes to its next choice.
-                    }
+/// Dense preference lists: every row's columns sorted by descending score.
+struct DensePrefs<'a> {
+    m: &'a SimilarityMatrix,
+    order: Vec<Vec<u32>>,
+}
+
+impl Prefs for DensePrefs<'_> {
+    fn choice(&self, u: usize, cursor: usize) -> Option<(usize, f32)> {
+        let v = *self.order[u].get(cursor)? as usize;
+        Some((v, self.m.get(u, v)))
+    }
+    fn score(&self, u: usize, v: usize) -> f32 {
+        self.m.get(u, v)
+    }
+}
+
+impl Prefs for SparseTopK {
+    fn choice(&self, u: usize, cursor: usize) -> Option<(usize, f32)> {
+        let (cols, scores) = self.row_entries(u);
+        Some((*cols.get(cursor)? as usize, scores[cursor]))
+    }
+    fn score(&self, u: usize, v: usize) -> f32 {
+        self.get(u, v)
+    }
+}
+
+/// Sort every row's columns by (score desc, col asc). The
+/// `O(n·m·log m)` sort dominates the proposal loop and rows are
+/// independent, so large instances build their lists across the pool
+/// (each row's sort is a fixed comparison sequence, so the lists — and
+/// hence the whole proposal schedule — are identical at any thread
+/// count).
+fn dense_prefs(m: &SimilarityMatrix) -> Vec<Vec<u32>> {
+    let (n, t) = (m.sources(), m.targets());
+    let build = |i: usize| {
+        let row = m.row(i);
+        let mut idx: Vec<u32> = (0..t as u32).collect();
+        idx.sort_by(|&a, &b| {
+            row[b as usize]
+                .partial_cmp(&row[a as usize])
+                .expect("similarity scores must not be NaN")
+                .then(a.cmp(&b))
+        });
+        idx
+    };
+    if n >= 64 {
+        ceaff_parallel::par_map(n, 16, build)
+    } else {
+        (0..n).map(build).collect()
+    }
+}
+
+/// The deferred acceptance loop over `prefs`, the preference lists of
+/// store `s`. The granule is one queue pop (one source starting its
+/// proposal run); cancel/deadline is also polled every 64 proposals
+/// inside long trade-up chains. On stop, every target keeps its
+/// provisional holder — targets never vacate under DAA, so the held pairs
+/// are exactly what the full run's intermediate state would be and no
+/// blocking pair involves a settled source — and unsettled sources are
+/// completed greedily against the still-free (candidate) cells.
+fn propose<P: Prefs>(
+    prefs: &P,
+    s: &SimStore,
+    budget: &ExecBudget,
+    telemetry: &Telemetry,
+) -> AnytimeOutcome {
+    let (n, t) = (s.sources(), s.targets());
+    let empty = n == 0 || t == 0;
+    let (mut pops, mut proposals, mut trade_ups) = (0u64, 0u64, 0u64);
+    // A budget that fired before the first proposal (or during the dense
+    // preference build) leaves every row to the greedy fallback.
+    let mut stop = if empty {
+        None
+    } else {
+        budget.interrupt_reason()
+    };
+    let mut queue: VecDeque<usize> = if empty || stop.is_some() {
+        VecDeque::new()
+    } else {
+        (0..n).collect()
+    };
+    // next_proposal[i] = cursor into source i's preference list.
+    let mut next_proposal = vec![0usize; n];
+    // holder[j] = source currently provisionally matched to target j.
+    let mut holder: Vec<Option<usize>> = vec![None; t];
+    'outer: while let Some(mut u) = queue.pop_front() {
+        if let Some(reason) = budget.consume_step() {
+            stop = Some(reason);
+            break;
+        }
+        pops += 1;
+        if pops.is_multiple_of(256) {
+            telemetry.progress("matcher", pops.min(n as u64), n as u64);
+        }
+        // Propose down u's preference list until accepted or exhausted.
+        loop {
+            if proposals.is_multiple_of(64) {
+                if let Some(reason) = budget.interrupt_reason() {
+                    stop = Some(reason);
+                    break 'outer;
                 }
             }
-        }
-
-        let mut pairs: Vec<(usize, usize)> = holder
-            .into_iter()
-            .enumerate()
-            .filter_map(|(v, h)| h.map(|u| (u, v)))
-            .collect();
-        pairs.sort_unstable();
-        (Matching::from_pairs(pairs), proposals, trade_ups)
-    }
-
-    /// Deferred acceptance over a sparse store. The stored rows *are* the
-    /// preference lists — already sorted (score desc, col asc), the exact
-    /// comparator of the dense build — so no sort happens at all. A source
-    /// that exhausts its candidate list stays unmatched (it never proposes
-    /// to a non-candidate). On a complete store the proposal schedule, and
-    /// hence the matching, is bitwise-identical to the dense solver.
-    fn solve_sparse(&self, s: &SparseTopK) -> (Matching, u64, u64) {
-        let mut proposals = 0u64;
-        let mut trade_ups = 0u64;
-        let (n, t) = (s.sources(), s.targets());
-        if n == 0 || t == 0 {
-            return (Matching::from_pairs(Vec::new()), proposals, trade_ups);
-        }
-        let mut next_proposal = vec![0usize; n];
-        let mut holder: Vec<Option<usize>> = vec![None; t];
-        let mut queue: VecDeque<usize> = (0..n).collect();
-
-        while let Some(u) = queue.pop_front() {
-            let mut u = u;
-            loop {
-                let (cols, scores) = s.row_entries(u);
-                let cursor = next_proposal[u];
-                if cursor >= cols.len() {
-                    break; // exhausted its candidates; stays unmatched
+            let Some((v, uv)) = prefs.choice(u, next_proposal[u]) else {
+                break; // exhausted its list; stays unmatched
+            };
+            next_proposal[u] += 1;
+            proposals += 1;
+            match holder[v] {
+                None => {
+                    holder[v] = Some(u);
+                    break;
                 }
-                next_proposal[u] += 1;
-                proposals += 1;
-                let v = cols[cursor] as usize;
-                let uv = scores[cursor];
-                match holder[v] {
-                    None => {
-                        holder[v] = Some(u);
-                        break;
-                    }
-                    Some(cur) => {
-                        if uv > s.get(cur, v) {
-                            holder[v] = Some(u);
-                            trade_ups += 1;
-                            u = cur;
-                        }
-                    }
+                // Target v trades up if it prefers u over its holder; the
+                // dumped source proposes next. Otherwise u is rejected and
+                // proposes to its next choice.
+                Some(cur) if uv > prefs.score(cur, v) => {
+                    holder[v] = Some(u);
+                    trade_ups += 1;
+                    u = cur;
                 }
+                Some(_) => {}
             }
         }
-
-        let mut pairs: Vec<(usize, usize)> = holder
-            .into_iter()
-            .enumerate()
-            .filter_map(|(v, h)| h.map(|u| (u, v)))
-            .collect();
-        pairs.sort_unstable();
-        (Matching::from_pairs(pairs), proposals, trade_ups)
     }
+    telemetry.counter_add("matcher", "iterations", proposals);
+    telemetry.counter_add("matcher", "proposals", proposals);
+    telemetry.counter_add("matcher", "trade_ups", trade_ups);
+    if !empty {
+        telemetry.progress("matcher", n as u64, n as u64);
+    }
+    let pairs = holder
+        .into_iter()
+        .enumerate()
+        .filter_map(|(v, h)| h.map(|u| (u, v)))
+        .collect();
+    degrade(s, pairs, stop, pops, budget, telemetry)
 }
 
 impl Matcher for StableMarriage {
@@ -175,295 +196,42 @@ impl Matcher for StableMarriage {
         "stable-marriage"
     }
 
-    fn matching(&self, m: &SimilarityMatrix) -> Matching {
-        self.solve(m).0
-    }
-
-    fn matching_traced(&self, m: &SimilarityMatrix, telemetry: &Telemetry) -> Matching {
-        let _span = telemetry.span("matcher");
-        let (matching, proposals, trade_ups) = self.solve(m);
-        telemetry.counter_add("matcher", "iterations", proposals);
-        telemetry.counter_add("matcher", "proposals", proposals);
-        telemetry.counter_add("matcher", "trade_ups", trade_ups);
-        matching
-    }
-
-    fn matching_store(&self, s: &SimStore) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching(m),
-            SimStore::Sparse(sp) => self.solve_sparse(sp).0,
-        }
-    }
-
-    fn matching_store_traced(&self, s: &SimStore, telemetry: &Telemetry) -> Matching {
-        match s {
-            SimStore::Dense(m) => self.matching_traced(m, telemetry),
-            SimStore::Sparse(sp) => {
-                let _span = telemetry.span("matcher");
-                let (matching, proposals, trade_ups) = self.solve_sparse(sp);
-                telemetry.counter_add("matcher", "iterations", proposals);
-                telemetry.counter_add("matcher", "proposals", proposals);
-                telemetry.counter_add("matcher", "trade_ups", trade_ups);
-                matching
-            }
-        }
-    }
-
-    /// Anytime deferred acceptance over either backend. The sparse path
-    /// mirrors the dense anytime loop (granule = one queue pop, inner
-    /// cancel poll every 64 proposals) minus the preference build — the
-    /// stored rows are the lists. Unsettled sources are completed greedily
-    /// against the still-free *candidate* cells.
     fn matching_store_budgeted(
         &self,
         s: &SimStore,
         budget: &ExecBudget,
         telemetry: &Telemetry,
     ) -> AnytimeOutcome {
-        let sp = match s {
-            SimStore::Dense(m) => return self.matching_budgeted(m, budget, telemetry),
-            SimStore::Sparse(sp) => sp,
-        };
-        if budget.is_unlimited() {
-            return AnytimeOutcome::exact(self.matching_store_traced(s, telemetry));
-        }
         let _span = telemetry.span("matcher");
-        let mut proposals = 0u64;
-        let mut trade_ups = 0u64;
-        let mut pops = 0u64;
-        let (n, t) = (sp.sources(), sp.targets());
-        if n == 0 || t == 0 {
-            return AnytimeOutcome::exact(Matching::from_pairs(Vec::new()));
-        }
-        let mut stop = budget.interrupt_reason();
-        let mut holder: Vec<Option<usize>> = vec![None; t];
-        if stop.is_none() {
-            let mut next_proposal = vec![0usize; n];
-            let mut queue: VecDeque<usize> = (0..n).collect();
-            'outer: while let Some(u) = queue.pop_front() {
-                if let Some(reason) = budget.consume_step() {
-                    stop = Some(reason);
-                    break;
-                }
-                pops += 1;
-                if pops.is_multiple_of(256) {
-                    telemetry.progress("matcher", pops.min(n as u64), n as u64);
-                }
-                let mut u = u;
-                loop {
-                    if proposals.is_multiple_of(64) {
-                        if let Some(reason) = budget.interrupt_reason() {
-                            stop = Some(reason);
-                            break 'outer;
-                        }
-                    }
-                    let (cols, scores) = sp.row_entries(u);
-                    let cursor = next_proposal[u];
-                    if cursor >= cols.len() {
-                        break;
-                    }
-                    next_proposal[u] += 1;
-                    proposals += 1;
-                    let v = cols[cursor] as usize;
-                    let uv = scores[cursor];
-                    match holder[v] {
-                        None => {
-                            holder[v] = Some(u);
-                            break;
-                        }
-                        Some(cur) => {
-                            if uv > sp.get(cur, v) {
-                                holder[v] = Some(u);
-                                trade_ups += 1;
-                                u = cur;
-                            }
-                        }
-                    }
-                }
+        match s {
+            SimStore::Sparse(sp) => propose(sp, s, budget, telemetry),
+            SimStore::Dense(m) => {
+                // An already-fired budget skips the `O(n·m·log m)` build.
+                // If cancel or deadline fires *during* the parallel build,
+                // skipped chunks hold empty rows and the lists are
+                // unusable; `propose` re-polls before the first proposal
+                // and then degrades every row. (Cancellation is sticky and
+                // deadlines are monotonic, so a clean poll there proves
+                // the probe never fired mid-build.)
+                let order = match budget.interrupt_reason() {
+                    None => dense_prefs(m),
+                    Some(_) => Vec::new(),
+                };
+                propose(&DensePrefs { m, order }, s, budget, telemetry)
             }
-        }
-
-        let mut pairs: Vec<(usize, usize)> = holder
-            .iter()
-            .enumerate()
-            .filter_map(|(v, h)| h.map(|u| (u, v)))
-            .collect();
-        pairs.sort_unstable();
-        telemetry.counter_add("matcher", "iterations", proposals);
-        telemetry.counter_add("matcher", "proposals", proposals);
-        telemetry.counter_add("matcher", "trade_ups", trade_ups);
-        telemetry.progress("matcher", n as u64, n as u64);
-        let Some(reason) = stop else {
-            return AnytimeOutcome::exact(Matching::from_pairs(pairs));
-        };
-        let mut src_taken = vec![false; n];
-        let mut tgt_taken = vec![false; t];
-        for &(i, j) in &pairs {
-            src_taken[i] = true;
-            tgt_taken[j] = true;
-        }
-        let degraded_rows: Vec<usize> = (0..n).filter(|&i| !src_taken[i]).collect();
-        greedy_complete_sparse(sp, &mut src_taken, &mut tgt_taken, &mut pairs);
-        pairs.sort_unstable();
-        let degradation = budget.record_degradation(
-            telemetry,
-            "matcher",
-            reason,
-            pops,
-            degraded_rows.len() as f64 / n as f64,
-        );
-        AnytimeOutcome {
-            matching: Matching::from_pairs(pairs),
-            degradation: Some(degradation),
-            degraded_rows,
-        }
-    }
-
-    /// Anytime deferred acceptance. The granule is one queue pop (one
-    /// source starting its proposal run); cancel/deadline is also polled
-    /// inside long trade-up chains. On stop, every target keeps its
-    /// provisional holder — targets never vacate under DAA, so the held
-    /// pairs are exactly what the full run's intermediate state would be
-    /// and no blocking pair involves a settled source — and unsettled
-    /// sources are completed greedily against the still-free targets.
-    fn matching_budgeted(
-        &self,
-        m: &SimilarityMatrix,
-        budget: &ExecBudget,
-        telemetry: &Telemetry,
-    ) -> AnytimeOutcome {
-        if budget.is_unlimited() {
-            return AnytimeOutcome::exact(self.matching_traced(m, telemetry));
-        }
-        let _span = telemetry.span("matcher");
-        let mut proposals = 0u64;
-        let mut trade_ups = 0u64;
-        let mut pops = 0u64;
-        let (n, t) = (m.sources(), m.targets());
-        if n == 0 || t == 0 {
-            return AnytimeOutcome::exact(Matching::from_pairs(Vec::new()));
-        }
-        // Identical preference construction to the exact path (same
-        // comparator, same parallel split), so an unfired budget yields
-        // the identical proposal schedule.
-        let build_prefs = |i: usize| {
-            let row = m.row(i);
-            let mut idx: Vec<u32> = (0..t as u32).collect();
-            idx.sort_by(|&a, &b| {
-                row[b as usize]
-                    .partial_cmp(&row[a as usize])
-                    .expect("similarity scores must not be NaN")
-                    .then(a.cmp(&b))
-            });
-            idx
-        };
-        // An already-fired budget skips the `O(n·m·log m)` build outright;
-        // otherwise build and re-poll: if cancel/deadline fired *during*
-        // the parallel build, skipped chunks hold empty rows and the lists
-        // are unusable, so degrade everything to the greedy fallback.
-        // (Cancellation is sticky and deadlines are monotonic, so a clean
-        // post-build poll proves the probe never fired mid-build.)
-        let mut stop = budget.interrupt_reason();
-        let prefs: Vec<Vec<u32>> = if stop.is_some() {
-            Vec::new()
-        } else if n >= 64 {
-            ceaff_parallel::par_map(n, 16, build_prefs)
-        } else {
-            (0..n).map(build_prefs).collect()
-        };
-        if stop.is_none() {
-            stop = budget.interrupt_reason();
-        }
-        let mut holder: Vec<Option<usize>> = vec![None; t];
-        if stop.is_none() {
-            let mut next_proposal = vec![0usize; n];
-            let mut queue: VecDeque<usize> = (0..n).collect();
-            'outer: while let Some(u) = queue.pop_front() {
-                if let Some(reason) = budget.consume_step() {
-                    stop = Some(reason);
-                    break;
-                }
-                pops += 1;
-                if pops.is_multiple_of(256) {
-                    telemetry.progress("matcher", pops.min(n as u64), n as u64);
-                }
-                let mut u = u;
-                loop {
-                    if proposals.is_multiple_of(64) {
-                        if let Some(reason) = budget.interrupt_reason() {
-                            stop = Some(reason);
-                            break 'outer;
-                        }
-                    }
-                    let cursor = next_proposal[u];
-                    if cursor >= t {
-                        break;
-                    }
-                    next_proposal[u] += 1;
-                    proposals += 1;
-                    let v = prefs[u][cursor] as usize;
-                    match holder[v] {
-                        None => {
-                            holder[v] = Some(u);
-                            break;
-                        }
-                        Some(cur) => {
-                            if m.get(u, v) > m.get(cur, v) {
-                                holder[v] = Some(u);
-                                trade_ups += 1;
-                                u = cur;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut pairs: Vec<(usize, usize)> = holder
-            .iter()
-            .enumerate()
-            .filter_map(|(v, h)| h.map(|u| (u, v)))
-            .collect();
-        pairs.sort_unstable();
-        telemetry.counter_add("matcher", "iterations", proposals);
-        telemetry.counter_add("matcher", "proposals", proposals);
-        telemetry.counter_add("matcher", "trade_ups", trade_ups);
-        telemetry.progress("matcher", n as u64, n as u64);
-        let Some(reason) = stop else {
-            return AnytimeOutcome::exact(Matching::from_pairs(pairs));
-        };
-        let mut src_taken = vec![false; n];
-        let mut tgt_taken = vec![false; t];
-        for &(i, j) in &pairs {
-            src_taken[i] = true;
-            tgt_taken[j] = true;
-        }
-        let degraded_rows: Vec<usize> = (0..n).filter(|&i| !src_taken[i]).collect();
-        greedy_complete(m, &mut src_taken, &mut tgt_taken, &mut pairs);
-        pairs.sort_unstable();
-        let degradation = budget.record_degradation(
-            telemetry,
-            "matcher",
-            reason,
-            pops,
-            degraded_rows.len() as f64 / n as f64,
-        );
-        AnytimeOutcome {
-            matching: Matching::from_pairs(pairs),
-            degradation: Some(degradation),
-            degraded_rows,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::dense_store;
     use super::*;
     use ceaff_tensor::Matrix;
     use proptest::prelude::*;
 
-    fn figure1() -> SimilarityMatrix {
-        SimilarityMatrix::new(Matrix::from_rows(&[
+    fn figure1() -> SimStore {
+        dense_store(Matrix::from_rows(&[
             &[0.9, 0.6, 0.1],
             &[0.7, 0.5, 0.2],
             &[0.2, 0.4, 0.2],
@@ -478,7 +246,7 @@ mod tests {
     /// (0.5 > 0.4) and dumps u3. Round 3: u3 proposes to v3.
     #[test]
     fn figure4_walkthrough() {
-        let matching = StableMarriage.matching(&figure1());
+        let matching = StableMarriage.matching_store(&figure1());
         assert_eq!(matching.pairs(), &[(0, 0), (1, 1), (2, 2)]);
         assert!((crate::eval::accuracy(&matching, 3) - 1.0).abs() < 1e-9);
     }
@@ -486,7 +254,7 @@ mod tests {
     #[test]
     fn result_is_stable_and_perfect_on_square_inputs() {
         let m = figure1();
-        let matching = StableMarriage.matching(&m);
+        let matching = StableMarriage.matching_store(&m);
         assert_eq!(matching.len(), 3);
         assert!(matching.is_one_to_one());
         assert_eq!(matching.find_blocking_pair(&m), None);
@@ -494,26 +262,24 @@ mod tests {
 
     #[test]
     fn more_sources_than_targets_leaves_some_unmatched() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.9], &[0.5], &[0.7]]));
-        let matching = StableMarriage.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.9], &[0.5], &[0.7]]));
+        let matching = StableMarriage.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 0)]);
     }
 
     #[test]
     fn more_targets_than_sources_matches_all_sources() {
-        let m = SimilarityMatrix::new(Matrix::from_rows(&[&[0.1, 0.9, 0.2]]));
-        let matching = StableMarriage.matching(&m);
+        let m = dense_store(Matrix::from_rows(&[&[0.1, 0.9, 0.2]]));
+        let matching = StableMarriage.matching_store(&m);
         assert_eq!(matching.pairs(), &[(0, 1)]);
     }
 
     #[test]
     fn empty_matrix() {
-        assert!(StableMarriage
-            .matching(&SimilarityMatrix::zeros(0, 5))
-            .is_empty());
-        assert!(StableMarriage
-            .matching(&SimilarityMatrix::zeros(5, 0))
-            .is_empty());
+        for (n, t) in [(0, 5), (5, 0)] {
+            let m = dense_store(Matrix::zeros(n, t));
+            assert!(StableMarriage.matching_store(&m).is_empty());
+        }
     }
 
     proptest! {
@@ -521,8 +287,8 @@ mod tests {
         /// matching with no blocking pair (the defining SMP properties).
         #[test]
         fn stable_matching_properties(vals in proptest::collection::vec(0.0f32..1.0, 25)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(5, 5, vals));
-            let matching = StableMarriage.matching(&m);
+            let m = dense_store(Matrix::from_vec(5, 5, vals));
+            let matching = StableMarriage.matching_store(&m);
             prop_assert_eq!(matching.len(), 5);
             prop_assert!(matching.is_one_to_one());
             prop_assert!(matching.find_blocking_pair(&m).is_none());
@@ -538,8 +304,8 @@ mod tests {
         /// find_blocking_pair already verifies on rectangular inputs too.
         #[test]
         fn rectangular_no_blocking_pairs(vals in proptest::collection::vec(0.0f32..1.0, 12)) {
-            let m = SimilarityMatrix::new(Matrix::from_vec(3, 4, vals));
-            let matching = StableMarriage.matching(&m);
+            let m = dense_store(Matrix::from_vec(3, 4, vals));
+            let matching = StableMarriage.matching_store(&m);
             prop_assert_eq!(matching.len(), 3);
             prop_assert!(matching.find_blocking_pair(&m).is_none());
         }

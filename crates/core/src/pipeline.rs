@@ -835,7 +835,7 @@ impl FeatureSet {
                     checkpoint::encode_structural(
                         f.source_embeddings(),
                         f.target_embeddings(),
-                        f.test_matrix().as_matrix(),
+                        f.test_store().as_matrix(),
                         &f.loss_curve,
                     )
                 },
@@ -872,7 +872,7 @@ impl FeatureSet {
                     checkpoint::encode_embedding_stage(
                         f.source_embeddings(),
                         f.target_embeddings(),
-                        f.test_matrix().as_matrix(),
+                        f.test_store().as_matrix(),
                     )
                 },
             )?
@@ -900,7 +900,7 @@ impl FeatureSet {
                         Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, k),
                     })
                 },
-                |f| checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
+                |f| checkpoint::encode_matrix_stage(f.test_store().as_matrix()),
             )?
         } else {
             None
@@ -1253,11 +1253,11 @@ pub struct DecisionOutput {
 /// checked at the stage boundary. The warm store is only read, never
 /// mutated, so a degraded or failed decision cannot poison it.
 ///
-/// With an unlimited (or never-fired) budget the matching is
-/// bitwise-identical to
-/// [`Matcher::matching_store_traced`](crate::matching::Matcher::matching_store_traced) at any thread
-/// count — the anytime path short-circuits — so repeated identical
-/// requests return byte-identical responses.
+/// The matcher has one body, its anytime form; a budget that never fires
+/// (unlimited or not) lets it run to the exact matching, bitwise that of
+/// [`Matcher::matching_store`](crate::matching::Matcher::matching_store)
+/// at any thread count, so repeated identical requests return
+/// byte-identical responses.
 pub fn run_decision_budgeted(
     fused: &SimStore,
     matcher: MatcherKind,

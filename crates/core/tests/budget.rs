@@ -6,7 +6,7 @@
 use ceaff_core::checkpoint::{CheckpointPolicy, Checkpointer};
 use ceaff_core::gcn::GcnConfig;
 use ceaff_core::pipeline::{run, try_run, CeaffConfig, CeaffOutput, EaInput, RunOptions};
-use ceaff_core::{CancelToken, CeaffError, ExecBudget, MatcherKind, Telemetry};
+use ceaff_core::{CancelToken, CeaffError, ExecBudget, MatcherKind};
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -361,10 +361,7 @@ fn assert_unfired_budget_matches_plain(cfg: &CeaffConfig) {
     assert_eq!(stage_names(&plain), stage_names(&budgeted));
     assert!(budgeted.trace.degradations.is_empty());
     // Both ran the matcher's exact path over the fused store.
-    let exact = cfg
-        .matcher
-        .build()
-        .matching_store_traced(&plain.fused, &Telemetry::disabled());
+    let exact = cfg.matcher.build().matching_store(&plain.fused);
     assert_eq!(plain.matching.pairs(), exact.pairs());
 }
 

@@ -10,7 +10,7 @@ use ceaff_core::checkpoint::{
 };
 use ceaff_core::gcn::{self, GcnConfig, MAX_NUMERIC_RETRIES};
 use ceaff_core::pipeline::{run, CeaffConfig, CeaffOutput, EaInput, RunOptions};
-use ceaff_core::{CeaffError, InMemorySink, Telemetry};
+use ceaff_core::{CeaffError, ExecBudget, InMemorySink, Telemetry};
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
 use ceaff_faultinject::FaultPlan;
 use std::path::{Path, PathBuf};
@@ -174,8 +174,14 @@ fn forced_nan_triggers_rollback_lr_halving_and_telemetry() {
         ..FaultPlan::default()
     }
     .activate();
-    let enc = gcn::try_train_traced(&ds.pair, &gcn_cfg, &telemetry, None)
-        .expect("one NaN epoch must be recoverable");
+    let enc = gcn::try_train_budgeted(
+        &ds.pair,
+        &gcn_cfg,
+        &telemetry,
+        None,
+        &ExecBudget::unlimited(),
+    )
+    .expect("one NaN epoch must be recoverable");
     // Training completed with a full healthy loss curve.
     assert_eq!(enc.loss_curve.len(), gcn_cfg.epochs);
     assert!(enc.loss_curve.iter().all(|l| l.is_finite()));
@@ -203,7 +209,13 @@ fn persistent_nan_exhausts_retries_into_numeric_divergence() {
         ..FaultPlan::default()
     }
     .activate();
-    match gcn::try_train_traced(&ds.pair, &gcn_cfg, &telemetry, None) {
+    match gcn::try_train_budgeted(
+        &ds.pair,
+        &gcn_cfg,
+        &telemetry,
+        None,
+        &ExecBudget::unlimited(),
+    ) {
         Err(CeaffError::NumericDivergence {
             stage,
             epoch,

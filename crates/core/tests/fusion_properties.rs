@@ -2,14 +2,15 @@
 //! in-module Figure 3 walk-through.
 
 use ceaff_core::fusion::{
-    adaptive_fuse, adaptive_weights, confident_correspondences, two_stage_fuse, FusionConfig,
+    adaptive_fuse_store, adaptive_weights_store, confident_correspondences_store,
+    two_stage_fuse_store, FusionConfig,
 };
-use ceaff_sim::SimilarityMatrix;
+use ceaff_sim::{SimStore, SimilarityMatrix};
 use ceaff_tensor::Matrix;
 use proptest::prelude::*;
 
-fn sm(vals: Vec<f32>, rows: usize, cols: usize) -> SimilarityMatrix {
-    SimilarityMatrix::new(Matrix::from_vec(rows, cols, vals))
+fn sm(vals: Vec<f32>, rows: usize, cols: usize) -> SimStore {
+    SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(rows, cols, vals)))
 }
 
 #[test]
@@ -17,7 +18,7 @@ fn identical_features_trigger_equal_fallback() {
     // Two identical matrices: every candidate is shared by all features,
     // so everything is filtered and the fallback fires.
     let a = sm(vec![0.9, 0.1, 0.2, 0.8], 2, 2);
-    let report = adaptive_weights(&[&a, &a.clone()], &FusionConfig::default());
+    let report = adaptive_weights_store(&[&a, &a.clone()], &FusionConfig::default());
     assert!(report.fallback_equal);
     assert_eq!(report.weights, vec![0.5, 0.5]);
 }
@@ -29,7 +30,7 @@ fn a_feature_with_unique_confident_pairs_dominates() {
     // Feature B is flat noise with one weak candidate off the diagonal
     // that conflicts with nothing A proposes for different sources.
     let b = sm(vec![0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], 3, 3);
-    let report = adaptive_weights(&[&a, &b], &FusionConfig::default());
+    let report = adaptive_weights_store(&[&a, &b], &FusionConfig::default());
     assert!(
         report.weights[0] > 0.9,
         "A should dominate: {:?}",
@@ -45,7 +46,7 @@ fn candidate_count_is_bounded_by_min_dimension() {
         3,
         4,
     );
-    let c = confident_correspondences(&m);
+    let c = confident_correspondences_store(&m);
     assert!(c.len() <= 3);
     // And they never share a row or a column.
     for (i, a) in c.iter().enumerate() {
@@ -61,7 +62,7 @@ proptest! {
     #[test]
     fn candidates_are_partial_permutation(vals in proptest::collection::vec(0.0f32..1.0, 20)) {
         let m = sm(vals, 4, 5);
-        let c = confident_correspondences(&m);
+        let c = confident_correspondences_store(&m);
         let mut rows: Vec<_> = c.iter().map(|x| x.source).collect();
         let mut cols: Vec<_> = c.iter().map(|x| x.target).collect();
         rows.sort_unstable();
@@ -72,7 +73,7 @@ proptest! {
         prop_assert_eq!(cols.len(), c.len());
     }
 
-    /// Fused output of adaptive_fuse is a convex combination: bounded by
+    /// Fused output of adaptive_fuse_store is a convex combination: bounded by
     /// the per-cell min and max over the inputs.
     #[test]
     fn fusion_is_convex_combination(
@@ -83,7 +84,7 @@ proptest! {
         let ma = sm(a.clone(), 3, 3);
         let mb = sm(b.clone(), 3, 3);
         let mc = sm(c.clone(), 3, 3);
-        let (fused, _) = adaptive_fuse(&[&ma, &mb, &mc], &FusionConfig::default());
+        let (fused, _) = adaptive_fuse_store(&[&ma, &mb, &mc], &FusionConfig::default());
         for i in 0..3 {
             for j in 0..3 {
                 let vals = [ma.get(i, j), mb.get(i, j), mc.get(i, j)];
@@ -106,7 +107,7 @@ proptest! {
         let ms = sm(s.clone(), 3, 3);
         let mn = sm(n.clone(), 3, 3);
         let ml = sm(l.clone(), 3, 3);
-        let (fused, _, _) = two_stage_fuse(Some(&ms), Some(&mn), Some(&ml), &FusionConfig::default());
+        let (fused, _, _) = two_stage_fuse_store(Some(&ms), Some(&mn), Some(&ml), &FusionConfig::default());
         for i in 0..3 {
             for j in 0..3 {
                 let vals = [ms.get(i, j), mn.get(i, j), ml.get(i, j)];
@@ -127,8 +128,8 @@ proptest! {
         let ma = sm(a, 3, 3);
         let mb = sm(b, 3, 3);
         let cfg = FusionConfig::default();
-        let ab = adaptive_weights(&[&ma, &mb], &cfg).weights;
-        let ba = adaptive_weights(&[&mb, &ma], &cfg).weights;
+        let ab = adaptive_weights_store(&[&ma, &mb], &cfg).weights;
+        let ba = adaptive_weights_store(&[&mb, &ma], &cfg).weights;
         prop_assert!((ab[0] - ba[1]).abs() < 1e-6);
         prop_assert!((ab[1] - ba[0]).abs() < 1e-6);
     }

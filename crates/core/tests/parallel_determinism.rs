@@ -65,8 +65,8 @@ fn structural_similarity_matrix_is_thread_count_independent() {
     };
     assert_matrix_invariant("structural", || {
         StructuralFeature::compute(&ds.pair, &gcn)
-            .test_matrix()
-            .clone()
+            .test_store()
+            .to_dense()
     });
 }
 
@@ -77,8 +77,8 @@ fn semantic_similarity_matrix_is_thread_count_independent() {
     let tgt = ds.target_embedder(16);
     assert_matrix_invariant("semantic", || {
         SemanticFeature::compute(&ds.pair, &src, &tgt)
-            .test_matrix()
-            .clone()
+            .test_store()
+            .to_dense()
     });
 }
 
@@ -86,17 +86,15 @@ fn semantic_similarity_matrix_is_thread_count_independent() {
 fn string_similarity_matrix_is_thread_count_independent() {
     let ds = dataset();
     assert_matrix_invariant("string", || {
-        StringFeature::compute(&ds.pair).test_matrix().clone()
+        StringFeature::compute(&ds.pair).test_store().to_dense()
     });
 }
 
 #[test]
 fn csls_adjustment_is_thread_count_independent() {
     let ds = dataset();
-    let string = StringFeature::compute(&ds.pair);
-    assert_matrix_invariant("csls", || {
-        ceaff_sim::csls_adjusted(string.test_matrix(), 10)
-    });
+    let string = StringFeature::compute(&ds.pair).test_store().to_dense();
+    assert_matrix_invariant("csls", || ceaff_sim::csls_adjusted(&string, 10));
 }
 
 #[test]

@@ -442,17 +442,20 @@ impl SparseTopK {
         Self::from_sorted_rows(self.targets, self.k, rows)
     }
 
-    /// Rank (1-based) of target `j` within row `i`, with the same
-    /// pessimistic tie handling as the dense [`SimilarityMatrix::rank_of`]
-    /// *evaluated on the equivalent dense matrix whose missing cells are
-    /// zero*: stored competitors count by value, and the
-    /// `targets − row_len` missing cells count as `0.0` competitors. A
-    /// ground truth that blocking dropped therefore ranks last.
+    /// Rank (1-based) of target `j` within row `i`. A target blocking
+    /// never stored ranks last (`targets`), behind every stored entry
+    /// whatever its sign. A stored target ranks with the same pessimistic
+    /// tie handling as the dense [`SimilarityMatrix::rank_of`] *evaluated
+    /// on the equivalent dense matrix whose missing cells are zero*:
+    /// stored competitors count by value, and the `targets − row_len`
+    /// missing cells count as `0.0` competitors. On rows without negative
+    /// entries the two rules agree.
     pub fn rank_of(&self, i: usize, j: usize) -> usize {
         let (cols, scores) = self.row_entries(i);
-        let missing = self.targets - cols.len();
-        let v = self.get(i, j);
-        let stored_j = cols.iter().any(|&c| c as usize == j);
+        let Some(pos) = cols.iter().position(|&c| c as usize == j) else {
+            return self.targets;
+        };
+        let v = scores[pos];
         let mut greater = 0usize;
         let mut ties = 0usize;
         for (&c, &x) in cols.iter().zip(scores) {
@@ -465,9 +468,8 @@ impl SparseTopK {
                 ties += 1;
             }
         }
-        // Implicit zeros: competitors at exactly 0.0 — minus the cell
-        // itself when it is one of them.
-        let implicit = missing.saturating_sub(usize::from(!stored_j));
+        // Implicit zeros: the missing cells, competing at exactly 0.0.
+        let implicit = self.targets - cols.len();
         if 0.0 > v {
             greater += implicit;
         } else if v == 0.0 {
@@ -624,7 +626,8 @@ impl SimStore {
     }
 
     /// Rank (1-based) of target `j` within row `i` (pessimistic ties; the
-    /// sparse backend counts missing cells as `0.0` competitors).
+    /// sparse backend ranks an unstored target last and counts missing
+    /// cells as `0.0` competitors of stored ones).
     pub fn rank_of(&self, i: usize, j: usize) -> usize {
         match self {
             SimStore::Dense(m) => m.rank_of(i, j),
@@ -730,6 +733,10 @@ mod tests {
         for j in 0..5 {
             assert_eq!(s.rank_of(0, j), d.rank_of(0, j), "col {j}");
         }
+        // Negative stored scores (unnormalised features): an unstored
+        // target still ranks last, never ahead of a stored candidate.
+        let neg = SparseTopK::from_rows(2, 1, vec![vec![(1, -0.5)]]);
+        assert_eq!(neg.rank_of(0, 0), 2);
     }
 
     #[test]

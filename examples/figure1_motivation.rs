@@ -12,11 +12,11 @@
 //! ```
 
 use ceaff::matching::{Greedy, Hungarian, Matcher, StableMarriage};
-use ceaff::sim::SimilarityMatrix;
+use ceaff::sim::{SimStore, SimilarityMatrix};
 use ceaff::tensor::Matrix;
 
-fn show(name: &str, matcher: &dyn Matcher, m: &SimilarityMatrix) {
-    let matching = matcher.matching(m);
+fn show(name: &str, matcher: &dyn Matcher, m: &SimStore) {
+    let matching = matcher.matching_store(m);
     let labels: Vec<String> = matching
         .pairs()
         .iter()
@@ -43,12 +43,13 @@ fn main() {
         println!("  u{}: {:?}", i + 1, m.row(i).to_vec());
     }
     println!();
+    let m = SimStore::Dense(m);
     show("independent:", &Greedy, &m);
     show("stable (DAA):", &StableMarriage, &m);
     show("hungarian:", &Hungarian, &m);
 
     // The collective results also contain no blocking pair.
-    let stable = StableMarriage.matching(&m);
+    let stable = StableMarriage.matching_store(&m);
     assert_eq!(stable.find_blocking_pair(&m), None);
     println!("\nstable matching verified: no blocking pairs");
 }

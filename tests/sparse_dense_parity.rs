@@ -20,6 +20,7 @@ fn fused_dense(preset: Preset) -> ceaff::sim::SimilarityMatrix {
 fn complete_sparse_store_reproduces_dense_matchers_bitwise_at_any_thread_count() {
     let m = fused_dense(Preset::SrprsEnDe);
     let complete = SimStore::Sparse(SparseTopK::from_dense(&m, m.targets()));
+    let dense = SimStore::Dense(m);
     let matchers: [(&str, &dyn Matcher); 4] = [
         ("stable-marriage", &StableMarriage),
         ("hungarian", &Hungarian),
@@ -27,7 +28,10 @@ fn complete_sparse_store_reproduces_dense_matchers_bitwise_at_any_thread_count()
         ("greedy-1to1", &GreedyOneToOne),
     ];
     // The dense reference, computed once outside any thread override.
-    let reference: Vec<_> = matchers.iter().map(|(_, mm)| mm.matching(&m)).collect();
+    let reference: Vec<_> = matchers
+        .iter()
+        .map(|(_, mm)| mm.matching_store(&dense))
+        .collect();
     for threads in [1usize, 2, 8] {
         ceaff_parallel::with_threads(threads, || {
             for ((name, mm), exact) in matchers.iter().zip(&reference) {
