@@ -39,6 +39,18 @@ pub trait Feature: Send + Sync {
     fn score(&self, u: EntityId, v: EntityId) -> f32;
 }
 
+/// [`Feature::score`] of the embedding features (structural, semantic):
+/// rows are already unit-normalised, so the dot product is the cosine.
+pub(crate) fn embedding_score(source_row: &[f32], target_row: &[f32]) -> f32 {
+    ceaff_tensor::dot(source_row, target_row)
+}
+
+/// [`Feature::score`] of the string feature: the Levenshtein ratio of the
+/// two names.
+pub(crate) fn name_score(source: &str, target: &str) -> f32 {
+    ceaff_sim::levenshtein_ratio(source, target)
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};

@@ -114,6 +114,13 @@ impl SemanticFeature {
         }
     }
 
+    /// The embeddings and test store, for the delta pipeline's in-place
+    /// commit (same normalisation contract as
+    /// [`SemanticFeature::from_saved_parts`]).
+    pub(crate) fn parts_mut(&mut self) -> (&mut Matrix, &mut Matrix, &mut SimStore) {
+        (&mut self.n_source, &mut self.n_target, &mut self.test)
+    }
+
     /// The full source name-embedding matrix `N₁`.
     pub fn source_embeddings(&self) -> &Matrix {
         &self.n_source
@@ -143,7 +150,7 @@ impl Feature for SemanticFeature {
     }
 
     fn score(&self, u: EntityId, v: EntityId) -> f32 {
-        ceaff_tensor::dot(self.n_source.row(u.index()), self.n_target.row(v.index()))
+        super::embedding_score(self.n_source.row(u.index()), self.n_target.row(v.index()))
     }
 }
 

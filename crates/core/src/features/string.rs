@@ -105,6 +105,16 @@ impl StringFeature {
             test,
         }
     }
+
+    /// The per-entity names and test store, for the delta pipeline's
+    /// in-place commit.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<String>, &mut Vec<String>, &mut SimStore) {
+        (
+            &mut self.source_names,
+            &mut self.target_names,
+            &mut self.test,
+        )
+    }
 }
 
 impl Feature for StringFeature {
@@ -117,7 +127,7 @@ impl Feature for StringFeature {
     }
 
     fn score(&self, u: EntityId, v: EntityId) -> f32 {
-        levenshtein_ratio(&self.source_names[u.index()], &self.target_names[v.index()])
+        super::name_score(&self.source_names[u.index()], &self.target_names[v.index()])
     }
 }
 

@@ -177,6 +177,13 @@ impl StructuralFeature {
         }
     }
 
+    /// The embeddings and test store, for the delta pipeline's in-place
+    /// commit (same normalisation contract as
+    /// [`StructuralFeature::from_store_parts`]).
+    pub(crate) fn parts_mut(&mut self) -> (&mut Matrix, &mut Matrix, &mut SimStore) {
+        (&mut self.z_source, &mut self.z_target, &mut self.test)
+    }
+
     /// The full (all-entity) source embedding matrix.
     pub fn source_embeddings(&self) -> &Matrix {
         &self.z_source
@@ -198,8 +205,7 @@ impl Feature for StructuralFeature {
     }
 
     fn score(&self, u: EntityId, v: EntityId) -> f32 {
-        // Rows are already unit-normalised; the dot product is the cosine.
-        ceaff_tensor::dot(self.z_source.row(u.index()), self.z_target.row(v.index()))
+        super::embedding_score(self.z_source.row(u.index()), self.z_target.row(v.index()))
     }
 }
 

@@ -951,30 +951,38 @@ impl FeatureSet {
         Self::compute(input, &full)
     }
 
-    /// The active features under `cfg`, as trait objects in
-    /// structural/semantic/string order.
+    /// The active features under `cfg` (see [`select_active`]).
     fn active<'s>(&'s self, cfg: &CeaffConfig) -> Vec<&'s dyn Feature> {
-        let mut v: Vec<&dyn Feature> = Vec::with_capacity(3);
-        if cfg.use_structural {
-            if let Some(f) = &self.structural {
-                v.push(f);
-            }
-        }
-        if cfg.use_semantic {
-            if let Some(f) = &self.semantic {
-                v.push(f);
-            }
-        }
-        if cfg.use_string {
-            if let Some(f) = &self.string {
-                v.push(f);
-            }
-        }
-        for f in &self.extra {
-            v.push(f.as_ref());
-        }
-        v
+        select_active(
+            self.structural.as_ref().map(|f| f as &dyn Feature),
+            self.semantic.as_ref().map(|f| f as &dyn Feature),
+            self.string.as_ref().map(|f| f as &dyn Feature),
+            &self.extra,
+            cfg,
+        )
     }
+}
+
+/// The features a decision fuses, in fusion order: structural, semantic
+/// and string, each when present and switched on in `cfg`, then every
+/// `extra` feature. Both the batch pipeline and the incremental path pick
+/// their features here.
+pub(crate) fn select_active<'s>(
+    structural: Option<&'s dyn Feature>,
+    semantic: Option<&'s dyn Feature>,
+    string: Option<&'s dyn Feature>,
+    extra: &'s [Box<dyn Feature>],
+    cfg: &CeaffConfig,
+) -> Vec<&'s dyn Feature> {
+    [
+        (cfg.use_structural, structural),
+        (cfg.use_semantic, semantic),
+        (cfg.use_string, string),
+    ]
+    .into_iter()
+    .filter_map(|(on, f)| f.filter(|_| on))
+    .chain(extra.iter().map(|f| f.as_ref()))
+    .collect()
 }
 
 /// Everything a pipeline run produces.
@@ -1061,8 +1069,8 @@ fn emit_flat_weights(telemetry: &Telemetry, weights: &[f32]) {
 #[allow(clippy::type_complexity)]
 fn fuse_active(
     pair: &KgPair,
-    features: &FeatureSet,
     active: &[&dyn Feature],
+    extra: usize,
     cfg: &CeaffConfig,
 ) -> (
     SimStore,
@@ -1083,7 +1091,7 @@ fn fuse_active(
 
     match &cfg.weighting {
         WeightingMode::Adaptive => {
-            if features.extra.is_empty() {
+            if extra == 0 {
                 let (m, t, f) = two_stage_fuse_store(
                     slot.get("structural").copied(),
                     slot.get("semantic").copied(),
@@ -1101,7 +1109,7 @@ fn fuse_active(
                 if let Some(m) = slot.get("string") {
                     textual.push(m);
                 }
-                let extra_start = active.len() - features.extra.len();
+                let extra_start = active.len() - extra;
                 textual.extend(normalized[extra_start..].iter());
                 let (mt, trep) = adaptive_fuse_store(&textual, &cfg.fusion);
                 match slot.get("structural").copied() {
@@ -1165,9 +1173,24 @@ pub(crate) fn fuse_and_match(
     budget: &ExecBudget,
 ) -> Result<CeaffOutput, CeaffError> {
     cfg.validate()?;
-    let _armed = budget.install();
     let active = features.active(cfg);
-    check_features(&active)?;
+    fuse_and_match_active(pair, &active, features.extra.len(), cfg, telemetry, budget)
+}
+
+/// [`fuse_and_match`] over an already-selected active feature list whose
+/// last `extra` entries are [`FeatureSet::extra`] features — the entry the
+/// incremental path uses to decide over patched stores before it commits
+/// them.
+pub(crate) fn fuse_and_match_active(
+    pair: &KgPair,
+    active: &[&dyn Feature],
+    extra: usize,
+    cfg: &CeaffConfig,
+    telemetry: &Telemetry,
+    budget: &ExecBudget,
+) -> Result<CeaffOutput, CeaffError> {
+    let _armed = budget.install();
+    check_features(active)?;
     telemetry.gauge(
         "parallel",
         "threads",
@@ -1181,7 +1204,7 @@ pub(crate) fn fuse_and_match(
         // non-degradable: finish its kernels, let the boundary checks
         // below observe any stop.
         let _probe_off = crate::budget::uninterruptible_scope();
-        fuse_active(pair, features, &active, cfg)
+        fuse_active(pair, active, extra, cfg)
     };
     if let Some(report) = &textual_fusion {
         emit_fusion_report(telemetry, "textual", report);

@@ -76,27 +76,27 @@ pub fn seed_row(name: &str, dim: usize) -> Vec<f32> {
     row
 }
 
-/// One propagated row: `Σ c_ij · prev[j]` over `j ∈ {i} ∪ neighbors`
+/// One propagated row: `Σ c_ij · prev(j)` over `j ∈ {i} ∪ neighbors`
 /// in ascending id order (`neighbors` must be sorted ascending, `i`
-/// spliced at its position), L2-normalised. `degrees[j]` is the distinct
-/// undirected neighbour count of `j`.
+/// spliced at its position), L2-normalised. `prev(j)` is row `j` of the
+/// previous layer and `degree(j)` the distinct undirected neighbour count
+/// of `j`.
 ///
 /// The delta patcher calls this for dirty rows with the *new* graph's
 /// neighbour lists and the *patched* previous layer; the bulk encoder
 /// below calls it for every row — one code path, bitwise-identical
 /// results.
-pub fn propagate_row(
-    prev: &Matrix,
+pub fn propagate_row<'a>(
+    prev: impl Fn(usize) -> &'a [f32],
     i: usize,
     neighbors: &[EntityId],
-    degrees: &[usize],
+    degree: impl Fn(usize) -> usize,
 ) -> Vec<f32> {
-    let dim = prev.cols();
-    let di = degrees[i] as f32;
-    let mut row = vec![0.0f32; dim];
+    let di = degree(i) as f32;
+    let mut row = vec![0.0f32; prev(i).len()];
     let mut accumulate = |j: usize| {
-        let c = 1.0 / ((di + 1.0) * (degrees[j] as f32 + 1.0)).sqrt();
-        for (o, &v) in row.iter_mut().zip(prev.row(j)) {
+        let c = 1.0 / ((di + 1.0) * (degree(j) as f32 + 1.0)).sqrt();
+        for (o, &v) in row.iter_mut().zip(prev(j)) {
             *o += c * v;
         }
     };
@@ -118,7 +118,7 @@ pub fn propagate_row(
 }
 
 /// Sorted distinct undirected neighbour lists for every entity.
-pub(crate) fn neighbor_lists(kg: &KnowledgeGraph) -> Vec<Vec<EntityId>> {
+fn neighbor_lists(kg: &KnowledgeGraph) -> Vec<Vec<EntityId>> {
     kg.entity_ids().map(|e| kg.neighbors(e)).collect()
 }
 
@@ -154,7 +154,9 @@ pub fn propagate(kg: &KnowledgeGraph, dim: usize, layers: usize) -> Vec<Matrix> 
     out.push(matrix_from_par_rows(n, dim, |i| seed_row(names[i], dim)));
     for _ in 0..layers {
         let prev = out.last().expect("layer 0 pushed");
-        let next = matrix_from_par_rows(n, dim, |i| propagate_row(prev, i, &neigh[i], &degrees));
+        let next = matrix_from_par_rows(n, dim, |i| {
+            propagate_row(|j| prev.row(j), i, &neigh[i], |j| degrees[j])
+        });
         out.push(next);
     }
     out
@@ -240,7 +242,8 @@ mod tests {
         let degrees: Vec<usize> = neigh.iter().map(Vec::len).collect();
         for l in 1..layers.len() {
             for (i, row_neigh) in neigh.iter().enumerate() {
-                let fresh = propagate_row(&layers[l - 1], i, row_neigh, &degrees);
+                let prev = &layers[l - 1];
+                let fresh = propagate_row(|j| prev.row(j), i, row_neigh, |j| degrees[j]);
                 assert_eq!(
                     layers[l].row(i),
                     &fresh[..],

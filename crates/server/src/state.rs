@@ -457,7 +457,7 @@ fn recover_durable(
     for (step, payload) in &rec.snapshots {
         match ceaff_core::snapshot::decode_delta_state(payload, cfg) {
             Ok(state) => {
-                chosen = Some((*step, state));
+                chosen = Some((*step, state.with_telemetry(telemetry.child())));
                 break;
             }
             Err(_) => snapshots_skipped += 1,

@@ -147,12 +147,17 @@ impl CandidateSet {
 
 /// An inverted index over target names, reusable across source rows.
 ///
-/// [`build_candidates`] builds one per call; the incremental path keeps
-/// rebuilding it per delta (cheap, `O(targets · keys)`) and recomputes
-/// [`candidate_row`](TargetIndex::candidate_row) only for dirty rows —
-/// the per-row logic is exactly the one `build_candidates` uses, so a
-/// patched candidate set is bitwise-identical to a fresh one.
-#[derive(Debug, Clone)]
+/// [`build_candidates`] builds one per call. The incremental path keeps
+/// one warm across edits instead: rebuilding it costs `O(targets · keys)`
+/// string allocations per edit, while [`TargetIndex::patch`] touches only
+/// the renumbered postings and the added names. The same structure over
+/// *source* names answers the reverse question — which rows an added
+/// target qualifies for ([`TargetIndex::qualifying`]) — because the
+/// shared-key count of a pair is symmetric. Candidate rows are recomputed
+/// only for dirty rows, through exactly the per-row logic
+/// `build_candidates` uses, so a patched candidate set is
+/// bitwise-identical to a fresh one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetIndex {
     index: HashMap<String, Vec<u32>>,
     targets: usize,
@@ -184,12 +189,56 @@ impl TargetIndex {
         self.targets
     }
 
-    /// The candidate columns for one source name: targets sharing at least
-    /// `min_shared_keys` keys, ranked (most shared keys first, ties toward
-    /// the lower column), truncated to `k`, returned ascending.
+    /// Patch the index for an edited target list, equal to a
+    /// [`TargetIndex::build`] over the edited names:
     ///
-    /// Deterministic for a given index regardless of thread count.
-    pub fn candidate_row(&self, source: &str, k: usize) -> Vec<u32> {
+    /// * `remap[old] = Some(new)` renumbers a kept column, `None` drops
+    ///   it. Kept columns may change their relative order: a posting
+    ///   the renumbering leaves out of order is sorted again;
+    /// * `added` lists the new columns with their names, each indexed at
+    ///   its ascending position;
+    /// * `targets` is the new column count.
+    ///
+    /// An identity `remap` skips the renumbering pass, so an edit that
+    /// only appends names costs only their keys.
+    pub fn patch<T: AsRef<str>>(
+        &mut self,
+        remap: &[Option<u32>],
+        added: &[(u32, T)],
+        targets: usize,
+    ) {
+        assert_eq!(remap.len(), self.targets, "remap length mismatch");
+        let identity = remap.iter().enumerate().all(|(j, m)| *m == Some(j as u32));
+        if !identity {
+            self.index.retain(|_, posting| {
+                posting.retain_mut(|j| match remap[*j as usize] {
+                    Some(new) => {
+                        *j = new;
+                        true
+                    }
+                    None => false,
+                });
+                if !posting.windows(2).all(|w| w[0] < w[1]) {
+                    posting.sort_unstable();
+                }
+                !posting.is_empty()
+            });
+        }
+        for (j, name) in added {
+            for key in keys_of(name.as_ref(), &self.cfg) {
+                let posting = self.index.entry(key).or_default();
+                let at = posting.partition_point(|&x| x < *j);
+                posting.insert(at, *j);
+            }
+        }
+        self.targets = targets;
+    }
+
+    /// Shared-key counts of `source` against every indexed column that
+    /// shares at least one key. Keys are deduplicated on both sides, so
+    /// the count of a pair is `|keys(source) ∩ keys(target)|`, symmetric
+    /// in the two names.
+    fn shared_counts(&self, source: &str) -> HashMap<u32, usize> {
         let mut shared: HashMap<u32, usize> = HashMap::new();
         for key in keys_of(source, &self.cfg) {
             if let Some(posting) = self.index.get(&key) {
@@ -198,7 +247,31 @@ impl TargetIndex {
                 }
             }
         }
-        let mut ranked: Vec<(u32, usize)> = shared
+        shared
+    }
+
+    /// Every column that shares at least `min_shared_keys` keys with
+    /// `name`, ascending — [`TargetIndex::candidate_row`] before ranking
+    /// and truncation.
+    pub fn qualifying(&self, name: &str) -> Vec<u32> {
+        let mut cols: Vec<u32> = self
+            .shared_counts(name)
+            .into_iter()
+            .filter(|&(_, count)| count >= self.cfg.min_shared_keys)
+            .map(|(j, _)| j)
+            .collect();
+        cols.sort_unstable();
+        cols
+    }
+
+    /// The candidate columns for one source name: targets sharing at least
+    /// `min_shared_keys` keys, ranked (most shared keys first, ties toward
+    /// the lower column), truncated to `k`, returned ascending.
+    ///
+    /// Deterministic for a given index regardless of thread count.
+    pub fn candidate_row(&self, source: &str, k: usize) -> Vec<u32> {
+        let mut ranked: Vec<(u32, usize)> = self
+            .shared_counts(source)
             .into_iter()
             .filter(|&(_, count)| count >= self.cfg.min_shared_keys)
             .collect();
@@ -236,8 +309,8 @@ pub fn build_candidates<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
 }
 
 /// The blocking keys of one name under `cfg`: lowercase tokens and/or
-/// character trigrams, sorted and deduplicated. Public so the incremental
-/// path can tell which source rows share a key with an edited target name.
+/// character trigrams, sorted and deduplicated. Deduplication makes the
+/// shared-key count of two names symmetric (see [`TargetIndex`]).
 pub fn keys_of(name: &str, cfg: &BlockingConfig) -> Vec<String> {
     let mut keys = Vec::new();
     for token in name.split(|c: char| !c.is_alphanumeric()) {
@@ -471,6 +544,54 @@ mod tests {
             let index = TargetIndex::build(&t, &cfg);
             let rows: Vec<Vec<u32>> = (0..s.len()).map(|i| index.candidate_row(s[i], k)).collect();
             assert_eq!(CandidateSet::from_rows(t.len(), rows), cands, "k={k}");
+        }
+    }
+
+    #[test]
+    fn patched_index_equals_a_rebuild() {
+        let cfg = BlockingConfig::default();
+        let before = ["New York", "Berlin (city)", "Kyoto", "York"];
+        // Drop "Berlin (city)", insert "Yorkshire" before "Kyoto" and
+        // append "Berlin".
+        let after = ["New York", "Yorkshire", "Kyoto", "York", "Berlin"];
+        let mut index = TargetIndex::build(&before, &cfg);
+        index.patch(
+            &[Some(0), None, Some(2), Some(3)],
+            &[(1, "Yorkshire"), (4, "Berlin")],
+            after.len(),
+        );
+        assert_eq!(index, TargetIndex::build(&after, &cfg));
+        // An append-only edit takes the identity path.
+        let mut grown = TargetIndex::build(&after[..4], &cfg);
+        grown.patch(&[Some(0), Some(1), Some(2), Some(3)], &[(4, "Berlin")], 5);
+        assert_eq!(grown, index);
+        // A reordering remap: postings are sorted again.
+        let swapped = ["York", "Yorkshire", "Kyoto", "New York", "Berlin"];
+        index.patch(
+            &[Some(3), Some(1), Some(2), Some(0), Some(4)],
+            &[] as &[(u32, &str)],
+            5,
+        );
+        assert_eq!(index, TargetIndex::build(&swapped, &cfg));
+    }
+
+    #[test]
+    fn qualifying_is_the_untruncated_symmetric_candidate_set() {
+        let cfg = BlockingConfig::default();
+        let s = ["New York City", "Berlin", "Tokyo Tower", "york minster"];
+        let t = ["New York", "Berlin (city)", "Kyoto", "York"];
+        let targets = TargetIndex::build(&t, &cfg);
+        let sources = TargetIndex::build(&s, &cfg);
+        for (i, name) in s.iter().enumerate() {
+            assert_eq!(
+                targets.qualifying(name),
+                targets.candidate_row(name, t.len())
+            );
+            // The reverse index finds row i for every target row i
+            // qualifies for.
+            for j in targets.qualifying(name) {
+                assert!(sources.qualifying(t[j as usize]).contains(&(i as u32)));
+            }
         }
     }
 

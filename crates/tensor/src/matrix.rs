@@ -611,6 +611,60 @@ impl Matrix {
         dot(&self.data, &self.data).sqrt()
     }
 
+    /// Renumber the rows in place for an edited row space: row `i` of the
+    /// result is old row `old_of_new[i]`, and `None` rows come out zeroed
+    /// for the caller to fill. Kept rows must keep their relative order
+    /// (`old_of_new` strictly increasing on its `Some` entries), as
+    /// inserting and removing rows does; that lets the move run without a
+    /// second buffer. Growth reserves a 1/16 slack, so a stream of appends
+    /// reallocates rarely.
+    ///
+    /// # Panics
+    /// Panics if an entry is out of range.
+    pub fn remap_rows(&mut self, old_of_new: &[Option<u32>]) {
+        let (old_rows, rows, cols) = (self.rows, old_of_new.len(), self.cols);
+        assert!(
+            old_of_new
+                .iter()
+                .flatten()
+                .all(|&o| (o as usize) < old_rows),
+            "remap index out of {old_rows} rows"
+        );
+        if rows > old_rows {
+            let need = (rows - old_rows) * cols;
+            if self.data.capacity() - self.data.len() < need {
+                self.data.reserve_exact(need.max(rows / 16 * cols));
+            }
+            self.data.resize(rows * cols, 0.0);
+        }
+        // Rows moving down (old index above the new one) go first, in
+        // ascending order; rows moving up go second, in descending order.
+        // Monotonicity guarantees neither pass reads a row either pass
+        // has already overwritten.
+        for (i, o) in old_of_new.iter().enumerate() {
+            if let Some(o) = o.map(|o| o as usize).filter(|&o| o > i) {
+                self.data.copy_within(o * cols..(o + 1) * cols, i * cols);
+            }
+        }
+        for (i, o) in old_of_new.iter().enumerate().rev() {
+            if let Some(o) = o.map(|o| o as usize).filter(|&o| o < i) {
+                self.data.copy_within(o * cols..(o + 1) * cols, i * cols);
+            }
+        }
+        self.data.truncate(rows * cols);
+        self.rows = rows;
+        for (i, o) in old_of_new.iter().enumerate() {
+            if o.is_none() {
+                self.row_mut(i).fill(0.0);
+            }
+        }
+        let bytes = self.data.len() * std::mem::size_of::<f32>();
+        if bytes != self.tracked {
+            budget::on_release(self.tracked);
+            self.tracked = budget::on_alloc(bytes);
+        }
+    }
+
     /// Gather `indices` rows into a new matrix (embedding lookup).
     ///
     /// # Panics
@@ -697,6 +751,39 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn remap_rows_equals_a_gathered_copy(
+            old_rows in 0usize..12,
+            keep in proptest::collection::vec(0u8..3, 12),
+            inserts in proptest::collection::vec(0usize..14, 0..5),
+        ) {
+            let m = Matrix::from_vec(
+                old_rows,
+                3,
+                (0..old_rows * 3).map(|v| v as f32 + 1.0).collect(),
+            );
+            // Drop the rows with `keep == 0`, then insert fresh rows.
+            let mut old_of_new: Vec<Option<u32>> = (0..old_rows as u32)
+                .filter(|&o| keep[o as usize] != 0)
+                .map(Some)
+                .collect();
+            for &at in &inserts {
+                old_of_new.insert(at.min(old_of_new.len()), None);
+            }
+            let mut remapped = m.clone();
+            remapped.remap_rows(&old_of_new);
+            prop_assert_eq!(remapped.shape(), (old_of_new.len(), 3));
+            for (i, o) in old_of_new.iter().enumerate() {
+                match o {
+                    Some(o) => prop_assert_eq!(remapped.row(i), m.row(*o as usize)),
+                    None => prop_assert_eq!(remapped.row(i), &[0.0f32; 3][..]),
+                }
+            }
+        }
+    }
 
     #[test]
     fn construction_and_indexing() {
