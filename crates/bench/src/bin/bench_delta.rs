@@ -153,7 +153,7 @@ fn bench_mode(
             "delta.semantic",
             "delta.structural",
         ]));
-        global_ms.push(span_ms(&["fusion", "matcher"]));
+        global_ms.push(span_ms(&["fusion", "matcher", "eval"]));
     }
 
     // From-scratch on the final KG: the honest baseline for "refresh the
@@ -317,7 +317,7 @@ fn main() {
         "notes": [
             "both paths use the same training-free propagation encoder (DeltaState rejects trained GCNs), so timings compare like for like",
             "from_scratch_ms is FeatureSet::compute + try_run_with_features on the final edited pair — the cost of refreshing after one edit without delta support",
-            "each apply re-runs the global stages (CSLS, normalisation, fusion, matching) in full: global_stages_mean_ms, from the fusion and matcher spans of each apply's trace",
+            "each apply re-runs the global stages (CSLS, normalisation, fusion, matching, accuracy and ranking metrics) in full: global_stages_mean_ms, from the fusion, matcher and eval spans of each apply's trace",
             "the rest of an apply is the dirty-row feature patches (feature_patch_mean_ms, the delta.string/semantic/structural spans) and bookkeeping (bookkeeping_mean_ms: the graph edit, which copies the KG pair, split maps, warm blocking indexes, the diff and the in-place commit)",
             "blocked dirty rows are exact: a kept row is rebuilt only when its candidate list changed",
             "parity_bitwise asserts the final warm output equals from-scratch bit-for-bit; the bench aborts on divergence",

@@ -1627,13 +1627,51 @@ mod tests {
             DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg(true)).expect("warm state");
         // Move the first test link to the end of the split: kept rows and
         // columns change order, so the warm indexes re-sort their postings
-        // and every row's candidate list is compared.
-        let (u, v) = ds.pair.test_pairs()[0];
+        // and every row's candidate list is compared. The last move takes a
+        // column that a stored row ties with a later column: renumbering it
+        // past that column flips the row's canonical tie order although the
+        // row's entries do not change.
+        let first = relink(&ds.pair, 0);
+        for step in 0..3 {
+            let delta = if step < 2 {
+                first.clone()
+            } else {
+                relink(state.pair(), tied_column(&state))
+            };
+            state.apply(&delta, &src, &tgt).expect("relink applies");
+            assert_state_is_fresh(&state, &src, &tgt);
+            let warm = state.blocking.as_ref().expect("warm indexes");
+            let CandidateStrategy::Blocked { blocking, .. } = &state.cfg.candidates else {
+                unreachable!("blocked config")
+            };
+            let rebuilt = WarmIndexes::build(&state.pair, blocking);
+            assert!(warm.targets == rebuilt.targets && warm.sources == rebuilt.sources);
+        }
+    }
+
+    /// The lower column of the first pair of adjacent stored cells with
+    /// equal scores in the blocked string store.
+    fn tied_column(state: &DeltaState) -> usize {
+        let string = state.features.string.as_ref().expect("string feature");
+        let store = string.test_store().as_sparse().expect("blocked store");
+        (0..store.sources())
+            .find_map(|i| {
+                let (cols, scores) = store.row_entries(i);
+                (1..cols.len()).find_map(|x| {
+                    (scores[x - 1].to_bits() == scores[x].to_bits()).then_some(cols[x - 1])
+                })
+            })
+            .expect("the string store has a tied pair of stored cells") as usize
+    }
+
+    /// A delta moving test link `p` to the end of the split.
+    fn relink(pair: &KgPair, p: usize) -> KgDelta {
+        let (u, v) = pair.test_pairs()[p];
         let (s, t) = (
-            entity_name(&ds.pair.source, u).to_owned(),
-            entity_name(&ds.pair.target, v).to_owned(),
+            entity_name(&pair.source, u).to_owned(),
+            entity_name(&pair.target, v).to_owned(),
         );
-        let relink = KgDelta::new(vec![
+        KgDelta::new(vec![
             DeltaOp::RemoveLink {
                 source: s.clone(),
                 target: t.clone(),
@@ -1645,17 +1683,7 @@ mod tests {
                 alignment_at: None,
                 split_at: None,
             },
-        ]);
-        for _ in 0..2 {
-            state.apply(&relink, &src, &tgt).expect("relink applies");
-            assert_state_is_fresh(&state, &src, &tgt);
-            let warm = state.blocking.as_ref().expect("warm indexes");
-            let CandidateStrategy::Blocked { blocking, .. } = &state.cfg.candidates else {
-                unreachable!("blocked config")
-            };
-            let rebuilt = WarmIndexes::build(&state.pair, blocking);
-            assert!(warm.targets == rebuilt.targets && warm.sources == rebuilt.sources);
-        }
+        ])
     }
 
     /// A matching as `source name → target name`.

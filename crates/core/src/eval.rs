@@ -75,6 +75,32 @@ pub struct RankingMetrics {
     pub mrr: f64,
 }
 
+/// The rank of each source row's ground-truth target (target `i`), in row
+/// order; `None` for a row without one (`i >= targets`), which counts as a
+/// miss. The one rank rule behind every ranking metric below.
+fn truth_ranks(s: &SimStore) -> impl Iterator<Item = Option<usize>> + '_ {
+    (0..s.sources()).map(|i| (i < s.targets()).then(|| s.rank_of(i, i)))
+}
+
+/// Whether a truth rank is within the top `k`.
+fn is_hit(rank: Option<usize>, k: usize) -> bool {
+    rank.is_some_and(|r| r <= k)
+}
+
+/// A truth rank's reciprocal (`0.0` for a row without a truth target).
+fn reciprocal(rank: Option<usize>) -> f64 {
+    rank.map_or(0.0, |r| 1.0 / r as f64)
+}
+
+/// `value` averaged over the store's source rows (`0.0` without rows).
+fn per_source(value: f64, s: &SimStore) -> f64 {
+    if s.sources() == 0 {
+        0.0
+    } else {
+        value / s.sources() as f64
+    }
+}
+
 /// Hits@k: the fraction of source rows whose ground-truth target ranks
 /// within the top `k`. The sparse backend ranks the ground-truth cell
 /// against stored entries plus the implicit zeros
@@ -83,39 +109,33 @@ pub struct RankingMetrics {
 /// candidate stage ranks behind every stored entry — blocking recall losses
 /// show up in the metric instead of being silently forgiven.
 pub fn hits_at_k_store(s: &SimStore, k: usize) -> f64 {
-    if s.sources() == 0 {
-        return 0.0;
-    }
-    let hits = (0..s.sources())
-        .filter(|&i| i < s.targets() && s.rank_of(i, i) <= k)
-        .count();
-    hits as f64 / s.sources() as f64
+    let hits = truth_ranks(s).filter(|&r| is_hit(r, k)).count();
+    per_source(hits as f64, s)
 }
 
 /// Mean reciprocal rank of the ground-truth target (see
 /// [`hits_at_k_store`] for the sparse ranking semantics).
 pub fn mrr_store(s: &SimStore) -> f64 {
-    if s.sources() == 0 {
-        return 0.0;
-    }
-    let total: f64 = (0..s.sources())
-        .map(|i| {
-            if i < s.targets() {
-                1.0 / s.rank_of(i, i) as f64
-            } else {
-                0.0
-            }
-        })
-        .sum();
-    total / s.sources() as f64
+    let total: f64 = truth_ranks(s).map(reciprocal).sum();
+    per_source(total, s)
 }
 
-/// Compute Hits@1/Hits@10/MRR in one call.
+/// Compute Hits@1/Hits@10/MRR in one call: one [`SimStore::rank_of`] per
+/// row, the reciprocal ranks summed in row order exactly as [`mrr_store`]
+/// sums them.
 pub fn ranking_metrics_store(s: &SimStore) -> RankingMetrics {
+    let (mut hits1, mut hits10) = (0usize, 0usize);
+    let total: f64 = truth_ranks(s)
+        .map(|r| {
+            hits1 += usize::from(is_hit(r, 1));
+            hits10 += usize::from(is_hit(r, 10));
+            reciprocal(r)
+        })
+        .sum();
     RankingMetrics {
-        hits1: hits_at_k_store(s, 1),
-        hits10: hits_at_k_store(s, 10),
-        mrr: mrr_store(s),
+        hits1: per_source(hits1 as f64, s),
+        hits10: per_source(hits10 as f64, s),
+        mrr: per_source(total, s),
     }
 }
 
@@ -209,6 +229,60 @@ mod tests {
             ranking_metrics_store(&SimStore::Sparse(complete)),
             ranking_metrics_store(&m)
         );
+    }
+
+    /// The one-pass metrics equal the three separate passes bit for bit,
+    /// on dense and sparse stores, square and not.
+    #[test]
+    fn one_rank_pass_matches_the_separate_metrics() {
+        use ceaff_sim::SparseTopK;
+        let wide = SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(&[
+            &[0.2, 0.9, -0.0, 0.4],
+            &[0.5, 0.5, 0.5, 0.0],
+            &[0.1, -0.3, 0.0, 0.7],
+        ])));
+        let tall = SimStore::Dense(SimilarityMatrix::new(Matrix::from_rows(&[
+            &[0.3, 0.9],
+            &[0.6, 0.6],
+            &[0.2, 0.1],
+        ])));
+        // Twelve targets: row 0's truth ranks 10th, row 1's 11th, so the
+        // Hits@10 cut-off is exercised on both sides.
+        let rank_of_truth = |truth: usize, rank: usize| -> Vec<f32> {
+            (0..12)
+                .map(|j| {
+                    if j == truth {
+                        0.5
+                    } else if j < rank {
+                        0.9
+                    } else {
+                        0.1
+                    }
+                })
+                .collect()
+        };
+        let mut cells = rank_of_truth(0, 10);
+        cells.extend(rank_of_truth(1, 11));
+        cells.extend(rank_of_truth(2, 3));
+        let long = SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(3, 12, cells)));
+        let dense = [toy_matrix(), wide, tall, long];
+        let mut stores: Vec<SimStore> = dense.to_vec();
+        for k in [1, 2, 4, 12] {
+            stores.extend(dense.iter().map(|s| {
+                SimStore::Sparse(SparseTopK::from_dense(s.as_dense().expect("dense"), k))
+            }));
+        }
+        stores.push(SimStore::Sparse(SparseTopK::from_rows(
+            3,
+            2,
+            vec![vec![(1, -0.5)], vec![], vec![(2, 0.0), (0, -0.0)]],
+        )));
+        for s in &stores {
+            let r = ranking_metrics_store(s);
+            assert_eq!(r.hits1.to_bits(), hits_at_k_store(s, 1).to_bits());
+            assert_eq!(r.hits10.to_bits(), hits_at_k_store(s, 10).to_bits());
+            assert_eq!(r.mrr.to_bits(), mrr_store(s).to_bits());
+        }
     }
 
     #[test]

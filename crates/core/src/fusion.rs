@@ -23,9 +23,9 @@
 //! string matrices fuse into a textual matrix first, which then fuses with
 //! the structural matrix (§V, "Feature Fusion with Adaptive Weight").
 
-use ceaff_sim::{SimStore, SimilarityMatrix};
+use ceaff_sim::{SimScores, SimStore, SimilarityMatrix, SparseTopKBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Thresholds of the adaptive strategy. Paper defaults: `θ1 = 0.98`,
 /// `θ2 = 0.1`, tuned on a validation set (§VII-A).
@@ -120,9 +120,18 @@ pub fn confident_correspondences_store(s: &SimStore) -> Vec<Candidate> {
     }
 }
 
-/// Stages 2–4: filter the per-feature candidate sets and turn the
-/// retained occurrences into normalised feature weights.
-fn weights_from_candidates(per_feature: &[Vec<Candidate>], cfg: &FusionConfig) -> FusionReport {
+/// Stages 2–4: filter the per-feature candidate sets over `sources` rows
+/// and turn the retained occurrences into normalised feature weights.
+///
+/// Stage 1 keeps at most one candidate per source and feature (the row's
+/// argmax), so for a source the features agree on, a pair's appearance
+/// count is simply the number of features proposing that source: both
+/// filters are per-source vectors, one pass over the candidates.
+fn weights_from_candidates(
+    per_feature: &[Vec<Candidate>],
+    sources: usize,
+    cfg: &FusionConfig,
+) -> FusionReport {
     let k = per_feature.len();
     let candidates_per_feature: Vec<usize> = per_feature.iter().map(Vec::len).collect();
     if k == 1 {
@@ -134,29 +143,20 @@ fn weights_from_candidates(per_feature: &[Vec<Candidate>], cfg: &FusionConfig) -
         };
     }
 
-    // Stage 2a: drop every candidate of a source entity on which features
-    // conflict (propose different targets).
-    let mut target_of: HashMap<usize, usize> = HashMap::new();
-    let mut conflicted: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    for cands in per_feature {
-        for c in cands {
-            match target_of.get(&c.source) {
-                Some(&t) if t != c.target => {
-                    conflicted.insert(c.source);
-                }
-                _ => {
-                    target_of.insert(c.source, c.target);
-                }
-            }
+    // Stage 2a: a source entity on which features conflict (propose
+    // different targets) loses all its candidates. Stage 2b: count the
+    // features proposing each source.
+    let mut target_of = vec![usize::MAX; sources];
+    let mut conflicted = vec![false; sources];
+    let mut proposals = vec![0usize; sources];
+    for c in per_feature.iter().flatten() {
+        let target = &mut target_of[c.source];
+        if *target == usize::MAX {
+            *target = c.target;
+        } else if *target != c.target {
+            conflicted[c.source] = true;
         }
-    }
-    // Stage 2b: count how many features produced each (source, target) pair;
-    // pairs produced by all k features are dropped.
-    let mut appearances: HashMap<(usize, usize), usize> = HashMap::new();
-    for cands in per_feature {
-        for c in cands {
-            *appearances.entry((c.source, c.target)).or_insert(0) += 1;
-        }
+        proposals[c.source] += 1;
     }
 
     // Stages 3–4.
@@ -164,10 +164,10 @@ fn weights_from_candidates(per_feature: &[Vec<Candidate>], cfg: &FusionConfig) -
     let mut retained_per_feature = vec![0usize; k];
     for (f, cands) in per_feature.iter().enumerate() {
         for c in cands {
-            if conflicted.contains(&c.source) {
+            if conflicted[c.source] {
                 continue;
             }
-            let n = appearances[&(c.source, c.target)];
+            let n = proposals[c.source];
             if n == k {
                 continue; // shared by every feature: characterises none
             }
@@ -212,21 +212,25 @@ pub fn adaptive_weights_store(stores: &[&SimStore], cfg: &FusionConfig) -> Fusio
         .iter()
         .map(|s| confident_correspondences_store(s))
         .collect();
-    weights_from_candidates(&per_feature, cfg)
+    weights_from_candidates(&per_feature, shape.0, cfg)
 }
+
+/// Rows per task of the sparse weighted sum.
+const FUSE_GRAIN: usize = 512;
 
 /// Stage 5: the weighted sum of the stores. All-dense inputs sum densely
 /// (the golden path). Otherwise the result is sparse: each row is the
-/// union of the inputs' stored candidates, every cell accumulated in
-/// feature order — the same per-cell f32 addition sequence the dense sweep
-/// performs — so complete stores fuse bitwise-identically to dense. Rows
-/// fan out across the pool; per-row work is sequential, keeping the result
-/// independent of thread count.
+/// union of the inputs' stored candidates, every cell starting at `0.0`
+/// and accumulating `w * v` in feature order — the same per-cell f32
+/// addition sequence the dense sweep performs — so complete stores fuse
+/// bitwise-identically to dense. Rows are accumulated in a per-task
+/// column scratch and appended in canonical order straight into the CSR
+/// buffers; tasks cover fixed row ranges and per-row work is sequential,
+/// keeping the result independent of thread count.
 ///
 /// # Panics
 /// Panics if lengths or shapes disagree.
 pub fn fuse_store(stores: &[&SimStore], weights: &[f32]) -> SimStore {
-    use ceaff_sim::{SimScores, SparseTopK};
     assert_eq!(stores.len(), weights.len(), "one weight per store");
     assert!(!stores.is_empty(), "need at least one store");
     let (n, t) = (stores[0].sources(), stores[0].targets());
@@ -241,24 +245,55 @@ pub fn fuse_store(stores: &[&SimStore], weights: &[f32]) -> SimStore {
         }
         return SimStore::Dense(out);
     }
-    let build = |i: usize| -> Vec<(u32, f32)> {
-        // BTreeMap keys the union of this row's candidate columns; values
-        // accumulate contributions strictly in feature order.
-        let mut acc: BTreeMap<u32, f32> = BTreeMap::new();
+    let fused = if ceaff_parallel::would_parallelize(n, FUSE_GRAIN) {
+        // The sum is not degradable: every task runs even if the caller's
+        // cancel probe has fired, so no row range is skipped.
+        let _probe_off = crate::budget::uninterruptible_scope();
+        ceaff_parallel::par_map(n.div_ceil(FUSE_GRAIN), 1, |c| {
+            Some(fuse_rows(
+                stores,
+                weights,
+                c * FUSE_GRAIN..n.min((c + 1) * FUSE_GRAIN),
+            ))
+        })
+        .into_iter()
+        .map(|part| part.expect("fusion tasks run under an uninterruptible scope"))
+        .reduce(|mut head, part| {
+            head.append(part);
+            head
+        })
+        .unwrap_or_else(|| SparseTopKBuilder::with_capacity(t, 0, 0))
+    } else {
+        fuse_rows(stores, weights, 0..n)
+    };
+    let k = fused.max_row_len().max(1);
+    SimStore::Sparse(fused.finish(k))
+}
+
+/// The sparse weighted sum of `rows`, appended in row order.
+fn fuse_rows(stores: &[&SimStore], weights: &[f32], rows: Range<usize>) -> SparseTopKBuilder {
+    let t = stores[0].targets();
+    let mut out = SparseTopKBuilder::with_capacity(t, rows.len(), 0);
+    // Column -> its position in `row`, `u32::MAX` when untouched.
+    let mut slot = vec![u32::MAX; t];
+    let mut row: Vec<(u32, f32)> = Vec::new();
+    for i in rows {
         for (s, &w) in stores.iter().zip(weights) {
             s.for_each_row_entry(i, &mut |c, v| {
-                *acc.entry(c as u32).or_insert(0.0) += w * v;
+                if slot[c] == u32::MAX {
+                    slot[c] = row.len() as u32;
+                    row.push((c as u32, 0.0));
+                }
+                row[slot[c] as usize].1 += w * v;
             });
         }
-        acc.into_iter().collect()
-    };
-    let rows: Vec<Vec<(u32, f32)>> = if n < 64 {
-        (0..n).map(build).collect()
-    } else {
-        ceaff_parallel::par_map(n, 16, build)
-    };
-    let k = rows.iter().map(Vec::len).max().unwrap_or(0).max(1);
-    SimStore::Sparse(SparseTopK::from_rows(t, k, rows))
+        for &(c, _) in &row {
+            slot[c as usize] = u32::MAX;
+        }
+        out.push_canonical(&mut row, usize::MAX);
+        row.clear();
+    }
+    out
 }
 
 /// Adaptive fusion in one call: weights from [`adaptive_weights_store`],
@@ -529,6 +564,176 @@ mod tests {
         assert_eq!(fused.get(0, 1), 0.0, "never a candidate anywhere");
     }
 
+    /// The pre-CSR sparse arm of [`fuse_store`], kept as the bitwise
+    /// reference: a `BTreeMap` per row, rows collected and re-sorted
+    /// through `from_rows`.
+    fn fuse_store_reference(stores: &[&SimStore], weights: &[f32]) -> SimStore {
+        use std::collections::BTreeMap;
+        let (n, t) = (stores[0].sources(), stores[0].targets());
+        let rows: Vec<Vec<(u32, f32)>> = (0..n)
+            .map(|i| {
+                let mut acc: BTreeMap<u32, f32> = BTreeMap::new();
+                for (s, &w) in stores.iter().zip(weights) {
+                    s.for_each_row_entry(i, &mut |c, v| {
+                        *acc.entry(c as u32).or_insert(0.0) += w * v;
+                    });
+                }
+                acc.into_iter().collect()
+            })
+            .collect();
+        let k = rows.iter().map(Vec::len).max().unwrap_or(0).max(1);
+        SimStore::Sparse(ceaff_sim::SparseTopK::from_rows(t, k, rows))
+    }
+
+    /// The pre-vector stages 2–4, kept as the bitwise reference: hash maps
+    /// keyed by source and by (source, target) pair.
+    fn weights_from_candidates_reference(
+        per_feature: &[Vec<Candidate>],
+        cfg: &FusionConfig,
+    ) -> FusionReport {
+        use std::collections::{HashMap, HashSet};
+        let k = per_feature.len();
+        let candidates_per_feature: Vec<usize> = per_feature.iter().map(Vec::len).collect();
+        if k == 1 {
+            return FusionReport {
+                weights: vec![1.0],
+                candidates_per_feature,
+                retained_per_feature: vec![0],
+                fallback_equal: false,
+            };
+        }
+        let mut target_of: HashMap<usize, usize> = HashMap::new();
+        let mut conflicted: HashSet<usize> = HashSet::new();
+        for c in per_feature.iter().flatten() {
+            match target_of.get(&c.source) {
+                Some(&t) if t != c.target => {
+                    conflicted.insert(c.source);
+                }
+                _ => {
+                    target_of.insert(c.source, c.target);
+                }
+            }
+        }
+        let mut appearances: HashMap<(usize, usize), usize> = HashMap::new();
+        for c in per_feature.iter().flatten() {
+            *appearances.entry((c.source, c.target)).or_insert(0) += 1;
+        }
+        let mut scores = vec![0.0f64; k];
+        let mut retained_per_feature = vec![0usize; k];
+        for (f, cands) in per_feature.iter().enumerate() {
+            for c in cands {
+                if conflicted.contains(&c.source) {
+                    continue;
+                }
+                let n = appearances[&(c.source, c.target)];
+                if n == k {
+                    continue;
+                }
+                let w = if cfg.cap_enabled && c.score > cfg.theta1 {
+                    cfg.theta2
+                } else {
+                    1.0 / n as f32
+                };
+                scores[f] += w as f64;
+                retained_per_feature[f] += 1;
+            }
+        }
+        let total: f64 = scores.iter().sum();
+        let (weights, fallback_equal) = if total > 0.0 {
+            (scores.iter().map(|&s| (s / total) as f32).collect(), false)
+        } else {
+            (vec![1.0 / k as f32; k], true)
+        };
+        FusionReport {
+            weights,
+            candidates_per_feature,
+            retained_per_feature,
+            fallback_equal,
+        }
+    }
+
+    /// Scores drawn from a small palette so rows carry ties, negative
+    /// scores, both signed zeros and values above θ1.
+    const PALETTE: [f32; 8] = [0.0, -0.0, 0.5, 0.5, -0.25, 1.0, 0.99, -1.0];
+
+    /// A dense (`sparse == false`) or sparse store over an `n × t` grid of
+    /// `(present, palette index)` cells; a sparse store keeps only present
+    /// cells (rows may be empty), capped at `k`.
+    fn palette_store(
+        sparse: bool,
+        n: usize,
+        t: usize,
+        k: usize,
+        cells: &[(u8, usize)],
+    ) -> SimStore {
+        let cell = |i: usize, j: usize| cells[(i * t + j) % cells.len()];
+        if sparse {
+            let rows = (0..n)
+                .map(|i| {
+                    (0..t)
+                        .filter(|&j| cell(i, j).0 > 0)
+                        .map(|j| (j as u32, PALETTE[cell(i, j).1]))
+                        .collect()
+                })
+                .collect();
+            SimStore::Sparse(ceaff_sim::SparseTopK::from_rows(t, k, rows))
+        } else {
+            let vals = (0..n * t).map(|c| PALETTE[cell(c / t, c % t).1]).collect();
+            SimStore::Dense(SimilarityMatrix::new(Matrix::from_vec(n, t, vals)))
+        }
+    }
+
+    fn assert_fused_bits(got: &SimStore, want: &SimStore) {
+        let (got, want) = (
+            got.as_sparse().expect("sparse"),
+            want.as_sparse().expect("sparse"),
+        );
+        assert_eq!(
+            (got.targets(), got.k(), got.sources()),
+            (want.targets(), want.k(), want.sources())
+        );
+        for i in 0..got.sources() {
+            let ((gc, gv), (wc, wv)) = (got.row_entries(i), want.row_entries(i));
+            assert_eq!(gc, wc, "row {i} columns");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(gv), bits(wv), "row {i} scores");
+        }
+    }
+
+    fn assert_reports_bitwise(got: &FusionReport, want: &FusionReport) {
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.weights), bits(&want.weights));
+        assert_eq!(got.candidates_per_feature, want.candidates_per_feature);
+        assert_eq!(got.retained_per_feature, want.retained_per_feature);
+        assert_eq!(got.fallback_equal, want.fallback_equal);
+    }
+
+    #[test]
+    fn multi_task_sparse_fusion_matches_the_reference_at_any_width() {
+        // Enough rows for several fusion tasks, so a width above one
+        // really splits the rows.
+        let (n, t) = (3 * FUSE_GRAIN + 7, 40);
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut cells = || -> Vec<(u8, usize)> {
+            (0..n * t)
+                .map(|_| (rng.gen_range(0..4u8) / 3, rng.gen_range(0..8)))
+                .collect()
+        };
+        let a = palette_store(true, n, t, 6, &cells());
+        let b = palette_store(true, n, t, 9, &cells());
+        let weights = [0.625, -0.375];
+        let want = fuse_store_reference(&[&a, &b], &weights);
+        for threads in [1, 3, ceaff_parallel::current_threads()] {
+            let got = ceaff_parallel::with_threads(threads, || fuse_store(&[&a, &b], &weights));
+            assert_fused_bits(&got, &want);
+        }
+        // A caller's fired cancel probe skips no row range.
+        let _fired = ceaff_parallel::install_cancel_probe(std::sync::Arc::new(|| true));
+        let got = ceaff_parallel::with_threads(3, || fuse_store(&[&a, &b], &weights));
+        assert_fused_bits(&got, &want);
+    }
+
     proptest! {
         /// Adaptive weights always lie on the probability simplex.
         #[test]
@@ -544,6 +749,80 @@ mod tests {
             let sum: f32 = report.weights.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "weights {:?}", report.weights);
             prop_assert!(report.weights.iter().all(|&w| (0.0..=1.0 + 1e-6).contains(&w)));
+        }
+
+        /// The flat-accumulation sparse sum equals the `BTreeMap`
+        /// reference bit for bit over mixed dense and sparse inputs with
+        /// ties, negative scores, signed zeros, empty rows and any weights.
+        #[test]
+        fn sparse_fusion_matches_the_btreemap_reference(
+            cells in proptest::collection::vec((0u8..3, 0usize..8), 48),
+            kinds in proptest::collection::vec((0u8..3, 1usize..5, 0usize..8), 3),
+            shape in (0usize..6, 1usize..6, 1usize..4),
+        ) {
+            let (n, t, count) = shape;
+            let stores: Vec<SimStore> = kinds[..count]
+                .iter()
+                .enumerate()
+                .map(|(f, &(kind, k, _))| {
+                    // Feature 0 is always sparse, so the sparse arm runs.
+                    let sparse = f == 0 || kind > 0;
+                    palette_store(sparse, n, t, k, &cells[f * 16..])
+                })
+                .collect();
+            let refs: Vec<&SimStore> = stores.iter().collect();
+            let weights: Vec<f32> = kinds[..count].iter().map(|&(_, _, w)| PALETTE[w]).collect();
+            assert_fused_bits(&fuse_store(&refs, &weights), &fuse_store_reference(&refs, &weights));
+        }
+
+        /// Per-source vectors reproduce the hash-map filters bit for bit:
+        /// candidate lists with conflicts, pairs shared by some or all
+        /// features, scores above θ1, with the cap on and off.
+        #[test]
+        fn weights_match_the_hashmap_reference(
+            proposals in proptest::collection::vec((0u8..3, 0usize..3, 0usize..8), 24),
+            features in 1usize..5,
+            cap in 0u8..2,
+        ) {
+            let sources = 6;
+            let per_feature: Vec<Vec<Candidate>> = (0..features)
+                .map(|f| {
+                    (0..sources)
+                        .filter_map(|i| {
+                            let (present, target, score) = proposals[(f * sources + i) % proposals.len()];
+                            (present > 0).then(|| Candidate { source: i, target, score: PALETTE[score] })
+                        })
+                        .collect()
+                })
+                .collect();
+            let cfg = FusionConfig { cap_enabled: cap > 0, ..FusionConfig::default() };
+            assert_reports_bitwise(
+                &weights_from_candidates(&per_feature, sources, &cfg),
+                &weights_from_candidates_reference(&per_feature, &cfg),
+            );
+        }
+
+        /// The same holds for candidates stage 1 draws from palette stores.
+        #[test]
+        fn store_weights_match_the_hashmap_reference(
+            cells in proptest::collection::vec((0u8..3, 0usize..8), 48),
+            kinds in proptest::collection::vec((0u8..2, 1usize..5), 3),
+            shape in (1usize..6, 1usize..6),
+        ) {
+            let (n, t) = shape;
+            let stores: Vec<SimStore> = kinds
+                .iter()
+                .enumerate()
+                .map(|(f, &(kind, k))| palette_store(kind > 0, n, t, k, &cells[f * 16..]))
+                .collect();
+            let refs: Vec<&SimStore> = stores.iter().collect();
+            let cfg = FusionConfig::default();
+            let per_feature: Vec<Vec<Candidate>> =
+                refs.iter().map(|s| confident_correspondences_store(s)).collect();
+            assert_reports_bitwise(
+                &adaptive_weights_store(&refs, &cfg),
+                &weights_from_candidates_reference(&per_feature, &cfg),
+            );
         }
 
         /// Fusing a matrix with itself under any simplex weights returns it.

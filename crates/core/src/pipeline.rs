@@ -1224,8 +1224,10 @@ pub(crate) fn fuse_and_match_active(
         .matching_store_budgeted(&fused, budget, telemetry);
     budget.check_mem("matcher")?;
     let matching = outcome.matching;
+    let eval_span = telemetry.span("eval");
     let acc = accuracy(&matching, fused.sources());
     let ranking = ranking_metrics_store(&fused);
+    eval_span.finish();
     telemetry.gauge("pipeline", "accuracy", None, acc);
     telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
     budget.emit_counters(telemetry);
@@ -1317,14 +1319,11 @@ pub fn run_decision_budgeted(
 /// ([`ceaff_sim::csls_adjusted`]); sparse stores through their sparse
 /// counterparts, which agree on the stored entries.
 fn preprocess_store(s: &SimStore, cfg: &CeaffConfig) -> SimStore {
-    let s = match cfg.csls {
-        Some(k) => ceaff_sim::csls_adjusted_store(s, k),
-        None => s.clone(),
-    };
-    if cfg.normalize_features {
-        s.min_max_normalized()
-    } else {
-        s
+    match (cfg.csls, cfg.normalize_features) {
+        (Some(k), true) => ceaff_sim::csls_adjusted_store(s, k).min_max_normalized(),
+        (Some(k), false) => ceaff_sim::csls_adjusted_store(s, k),
+        (None, true) => s.min_max_normalized(),
+        (None, false) => s.clone(),
     }
 }
 

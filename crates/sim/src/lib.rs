@@ -25,4 +25,4 @@ pub use cosine::{cosine, cosine_similarity_matrix};
 pub use csls::{csls_adjusted, csls_adjusted_sparse, csls_adjusted_store};
 pub use levenshtein::{levenshtein, levenshtein_ratio, levenshtein_sub2, string_similarity_matrix};
 pub use matrix::SimilarityMatrix;
-pub use store::{SimScores, SimStore, SparseTopK};
+pub use store::{SimScores, SimStore, SparseTopK, SparseTopKBuilder};

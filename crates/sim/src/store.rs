@@ -126,13 +126,137 @@ impl Drop for SparseTopK {
     }
 }
 
+/// The canonical row order: score descending, then column ascending.
+fn canonical_cmp(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("similarity scores must not be NaN")
+        .then(a.0.cmp(&b.0))
+}
+
 /// Sort one row's entries into the canonical (score desc, col asc) order.
 fn sort_row_canonical(row: &mut [(u32, f32)]) {
-    row.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("similarity scores must not be NaN")
-            .then(a.0.cmp(&b.0))
-    });
+    row.sort_unstable_by(canonical_cmp);
+}
+
+/// Append-only CSR buffers for a [`SparseTopK`]: the one place store rows
+/// are laid down. Every constructor — [`SparseTopK::from_rows`],
+/// [`SparseTopK::patched`], the dense and candidate builders, and callers
+/// outside this crate such as the fused sum — appends rows in order and
+/// calls [`SparseTopKBuilder::finish`], so no caller touches the CSR
+/// fields and every store's buffers are sized exactly.
+///
+/// Row-parallel callers build one builder per fixed row range and join
+/// them in range order with [`SparseTopKBuilder::append`]; the result is
+/// independent of how the rows were split.
+#[derive(Debug)]
+pub struct SparseTopKBuilder {
+    targets: usize,
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    scores: Vec<f32>,
+    max_row_len: usize,
+}
+
+impl SparseTopKBuilder {
+    /// An empty builder over `targets` columns, reserving `rows` rows and
+    /// `nnz` entries (exact reservations make [`Self::finish`] free).
+    pub fn with_capacity(targets: usize, rows: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            targets,
+            row_ptr,
+            cols: Vec::with_capacity(nnz),
+            scores: Vec::with_capacity(nnz),
+            max_row_len: 0,
+        }
+    }
+
+    /// Append a row whose entries are already in canonical (score desc,
+    /// col asc) order and within the store's `k` cap.
+    ///
+    /// # Panics
+    /// Panics when a column index is out of range.
+    pub fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, f32)>) {
+        let start = self.cols.len();
+        for (c, v) in entries {
+            assert!((c as usize) < self.targets, "column index out of range");
+            self.cols.push(c);
+            self.scores.push(v);
+        }
+        debug_assert!(
+            (start + 1..self.cols.len()).all(|p| canonical_cmp(
+                &(self.cols[p - 1], self.scores[p - 1]),
+                &(self.cols[p], self.scores[p])
+            )
+            .is_lt()),
+            "push_row needs a canonical row"
+        );
+        self.end_row(start);
+    }
+
+    /// Sort `row` into canonical order and append its `k` best entries.
+    ///
+    /// # Panics
+    /// Panics when a column index is out of range or a score is NaN.
+    pub fn push_canonical(&mut self, row: &mut [(u32, f32)], k: usize) {
+        assert!(
+            row.iter().all(|&(c, _)| (c as usize) < self.targets),
+            "column index out of range"
+        );
+        sort_row_canonical(row);
+        let start = self.cols.len();
+        for &(c, v) in &row[..row.len().min(k)] {
+            self.cols.push(c);
+            self.scores.push(v);
+        }
+        self.end_row(start);
+    }
+
+    fn end_row(&mut self, start: usize) {
+        self.max_row_len = self.max_row_len.max(self.cols.len() - start);
+        self.row_ptr.push(self.cols.len());
+    }
+
+    /// Append every row of `other` (built over the same targets) after
+    /// this builder's rows.
+    pub fn append(&mut self, other: Self) {
+        assert_eq!(self.targets, other.targets, "builders disagree on targets");
+        let base = self.cols.len();
+        self.row_ptr
+            .extend(other.row_ptr[1..].iter().map(|&p| base + p));
+        self.cols.extend_from_slice(&other.cols);
+        self.scores.extend_from_slice(&other.scores);
+        self.max_row_len = self.max_row_len.max(other.max_row_len);
+    }
+
+    /// The longest row appended so far.
+    pub fn max_row_len(&self) -> usize {
+        self.max_row_len
+    }
+
+    /// The finished store with per-row cap `k`, its buffers shrunk to
+    /// their exact length and registered with the byte ledger.
+    ///
+    /// # Panics
+    /// Panics when `k == 0` or a row is longer than `k`.
+    pub fn finish(mut self, k: usize) -> SparseTopK {
+        assert!(k > 0, "SparseTopK needs k >= 1");
+        assert!(self.max_row_len <= k, "a row exceeds the k cap");
+        self.row_ptr.shrink_to_fit();
+        self.cols.shrink_to_fit();
+        self.scores.shrink_to_fit();
+        let mut out = SparseTopK {
+            targets: self.targets,
+            k,
+            row_ptr: self.row_ptr,
+            cols: self.cols,
+            scores: self.scores,
+            tracked_bytes: 0,
+        };
+        out.register();
+        out
+    }
 }
 
 impl SparseTopK {
@@ -143,42 +267,23 @@ impl SparseTopK {
     /// Panics when a column index is out of range or `k == 0`.
     pub fn from_rows(targets: usize, k: usize, mut rows: Vec<Vec<(u32, f32)>>) -> Self {
         assert!(k > 0, "SparseTopK needs k >= 1");
+        let nnz = rows.iter().map(|r| r.len().min(k)).sum();
+        let mut out = SparseTopKBuilder::with_capacity(targets, rows.len(), nnz);
         for row in &mut rows {
-            assert!(
-                row.iter().all(|&(c, _)| (c as usize) < targets),
-                "column index out of range"
-            );
-            sort_row_canonical(row);
-            row.truncate(k);
+            out.push_canonical(row, k);
         }
-        Self::from_sorted_rows(targets, k, rows)
+        out.finish(k)
     }
 
     /// Build from rows already in canonical order and within the `k` cap
-    /// (the constructors' shared tail).
+    /// (the row-parallel constructors' shared tail).
     fn from_sorted_rows(targets: usize, k: usize, rows: Vec<Vec<(u32, f32)>>) -> Self {
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut cols = Vec::with_capacity(nnz);
-        let mut scores = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for row in &rows {
-            for &(c, v) in row {
-                cols.push(c);
-                scores.push(v);
-            }
-            row_ptr.push(cols.len());
+        let nnz = rows.iter().map(Vec::len).sum();
+        let mut out = SparseTopKBuilder::with_capacity(targets, rows.len(), nnz);
+        for row in rows {
+            out.push_row(row);
         }
-        let mut out = SparseTopK {
-            targets,
-            k,
-            row_ptr,
-            cols,
-            scores,
-            tracked_bytes: 0,
-        };
-        out.register();
-        out
+        out.finish(k)
     }
 
     /// Keep the `k` best entries of every row of a dense matrix. With
@@ -235,25 +340,19 @@ impl SparseTopK {
         Self::from_sorted_rows(candidates.targets(), k, rows)
     }
 
-    /// Row `i`'s stored entries as an owned vector, in canonical order —
-    /// the starting point for row patching.
-    pub fn row_vec(&self, i: usize) -> Vec<(u32, f32)> {
-        let (cols, scores) = self.row_entries(i);
-        cols.iter().copied().zip(scores.iter().copied()).collect()
-    }
-
     /// Rebuild the store for an edited task: rows are permuted / added /
     /// dropped through `row_map`, surviving columns renumbered through
     /// `col_map`, and dirty rows replaced wholesale.
     ///
     /// * `row_map[old_row] = Some(new_row)` keeps a row (at its new
     ///   index), `None` drops it.
-    /// * `col_map[old_col] = Some(new_col)` renumbers a column. It must be
-    ///   strictly monotone over its `Some` entries — then both the
-    ///   ascending candidate order and the canonical (score desc, col asc)
-    ///   tie order survive the remap, so clean rows keep their exact
-    ///   layout. A clean row referencing a dropped column panics: the
-    ///   caller's dirty-row set was an under-approximation.
+    /// * `col_map[old_col] = Some(new_col)` renumbers a column. When it is
+    ///   monotone over its `Some` entries the canonical (score desc, col
+    ///   asc) tie order survives the remap, so a clean row's CSR slice is
+    ///   copied with its columns renumbered and never re-sorted; otherwise
+    ///   (a column moved past others) every clean row is re-sorted too. A
+    ///   clean row referencing a dropped column panics: the caller's
+    ///   dirty-row set was an under-approximation.
     /// * `dirty[new_row] = Some(entries)` replaces that row with freshly
     ///   scored entries (any order; they are canonicalised and truncated
     ///   to `k` exactly like [`SparseTopK::from_rows`] would).
@@ -270,29 +369,50 @@ impl SparseTopK {
     ) -> Self {
         assert_eq!(row_map.len(), self.sources(), "row_map length mismatch");
         assert_eq!(col_map.len(), self.targets, "col_map length mismatch");
-        let mut rows: Vec<Option<Vec<(u32, f32)>>> = dirty.to_vec();
+        // The kept old row each clean new row copies; a dirty row wins.
+        let mut kept_from = vec![usize::MAX; dirty.len()];
         for (old, new) in row_map.iter().enumerate() {
-            let Some(new) = *new else { continue };
-            if rows[new].is_some() {
-                continue; // dirty replacement wins
+            if let Some(new) = *new {
+                if dirty[new].is_none() && kept_from[new] == usize::MAX {
+                    kept_from[new] = old;
+                }
             }
-            let remapped = self
-                .row_vec(old)
-                .into_iter()
-                .map(|(c, v)| {
-                    let c = col_map[c as usize]
-                        .unwrap_or_else(|| panic!("clean row {old} references dropped column {c}"));
-                    (c, v)
-                })
-                .collect();
-            rows[new] = Some(remapped);
         }
-        let rows: Vec<Vec<(u32, f32)>> = rows
-            .into_iter()
+        let nnz: usize = dirty
+            .iter()
+            .zip(&kept_from)
             .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("new row {i} neither kept nor dirty")))
-            .collect();
-        Self::from_rows(new_targets, self.k, rows)
+            .map(|(i, (d, &old))| match d {
+                Some(row) => row.len().min(self.k),
+                None if old != usize::MAX => self.row_entries(old).0.len(),
+                None => panic!("new row {i} neither kept nor dirty"),
+            })
+            .sum();
+        let monotone = col_map.iter().flatten().is_sorted();
+        let mut out = SparseTopKBuilder::with_capacity(new_targets, dirty.len(), nnz);
+        let mut scratch: Vec<(u32, f32)> = Vec::new();
+        for (d, &old) in dirty.iter().zip(&kept_from) {
+            if let Some(row) = d {
+                scratch.clear();
+                scratch.extend_from_slice(row);
+                out.push_canonical(&mut scratch, self.k);
+                continue;
+            }
+            let (cols, scores) = self.row_entries(old);
+            let remapped = cols.iter().zip(scores).map(|(&c, &v)| {
+                let c = col_map[c as usize]
+                    .unwrap_or_else(|| panic!("clean row {old} references dropped column {c}"));
+                (c, v)
+            });
+            if monotone {
+                out.push_row(remapped);
+            } else {
+                scratch.clear();
+                scratch.extend(remapped);
+                out.push_canonical(&mut scratch, self.k);
+            }
+        }
+        out.finish(self.k)
     }
 
     /// Register the CSR buffers with the tensor byte ledger.
@@ -674,6 +794,7 @@ impl SimScores for SimStore {
 mod tests {
     use super::*;
     use ceaff_tensor::Matrix;
+    use proptest::prelude::*;
 
     fn example() -> SimilarityMatrix {
         SimilarityMatrix::new(Matrix::from_rows(&[
@@ -806,6 +927,164 @@ mod tests {
         let base = SparseTopK::from_rows(2, 2, vec![vec![(0, 0.5), (1, 0.4)]]);
         // Column 1 is dropped but row 0 (which stores it) is kept clean.
         let _ = base.patched(1, &[Some(0)], &[Some(0), None], &[None]);
+    }
+
+    /// The pre-CSR `patched` body, kept as the bitwise reference: every
+    /// clean row copied into an owned vector, remapped, and the whole
+    /// store re-sorted through `from_rows`.
+    fn patched_reference(
+        s: &SparseTopK,
+        new_targets: usize,
+        row_map: &[Option<usize>],
+        col_map: &[Option<u32>],
+        dirty: &[Option<Vec<(u32, f32)>>],
+    ) -> SparseTopK {
+        let mut rows: Vec<Option<Vec<(u32, f32)>>> = dirty.to_vec();
+        for (old, new) in row_map.iter().enumerate() {
+            let Some(new) = *new else { continue };
+            if rows[new].is_some() {
+                continue;
+            }
+            let (cols, scores) = s.row_entries(old);
+            let remapped = cols
+                .iter()
+                .zip(scores)
+                .map(|(&c, &v)| {
+                    (
+                        col_map[c as usize].expect("clean rows keep their columns"),
+                        v,
+                    )
+                })
+                .collect();
+            rows[new] = Some(remapped);
+        }
+        let rows = rows
+            .into_iter()
+            .map(|r| r.expect("every new row is kept or dirty"))
+            .collect();
+        SparseTopK::from_rows(new_targets, s.k(), rows)
+    }
+
+    /// Scores drawn from a small palette so rows carry ties, negative
+    /// scores and both signed zeros.
+    const PALETTE: [f32; 8] = [0.0, -0.0, 0.5, 0.5, -0.25, 1.0, 0.125, -1.0];
+
+    fn assert_same_bits(a: &SparseTopK, b: &SparseTopK) {
+        assert_eq!(
+            (a.targets(), a.k(), a.sources()),
+            (b.targets(), b.k(), b.sources())
+        );
+        for i in 0..a.sources() {
+            let ((ac, av), (bc, bv)) = (a.row_entries(i), b.row_entries(i));
+            assert_eq!(ac, bc, "row {i} columns");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(av), bits(bv), "row {i} scores");
+        }
+        assert_eq!(a.heap_bytes(), b.heap_bytes());
+    }
+
+    proptest! {
+        /// The CSR `patched` equals the reference bit for bit over random
+        /// row permutations, monotone and reordering column maps, dropped
+        /// and added rows and columns, dirty rows
+        /// (including over-long ones the `k` cap truncates), empty rows
+        /// and tied, negative and signed-zero scores.
+        #[test]
+        fn patched_matches_the_from_rows_reference(
+            cells in proptest::collection::vec((0u8..3, 0usize..8), 36),
+            keep_col in proptest::collection::vec(0u8..4, 6),
+            col_order in proptest::collection::vec(0u32..1000, 6),
+            shuffle_cols in 0u8..2,
+            row_fate in proptest::collection::vec((0u8..4, 0u32..1000), 6),
+            fresh in proptest::collection::vec((0u8..3, 0usize..8), 64),
+            shape in (1usize..7, 1usize..7, 1usize..5, 0usize..3, 0usize..3),
+        ) {
+            let (n, t, k, added_cols, added_rows) = shape;
+            let cell = |r: usize, c: usize| {
+                let (present, v) = cells[r * 6 + c];
+                (present > 0).then(|| PALETTE[v])
+            };
+            let base_rows = (0..n)
+                .map(|r| (0..t).filter_map(|c| cell(r, c).map(|v| (c as u32, v))).collect())
+                .collect();
+            let base = SparseTopK::from_rows(t, k, base_rows);
+
+            // Kept columns are renumbered densely: in their old order (a
+            // dropped column shifts the rest), or in a random order when
+            // `shuffle_cols` is 1, as when a link moves within the split.
+            let mut kept_cols: Vec<(u32, usize)> = (0..t)
+                .filter(|&c| keep_col[c] > 0)
+                .map(|c| (if shuffle_cols == 1 { col_order[c] } else { 0 }, c))
+                .collect();
+            kept_cols.sort();
+            let mut col_map = vec![None; t];
+            for (new, &(_, c)) in kept_cols.iter().enumerate() {
+                col_map[c] = Some(new as u32);
+            }
+            let new_targets = kept_cols.len() + added_cols;
+
+            // Kept rows land in a random order after the added rows.
+            let mut order: Vec<(u32, usize)> = (0..n)
+                .filter(|&r| row_fate[r].0 > 0)
+                .map(|r| (row_fate[r].1, r))
+                .collect();
+            order.sort_unstable();
+            let new_rows = added_rows + order.len();
+            let mut row_map = vec![None; n];
+            for (slot, &(_, r)) in order.iter().enumerate() {
+                row_map[r] = Some(added_rows + slot);
+            }
+            let fresh_row = |i: usize| -> Vec<(u32, f32)> {
+                (0..new_targets)
+                    .filter_map(|c| {
+                        let (present, v) = fresh[(i * 8 + c) % fresh.len()];
+                        (present > 0).then(|| (c as u32, PALETTE[v]))
+                    })
+                    .collect()
+            };
+            let mut dirty: Vec<Option<Vec<(u32, f32)>>> = vec![None; new_rows];
+            for (i, slot) in dirty.iter_mut().enumerate().take(added_rows) {
+                *slot = Some(fresh_row(i));
+            }
+            for (old, new) in row_map.iter().enumerate() {
+                let Some(new) = *new else { continue };
+                let drops_a_column = base.row_entries(old).0.iter().any(|&c| col_map[c as usize].is_none());
+                if drops_a_column || row_fate[old].0 == 1 {
+                    dirty[new] = Some(fresh_row(new));
+                }
+            }
+
+            let got = base.patched(new_targets, &row_map, &col_map, &dirty);
+            let want = patched_reference(&base, new_targets, &row_map, &col_map, &dirty);
+            assert_same_bits(&got, &want);
+        }
+    }
+
+    #[test]
+    fn builder_appends_ranges_and_sizes_buffers_exactly() {
+        let rows = vec![vec![(2, 0.5), (0, 0.5)], vec![], vec![(1, -0.0), (0, 0.0)]];
+        let whole = SparseTopK::from_rows(3, 2, rows.clone());
+        let mut head = SparseTopKBuilder::with_capacity(3, 0, 0);
+        let mut tail = SparseTopKBuilder::with_capacity(3, 2, 0);
+        for (i, mut row) in rows.into_iter().enumerate() {
+            let part = if i == 0 { &mut head } else { &mut tail };
+            part.push_canonical(&mut row, 2);
+        }
+        head.append(tail);
+        assert_eq!(head.max_row_len(), 2);
+        let joined = head.finish(2);
+        assert_same_bits(&joined, &whole);
+        assert_eq!(joined.row_ptr.capacity(), joined.row_ptr.len());
+        assert_eq!(joined.cols.capacity(), joined.cols.len());
+        assert_eq!(joined.scores.capacity(), joined.scores.len());
+        assert_eq!(joined.row_entries(0).0, &[0, 2]);
+        assert_eq!(joined.row_entries(2).0, &[0, 1], "signed zeros tie");
+    }
+
+    #[test]
+    #[should_panic(expected = "column index out of range")]
+    fn builder_rejects_out_of_range_columns() {
+        SparseTopKBuilder::with_capacity(2, 1, 1).push_row([(2, 0.5)]);
     }
 
     #[test]
