@@ -20,11 +20,13 @@
 //! Workloads are sized by `--scale` (committed results use 0.2, 1 and 5)
 //! and mirror the pipeline's real kernel shapes: the large square matmul,
 //! the tall-skinny GCN forward product and both backward products
-//! (`G · Wᵀ`, `Hᵀ · G`), the similarity `A · Aᵀ`, fused
+//! (`G · Wᵀ`, `Hᵀ · G`), the row-skipping GCN backward at align_gcn's
+//! share of live gradient rows, the similarity `A · Aᵀ`, the string
+//! feature's `lev*` (DP against bit-parallel), fused
 //! elementwise+normalize, CSLS adjustment, and the full decision stage.
 
 use ceaff::prelude::*;
-use ceaff::tensor::{kernels::reference, Matrix};
+use ceaff::tensor::{graph::matmul_grads, kernels::reference, Matrix};
 use ceaff_sim::SimilarityMatrix;
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -212,6 +214,67 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             par_threads,
             || reference::matmul_transpose(&g, &w),
             || g.matmul_transpose(&w),
+        ));
+    }
+
+    // GCN backward at align_gcn's shape: the margin loss gathers about
+    // 343 of each output's 650 rows, so the rest of its gradient is zero.
+    // The naive side is the pre-skip backward — both full products — on
+    // the same values.
+    let gcn_rows = ((650.0 * scale).round() as usize).max(64);
+    {
+        let h = lcg_matrix(gcn_rows, 64, 43);
+        let w = lcg_matrix(64, 64, 47);
+        let mut grad = lcg_matrix(gcn_rows, 64, 53);
+        // 7919 is prime to 650, so every 650 consecutive rows keep 343,
+        // spread out.
+        let dead = |r: usize| (r * 7919) % 650 >= 343;
+        for r in (0..gcn_rows).filter(|&r| dead(r)) {
+            grad.row_mut(r).fill(0.0);
+        }
+        let live = (0..gcn_rows).filter(|&r| !dead(r)).count();
+        let stacked = |(ga, gb): (Matrix, Matrix)| {
+            let mut data = ga.as_slice().to_vec();
+            data.extend_from_slice(gb.as_slice());
+            Matrix::from_vec(ga.rows() + gb.rows(), 64, data)
+        };
+        workloads.push(product_workload(
+            "gcn_backward_row_skip",
+            format!("{gcn_rows}x64 grad ({live} live rows) through 64x64 MatMul"),
+            reps,
+            par_threads,
+            || stacked((grad.matmul_transpose(&w), h.transpose_matmul(&grad))),
+            || stacked(matmul_grads(&grad, &h, &w)),
+        ));
+    }
+
+    // The string feature `lev*` over the align_gcn test names: the
+    // two-row DP against the bit-parallel pattern, one per source row.
+    {
+        let ds = Preset::Dbp15kZhEn.generate((0.5 * scale).min(2.0));
+        let (src, tgt) = (ds.test_source_names(), ds.test_target_names());
+        let dp_ratio = |a: &str, b: &str| {
+            let total = a.chars().count() + b.chars().count();
+            let d = ceaff_sim::levenshtein::reference::levenshtein_sub2(a, b);
+            if total == 0 {
+                1.0
+            } else {
+                (total - d) as f32 / total as f32
+            }
+        };
+        workloads.push(product_workload(
+            "levenshtein_sub2",
+            format!("{}x{} names", src.len(), tgt.len()),
+            reps,
+            par_threads,
+            || {
+                let data = src
+                    .iter()
+                    .flat_map(|a| tgt.iter().map(move |b| dp_ratio(a, b)))
+                    .collect();
+                Matrix::from_vec(src.len(), tgt.len(), data)
+            },
+            || ceaff_sim::string_similarity_matrix(&src, &tgt).into_matrix(),
         ));
     }
 

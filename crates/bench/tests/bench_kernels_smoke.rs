@@ -47,6 +47,8 @@ fn bench_kernels_check_emits_schema_valid_json_with_every_workload() {
         "matmul_transpose_grad",
         "matmul_transpose_sim",
         "transpose_matmul_grad",
+        "gcn_backward_row_skip",
+        "levenshtein_sub2",
         "fusion_elementwise",
         "csls",
         "decision",

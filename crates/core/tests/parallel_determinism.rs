@@ -242,4 +242,19 @@ fn gcn_training_bits_are_pinned_across_commits() {
             "GCN training bits moved at dim {dim}: {got:#018x}"
         );
     }
+    // The align_gcn benchmark's own shape (DBP15K ZH-EN at scale 0.5, dim
+    // 64, 60 epochs), recorded before the row-skipping backward and the
+    // AVX Adam/SpMm loops: a margin loss that gathers about half the rows
+    // of each output leaves the rest of its gradient zero.
+    let ds = ceaff_datagen::Preset::Dbp15kZhEn.generate(0.5);
+    let cfg = GcnConfig {
+        dim: 64,
+        epochs: 60,
+        ..GcnConfig::default()
+    };
+    let got = gcn_bits_hash(&ceaff_core::gcn::train(&ds.pair, &cfg));
+    assert_eq!(
+        got, 0x2c22_7ed7_5f7b_abbb,
+        "GCN training bits moved at the benchmark shape: {got:#018x}"
+    );
 }

@@ -58,7 +58,7 @@ pub fn build_adjacency(kg: &KnowledgeGraph, kind: AdjacencyKind) -> CsrMatrix {
         triplets.push((i, i, 1.0));
     }
     let a = CsrMatrix::from_triplets(n, n, &triplets)
-        .expect("triple endpoints are interned entity ids, always in bounds");
+        .expect("endpoints are interned entity ids and weights are finite ratios");
     a.symmetric_normalized()
 }
 

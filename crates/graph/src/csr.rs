@@ -22,7 +22,9 @@ impl CsrMatrix {
     /// Build from COO triplets `(row, col, value)`. Duplicate coordinates are
     /// summed. Entries with value exactly `0.0` are kept out.
     ///
-    /// Returns an error if any coordinate is out of bounds.
+    /// Returns an error if any coordinate is out of bounds
+    /// ([`GraphError::Dimension`]) or any value is NaN or infinite
+    /// ([`GraphError::NonFinite`]).
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -51,6 +53,11 @@ impl CsrMatrix {
                 Some(last) if last.0 == r && last.1 == c => last.2 += v,
                 _ => merged.push((r, c, v)),
             }
+        }
+        // Checked after merging, so two finite duplicates that overflow
+        // are caught too.
+        if let Some(&(row, col, value)) = merged.iter().find(|e| !e.2.is_finite()) {
+            return Err(GraphError::NonFinite { row, col, value });
         }
         merged.retain(|&(_, _, v)| v != 0.0);
 
@@ -128,13 +135,35 @@ impl CsrMatrix {
         );
         assert_eq!(out.len(), self.rows * d, "output must be rows×d row-major");
         out.fill(0.0);
-        for r in 0..self.rows {
-            let out_row = &mut out[r * d..(r + 1) * d];
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for k in lo..hi {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx") {
+            // SAFETY: AVX support was detected at run time.
+            unsafe { self.mul_dense_avx(dense, d, out) };
+            return;
+        }
+        self.mul_dense_body(dense, d, out);
+    }
+
+    /// [`CsrMatrix::mul_dense_body`] compiled with AVX enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn mul_dense_avx(&self, dense: &[f32], d: usize, out: &mut [f32]) {
+        self.mul_dense_body(dense, d, out);
+    }
+
+    /// The `mul_dense` loop over a zeroed `out`: every output cell adds
+    /// its row's terms in stored-column order. Each vector lane is one
+    /// cell and multiply and add stay separate, so any instruction set
+    /// gives the same bits.
+    #[inline(always)]
+    fn mul_dense_body(&self, dense: &[f32], d: usize, out: &mut [f32]) {
+        for (r, out_row) in out.chunks_exact_mut(d.max(1)).enumerate() {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                let c = c as usize;
                 let src = &dense[c * d..(c + 1) * d];
                 for (o, &s) in out_row.iter_mut().zip(src) {
                     *o += v * s;
@@ -146,6 +175,12 @@ impl CsrMatrix {
     /// Transposed sparse × dense product: `out = selfᵀ · dense`, with
     /// `dense` a `rows × d` matrix and `out` a `cols × d` buffer. Used in
     /// the backward pass of sparse–dense products.
+    ///
+    /// A `dense` row that is all `±0` is skipped when this matrix's row
+    /// holds only finite values: its terms `v · ±0` are `±0`, and adding
+    /// `±0` to an output cell — which starts at `+0.0` and so is never
+    /// `-0.0` — changes nothing. A non-finite stored value keeps the row
+    /// (`∞ · 0` is NaN), so the result is bitwise the full product's.
     pub fn transpose_mul_dense(&self, dense: &[f32], d: usize, out: &mut [f32]) {
         assert_eq!(
             dense.len(),
@@ -154,13 +189,38 @@ impl CsrMatrix {
         );
         assert_eq!(out.len(), self.cols * d, "output must be cols×d row-major");
         out.fill(0.0);
-        for r in 0..self.rows {
-            let src = &dense[r * d..(r + 1) * d];
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for k in lo..hi {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx") {
+            // SAFETY: AVX support was detected at run time.
+            unsafe { self.transpose_mul_dense_avx(dense, d, out) };
+            return;
+        }
+        self.transpose_mul_dense_body(dense, d, out);
+    }
+
+    /// [`CsrMatrix::transpose_mul_dense_body`] compiled with AVX enabled.
+    ///
+    /// # Safety
+    /// The CPU must support AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn transpose_mul_dense_avx(&self, dense: &[f32], d: usize, out: &mut [f32]) {
+        self.transpose_mul_dense_body(dense, d, out);
+    }
+
+    /// The `transpose_mul_dense` loop over a zeroed `out`: every output
+    /// cell adds its terms in increasing source-row order.
+    #[inline(always)]
+    fn transpose_mul_dense_body(&self, dense: &[f32], d: usize, out: &mut [f32]) {
+        for (r, src) in dense.chunks_exact(d.max(1)).enumerate() {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let values = &self.values[lo..hi];
+            let zero_row = !src.iter().fold(false, |any, &s| any | (s != 0.0));
+            if zero_row && values.iter().all(|v| v.is_finite()) {
+                continue;
+            }
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(values) {
+                let c = c as usize;
                 let out_row = &mut out[c * d..(c + 1) * d];
                 for (o, &s) in out_row.iter_mut().zip(src) {
                     *o += v * s;
@@ -240,6 +300,21 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, bad)]).unwrap_err();
+            assert!(
+                matches!(err, GraphError::NonFinite { row: 1, col: 0, value } if value.to_bits() == bad.to_bits()),
+                "{err:?}"
+            );
+        }
+        assert!(CsrMatrix::from_triplets(1, 1, &[(0, 0, f32::MAX)]).is_ok());
+        // Two finite duplicates whose sum overflows.
+        let err = CsrMatrix::from_triplets(1, 1, &[(0, 0, f32::MAX), (0, 0, f32::MAX)]);
+        assert!(matches!(err, Err(GraphError::NonFinite { .. })));
+    }
+
+    #[test]
     fn identity_times_dense_is_dense() {
         let m = CsrMatrix::identity(3);
         let dense = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 3x2
@@ -267,6 +342,100 @@ mod tests {
         m.transpose_mul_dense(&dense, 1, &mut out);
         // Mᵀ = [[1,0],[0,3],[2,4]]; Mᵀ·[1,2] = [1, 6, 10]
         assert_eq!(out, vec![1.0, 6.0, 10.0]);
+    }
+
+    /// A `rows × cols` CSR with about a third of its cells stored, plus a
+    /// `len`-long dense buffer, from a reproducible LCG.
+    fn lcg_case(rows: usize, cols: usize, len: usize, seed: u32) -> (CsrMatrix, Vec<f32>) {
+        let mut state = seed | 1;
+        let mut draw = move || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as f32 / (1u32 << 24) as f32 - 0.5
+        };
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if draw() < -0.17 {
+                    triplets.push((r, c, draw()));
+                }
+            }
+        }
+        let m = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+        (m, (0..len).map(|_| draw()).collect())
+    }
+
+    /// `selfᵀ · dense` visiting every row: the loop before the zero-row
+    /// skip.
+    fn full_transpose_mul(m: &CsrMatrix, dense: &[f32], d: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m.cols() * d];
+        for r in 0..m.rows() {
+            for (c, v) in m.row(r) {
+                for j in 0..d {
+                    out[c * d + j] += v * dense[r * d + j];
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn zero_row_skip_is_bitwise_the_full_transpose_product() {
+        let d = 13;
+        let (mut m, mut dense) = lcg_case(40, 30, 40 * 13, 7);
+        let check = |m: &CsrMatrix, dense: &[f32], label: &str| {
+            let mut out = vec![0.0f32; m.cols() * d];
+            m.transpose_mul_dense(dense, d, &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&full_transpose_mul(m, dense, d)),
+                "{label}"
+            );
+            out
+        };
+        check(&m, &dense, "no zero rows");
+        // Zero rows, some written as -0.0, and a -0.0 inside a live row.
+        for r in (0..40).step_by(3) {
+            let z = if r % 2 == 0 { 0.0 } else { -0.0 };
+            dense[r * d..(r + 1) * d].fill(z);
+        }
+        dense[d + 4] = -0.0;
+        check(&m, &dense, "zero rows");
+        check(&m, &vec![-0.0; 40 * d], "all rows zero");
+        // A non-finite stored value in a zero row's sparse row must keep
+        // the row: `∞ · 0` is NaN in the full product.
+        let r = (0..40).step_by(3).find(|&r| m.row(r).count() > 0).unwrap();
+        let k = m.row_ptr[r];
+        for bad in [f32::INFINITY, f32::NAN] {
+            m.values[k] = bad;
+            let out = check(&m, &dense, "non-finite in a skipped row");
+            assert!(out.iter().any(|x| x.is_nan()));
+        }
+    }
+
+    #[test]
+    fn avx_and_plain_product_loops_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx") {
+            for d in [1, 7, 9, 64, 67] {
+                let (m, dense) = lcg_case(37, 29, 29 * d, d as u32);
+                let (mut plain, mut avx) = (vec![0.0; 37 * d], vec![0.0; 37 * d]);
+                m.mul_dense_body(&dense, d, &mut plain);
+                // SAFETY: AVX support was detected above.
+                unsafe { m.mul_dense_avx(&dense, d, &mut avx) };
+                assert_eq!(bits(&plain), bits(&avx), "mul_dense, d = {d}");
+
+                let (m, dense) = lcg_case(37, 29, 37 * d, d as u32 + 100);
+                let (mut plain, mut avx) = (vec![0.0; 29 * d], vec![0.0; 29 * d]);
+                m.transpose_mul_dense_body(&dense, d, &mut plain);
+                // SAFETY: AVX support was detected above.
+                unsafe { m.transpose_mul_dense_avx(&dense, d, &mut avx) };
+                assert_eq!(bits(&plain), bits(&avx), "transpose_mul_dense, d = {d}");
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,16 @@ pub enum GraphError {
         /// What was provided.
         got: usize,
     },
+    /// A sparse-matrix entry is NaN or infinite. The products over
+    /// [`crate::CsrMatrix`] rely on finite stored values.
+    NonFinite {
+        /// Row of the offending entry.
+        row: usize,
+        /// Column of the offending entry.
+        col: usize,
+        /// The value itself.
+        value: f32,
+    },
     /// A delta operation failed validation against the current `KgPair`.
     /// Nothing is mutated when this is returned — application is atomic.
     DeltaRejected {
@@ -50,6 +60,9 @@ impl fmt::Display for GraphError {
             GraphError::InvalidAlignment(msg) => write!(f, "invalid alignment: {msg}"),
             GraphError::Dimension { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
+            }
+            GraphError::NonFinite { row, col, value } => {
+                write!(f, "non-finite matrix entry {value} at ({row}, {col})")
             }
             GraphError::DeltaRejected { op, reason } => {
                 write!(f, "delta op {op} rejected: {reason}")

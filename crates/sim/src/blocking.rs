@@ -11,7 +11,7 @@
 //! the mono-lingual and close-lingual regimes need. Names in disjoint
 //! scripts share nothing and are — correctly — never candidates.
 
-use crate::levenshtein::levenshtein_ratio;
+use crate::levenshtein::LevPattern;
 use crate::matrix::SimilarityMatrix;
 use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -373,9 +373,10 @@ pub fn blocked_string_similarity_matrix<S: AsRef<str>, T: AsRef<str>>(
                 }
             }
         }
+        let pattern = LevPattern::new(s.as_ref());
         for (&j, &count) in &shared {
             if count >= cfg.min_shared_keys {
-                out[(i, j as usize)] = levenshtein_ratio(s.as_ref(), targets[j as usize].as_ref());
+                out[(i, j as usize)] = pattern.ratio(targets[j as usize].as_ref().chars());
                 pairs_scored += 1;
             }
         }

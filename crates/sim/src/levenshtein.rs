@@ -12,10 +12,114 @@
 //!
 //! All functions operate on Unicode scalar values (`char`s), so CJK and
 //! accented entity names are measured sensibly.
+//!
+//! # One `lev*` body
+//!
+//! A substitution at cost 2 is never cheaper than a deletion plus an
+//! insertion, so `lev*(a, b) = |a| + |b| − 2·LCS(a, b)`. Every `lev*`
+//! caller — the dense and blocked matrices, [`levenshtein_ratio`] and
+//! [`levenshtein_sub2`] — goes through one `LevPattern`, which computes the
+//! LCS with Hyyrö's bit-parallel recurrence: the source's chars become one
+//! bit each in a `u64`, and each target char costs a handful of word
+//! operations instead of a DP row. The LCS is an exact integer, so the
+//! distance and the ratio's bits are those of the DP. Sources longer than
+//! 64 chars, and the unit-cost [`levenshtein`], keep the two-row DP
+//! ([`reference::levenshtein_sub2`] is that DP for `lev*`, retained as the
+//! parity reference).
 
 use crate::matrix::SimilarityMatrix;
 use ceaff_tensor::Matrix;
 use rayon::prelude::*;
+
+/// Longest source the bit-parallel kernel takes: one bit per char.
+const WORD: usize = 64;
+
+/// A source name compiled once for `lev*` against many targets.
+///
+/// Holds the bit-parallel match masks — `mask(c)` has bit `i` set where the
+/// source's `i`-th char is `c` — as a table for ASCII plus a sorted list
+/// for every other char.
+pub(crate) struct LevPattern {
+    chars: Vec<char>,
+    ascii: [u64; 128],
+    other: Vec<(char, u64)>,
+}
+
+impl LevPattern {
+    pub(crate) fn new(source: &str) -> Self {
+        let chars: Vec<char> = source.chars().collect();
+        let mut ascii = [0u64; 128];
+        let mut other: Vec<(char, u64)> = Vec::new();
+        if chars.len() <= WORD {
+            for (i, &c) in chars.iter().enumerate() {
+                let bit = 1u64 << i;
+                if c.is_ascii() {
+                    ascii[c as usize] |= bit;
+                } else {
+                    match other.binary_search_by_key(&c, |e| e.0) {
+                        Ok(k) => other[k].1 |= bit,
+                        Err(k) => other.insert(k, (c, bit)),
+                    }
+                }
+            }
+        }
+        Self {
+            chars,
+            ascii,
+            other,
+        }
+    }
+
+    fn mask(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.other
+                .binary_search_by_key(&c, |e| e.0)
+                .map_or(0, |k| self.other[k].1)
+        }
+    }
+
+    /// `(lev*(source, target), |target|)`.
+    fn distance_and_len(&self, target: impl IntoIterator<Item = char>) -> (usize, usize) {
+        let la = self.chars.len();
+        if la > WORD {
+            let tc: Vec<char> = target.into_iter().collect();
+            return (lev_dp(&self.chars, &tc, 2), tc.len());
+        }
+        // Hyyrö's LCS recurrence: the zero bits among the low `la` bits
+        // of `v` count the LCS of the source and the target chars read so
+        // far. Carries only move upward, so bits past `la` never disturb
+        // the low ones.
+        let mut v = !0u64;
+        let mut lb = 0;
+        for c in target {
+            let u = v & self.mask(c);
+            v = v.wrapping_add(u) | (v - u);
+            lb += 1;
+        }
+        let low = if la == WORD { !0 } else { (1u64 << la) - 1 };
+        let lcs = (!v & low).count_ones() as usize;
+        (la + lb - 2 * lcs, lb)
+    }
+
+    /// `lev*(source, target)`.
+    pub(crate) fn distance(&self, target: impl IntoIterator<Item = char>) -> usize {
+        self.distance_and_len(target).0
+    }
+
+    /// The Levenshtein ratio of the source and `target` (see
+    /// [`levenshtein_ratio`]).
+    pub(crate) fn ratio(&self, target: impl IntoIterator<Item = char>) -> f32 {
+        let (d, lb) = self.distance_and_len(target);
+        let total = self.chars.len() + lb;
+        if total == 0 {
+            1.0
+        } else {
+            (total - d) as f32 / total as f32
+        }
+    }
+}
 
 /// Strip the common prefix and suffix of two char slices — edits can only
 /// occur in the differing middle, and real entity-name pairs share long
@@ -33,7 +137,8 @@ fn trim_common<'a>(mut a: &'a [char], mut b: &'a [char]) -> (&'a [char], &'a [ch
     (&a[..a.len() - suffix], &b[..b.len() - suffix])
 }
 
-/// Two-row DP with parameterisable substitution cost.
+/// Two-row DP with parameterisable substitution cost: the unit-cost
+/// [`levenshtein`], and `lev*` for sources longer than 64 chars.
 fn lev_dp(a: &[char], b: &[char], sub_cost: usize) -> usize {
     let (a, b) = trim_common(a, b);
     if a.is_empty() {
@@ -70,9 +175,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// `lev*`: Levenshtein distance where substitution costs 2. Used by the
 /// paper's ratio so that completely different single characters score 0.
 pub fn levenshtein_sub2(a: &str, b: &str) -> usize {
-    let ac: Vec<char> = a.chars().collect();
-    let bc: Vec<char> = b.chars().collect();
-    lev_dp(&ac, &bc, 2)
+    LevPattern::new(a).distance(b.chars())
 }
 
 /// The paper's Levenshtein ratio
@@ -89,19 +192,14 @@ pub fn levenshtein_sub2(a: &str, b: &str) -> usize {
 /// assert!(levenshtein_ratio("Paris", "Pariz") > 0.7);
 /// ```
 pub fn levenshtein_ratio(a: &str, b: &str) -> f32 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    if la + lb == 0 {
-        return 1.0;
-    }
-    let d = levenshtein_sub2(a, b);
-    (la + lb - d) as f32 / (la + lb) as f32
+    LevPattern::new(a).ratio(b.chars())
 }
 
 /// The full string similarity matrix `Ml` between source and target entity
 /// names: `out[i][j] = levenshtein_ratio(sources[i], targets[j])`.
 ///
-/// Rows are computed in parallel.
+/// Rows are computed in parallel; each compiles its source's bit-parallel
+/// pattern once for the whole row.
 pub fn string_similarity_matrix<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
     sources: &[S],
     targets: &[T],
@@ -118,18 +216,23 @@ pub fn string_similarity_matrix<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
         .enumerate()
         .take(n)
         .for_each(|(i, row)| {
-            let sc: Vec<char> = sources[i].as_ref().chars().collect();
-            for (j, tc) in target_chars.iter().enumerate() {
-                let total = sc.len() + tc.len();
-                row[j] = if total == 0 {
-                    1.0
-                } else {
-                    let d = lev_dp(&sc, tc, 2);
-                    (total - d) as f32 / total as f32
-                };
+            let pattern = LevPattern::new(sources[i].as_ref());
+            for (o, tc) in row.iter_mut().zip(&target_chars) {
+                *o = pattern.ratio(tc.iter().copied());
             }
         });
     SimilarityMatrix::new(out)
+}
+
+/// The two-row DP `lev*` that the bit-parallel pattern is checked against.
+pub mod reference {
+    /// `lev*(a, b)` by the substitution-cost-2 DP (after trimming the
+    /// common prefix and suffix), whatever the lengths.
+    pub fn levenshtein_sub2(a: &str, b: &str) -> usize {
+        let ac: Vec<char> = a.chars().collect();
+        let bc: Vec<char> = b.chars().collect();
+        super::lev_dp(&ac, &bc, 2)
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +274,26 @@ mod tests {
         assert_eq!(levenshtein_sub2("北京", "北海"), 2);
         assert!((levenshtein_ratio("北京", "北海") - 0.5).abs() < 1e-6);
         assert_eq!(levenshtein("café", "cafe"), 1);
+    }
+
+    #[test]
+    fn bit_parallel_sub2_is_exact_at_the_word_boundary() {
+        // Sources of 63, 64 and 65 chars straddle the one-word pattern
+        // (65 takes the DP fallback); targets include the empty string.
+        let alphabet = ['a', 'b', 'é', '北'];
+        let name = |len: usize, seed: usize| -> String {
+            (0..len)
+                .map(|i| alphabet[(i * 7 + seed * 3 + i / 5) % 4])
+                .collect()
+        };
+        for la in [0, 1, 63, 64, 65, 130] {
+            for lb in [0, 1, 63, 64, 65, 130] {
+                let (a, b) = (name(la, 1), name(lb, 2));
+                let want = reference::levenshtein_sub2(&a, &b);
+                assert_eq!(levenshtein_sub2(&a, &b), want, "|a|={la} |b|={lb}");
+                assert_eq!(levenshtein_sub2(&a, &a), 0);
+            }
+        }
     }
 
     #[test]
@@ -232,6 +355,22 @@ mod tests {
             } else {
                 prop_assert!(r < 1.0);
             }
+        }
+
+        /// The bit-parallel `lev*` equals the DP on every length from
+        /// empty to past the 64-char word, over ASCII, accented and CJK
+        /// chars; the ratio's bits follow from the same integer.
+        #[test]
+        fn bit_parallel_sub2_equals_the_dp(
+            a in "[a-dé北京ü ]{0,130}",
+            b in "[a-dé北京ü ]{0,130}",
+        ) {
+            let want = reference::levenshtein_sub2(&a, &b);
+            prop_assert_eq!(levenshtein_sub2(&a, &b), want);
+            prop_assert_eq!(levenshtein_sub2(&b, &a), want);
+            let total = a.chars().count() + b.chars().count();
+            let ratio = if total == 0 { 1.0 } else { (total - want) as f32 / total as f32 };
+            prop_assert_eq!(levenshtein_ratio(&a, &b).to_bits(), ratio.to_bits());
         }
 
         /// lev* dominates lev and equals |a|+|b|-2·LCS.

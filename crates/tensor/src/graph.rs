@@ -259,8 +259,8 @@ impl Graph {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ga = grad.matmul_transpose(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.transpose_matmul(&grad);
+                    let (ga, gb) =
+                        matmul_grads(&grad, &self.nodes[a.0].value, &self.nodes[b.0].value);
                     self.accumulate(a, ga);
                     self.accumulate(b, gb);
                 }
@@ -420,6 +420,46 @@ impl Graph {
             slot @ None => *slot = Some(g),
         }
     }
+}
+
+/// The gradients `(grad · Bᵀ, Aᵀ · grad)` of `A · B`, computed over the
+/// live rows of `grad` only — the rows with a value other than `±0`.
+///
+/// A margin loss gathers a few rows of a GCN output, so most rows of its
+/// gradient are zero. Skipping them is bitwise exact: a skipped row of
+/// `grad · Bᵀ` is a `dot` of zeros against finite `B` rows, i.e. `+0.0`,
+/// what the output starts at; and every cell of `Aᵀ · grad` starts at
+/// `+0.0` and adds its live rows' terms in the same increasing-`r` order,
+/// while a skipped row would only have added `a · ±0 = ±0`, which leaves an
+/// accumulator that is never `-0.0` unchanged. Both arguments need the
+/// skipped operands finite (`0 · ∞` is NaN), so a non-finite value in `B`
+/// or in a skipped row of `A` takes the full products, keeping NaN
+/// propagation — and with it numeric recovery — bit for bit.
+///
+/// This is the `MatMul` step of [`Graph::backward`].
+pub fn matmul_grads(grad: &Matrix, a: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
+    let rows = grad.rows();
+    let mut live = Vec::new();
+    let mut exact = b.all_finite();
+    // Folds without an early exit, so both scans vectorize.
+    for r in 0..rows {
+        if grad.row(r).iter().fold(false, |any, &g| any | (g != 0.0)) {
+            live.push(r);
+        } else if exact {
+            exact = a.row(r).iter().fold(true, |all, x| all & x.is_finite());
+        }
+    }
+    if !exact || live.len() == rows {
+        return (grad.matmul_transpose(b), a.transpose_matmul(grad));
+    }
+    let g_live = grad.gather_rows(&live);
+    let ga_live = g_live.matmul_transpose(b);
+    let mut ga = Matrix::zeros(rows, b.rows());
+    for (k, &r) in live.iter().enumerate() {
+        ga.row_mut(r).copy_from_slice(ga_live.row(k));
+    }
+    let gb = a.gather_rows(&live).transpose_matmul(&g_live);
+    (ga, gb)
 }
 
 #[inline]
@@ -628,6 +668,84 @@ mod tests {
         let mut g = Graph::new();
         let x = g.leaf(Matrix::zeros(2, 2));
         g.backward(x);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `matmul_grads` must equal the full products bit for bit.
+    fn assert_full_products(grad: &Matrix, a: &Matrix, b: &Matrix, label: &str) -> Matrix {
+        let (ga, gb) = matmul_grads(grad, a, b);
+        assert_eq!(
+            bits(&ga),
+            bits(&grad.matmul_transpose(b)),
+            "{label}: grad·Bᵀ"
+        );
+        assert_eq!(
+            bits(&gb),
+            bits(&a.transpose_matmul(grad)),
+            "{label}: Aᵀ·grad"
+        );
+        gb
+    }
+
+    #[test]
+    fn row_skipping_matmul_backward_is_bitwise_the_full_products() {
+        // (rows, k, n): kernel edge widths, and full 64-wide tiles on a
+        // shape past the tiled-kernel threshold.
+        for (rows, k, n, seed) in [(23, 30, 14, 1), (150, 64, 64, 2)] {
+            let a = random_matrix(rows, k, seed);
+            let b = random_matrix(k, n, seed + 10);
+            let mut grad = random_matrix(rows, n, seed + 20);
+            assert_full_products(&grad, &a, &b, "no zero rows");
+
+            // Zero rows, written as +0.0 and -0.0, and a -0.0 in a live row.
+            for r in (0..rows).filter(|r| r % 3 != 1) {
+                let z = if r % 2 == 0 { 0.0 } else { -0.0 };
+                grad.row_mut(r).fill(z);
+            }
+            grad[(1, 2)] = -0.0;
+            assert_full_products(&grad, &a, &b, "zero rows");
+            assert_full_products(&Matrix::zeros(rows, n), &a, &b, "all rows zero");
+
+            // A non-finite value in a live row of A is used either way.
+            let mut a_live_inf = a.clone();
+            a_live_inf[(1, 3)] = f32::INFINITY;
+            assert_full_products(&grad, &a_live_inf, &b, "∞ in a live row of A");
+
+            // In a skipped row of A, or anywhere in B, it must reach the
+            // gradient as NaN, as in the full product.
+            for bad in [f32::NAN, f32::INFINITY] {
+                let mut a_bad = a.clone();
+                a_bad[(0, 5)] = bad;
+                let gb = assert_full_products(&grad, &a_bad, &b, "non-finite skipped A row");
+                assert!(gb.as_slice().iter().any(|x| x.is_nan()));
+                let mut b_bad = b.clone();
+                b_bad[(2, 3)] = bad;
+                let (ga, _) = matmul_grads(&grad, &a, &b_bad);
+                assert!(ga.row(0).iter().any(|x| x.is_nan()));
+                assert_full_products(&grad, &a, &b_bad, "non-finite B");
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_rows_backward_matches_the_full_products() {
+        // loss = sum(rows 3, 3 and 7 of A·B): only two gradient rows live.
+        let a = random_matrix(12, 9, 31);
+        let b = random_matrix(9, 5, 32);
+        let mut g = Graph::new();
+        let (av, bv) = (g.leaf(a.clone()), g.leaf(b.clone()));
+        let y = g.matmul(av, bv);
+        let picked = g.gather_rows(y, Rc::new(vec![3, 3, 7]));
+        let loss = g.sum(picked);
+        g.backward(loss);
+        let mut grad = Matrix::zeros(12, 5);
+        grad.row_mut(3).fill(2.0);
+        grad.row_mut(7).fill(1.0);
+        assert_eq!(bits(g.grad(av).unwrap()), bits(&grad.matmul_transpose(&b)));
+        assert_eq!(bits(g.grad(bv).unwrap()), bits(&a.transpose_matmul(&grad)));
     }
 
     #[test]

@@ -431,7 +431,7 @@ mod avx {
 }
 
 /// Whether this process may dispatch the AVX strip kernels.
-fn simd_available() -> bool {
+pub(crate) fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static AVX: OnceLock<bool> = OnceLock::new();

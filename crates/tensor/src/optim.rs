@@ -251,17 +251,24 @@ impl Optimizer for Adam {
                 .v
                 .entry(id)
                 .or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-            let p = params.get_mut(id);
-            for i in 0..grad.as_slice().len() {
-                let g = grad.as_slice()[i];
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                p.as_mut_slice()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
+            let step = AdamStep {
+                lr: self.lr,
+                beta1: self.beta1,
+                beta2: self.beta2,
+                eps: self.eps,
+                bc1,
+                bc2,
+            };
+            let p = params.get_mut(id).as_mut_slice();
+            let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
+            adam_update(
+                step,
+                p,
+                m,
+                v,
+                grad.as_slice(),
+                crate::kernels::simd_available(),
+            );
         }
     }
 
@@ -291,6 +298,63 @@ impl Optimizer for Adam {
         self.m = slots_to_map(&state.slots, 0);
         self.v = slots_to_map(&state.slots, 1);
         Ok(())
+    }
+}
+
+/// An Adam step's scalars, `bc1`/`bc2` its bias corrections.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+/// Apply one Adam update to a parameter `p` with moments `m`, `v` and
+/// gradient `g`, through the AVX instantiation of [`adam_body`] when
+/// `simd` is set (only after AVX detection).
+fn adam_update(h: AdamStep, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], simd: bool) {
+    assert!(
+        p.len() == g.len() && m.len() == g.len() && v.len() == g.len(),
+        "Adam buffers must match the gradient's length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after `is_x86_feature_detected!`
+        // found AVX.
+        unsafe { adam_avx(h, p, m, v, g) };
+        return;
+    }
+    let _ = simd;
+    adam_body(h, p, m, v, g);
+}
+
+/// [`adam_body`] compiled with AVX enabled.
+///
+/// # Safety
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn adam_avx(h: AdamStep, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32]) {
+    adam_body(h, p, m, v, g);
+}
+
+/// The Adam update, elementwise. Every lane is one parameter; division
+/// and square root are correctly rounded in every instruction set and
+/// Rust never fuses the multiplies and adds, so each instantiation gives
+/// the same bits.
+#[inline(always)]
+fn adam_body(h: AdamStep, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32]) {
+    for (((p, m), v), &g) in p.iter_mut().zip(m).zip(v).zip(g) {
+        let mi = h.beta1 * *m + (1.0 - h.beta1) * g;
+        let vi = h.beta2 * *v + (1.0 - h.beta2) * g * g;
+        *m = mi;
+        *v = vi;
+        let mhat = mi / h.bc1;
+        let vhat = vi / h.bc2;
+        *p -= h.lr * mhat / (vhat.sqrt() + h.eps);
     }
 }
 
@@ -467,6 +531,46 @@ mod tests {
         let snap = Sgd::new(0.1).state();
         assert!(Adam::new(0.1).restore(&snap).is_err());
         assert!(AdaGrad::new(0.1).restore(&snap).is_err());
+    }
+
+    #[test]
+    fn adam_avx_and_plain_bodies_agree_bitwise() {
+        // Lengths off the 8-lane width exercise the vector loop's tail;
+        // zeros, negatives and huge/tiny gradients its special values.
+        let mut state = 0x2545_f491u32;
+        let mut draw = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            ((state >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+        };
+        for len in [0usize, 1, 7, 9, 13, 63, 65, 4097] {
+            let mut g: Vec<f32> = (0..len).map(|_| draw()).collect();
+            for (i, x) in g.iter_mut().enumerate() {
+                match i % 11 {
+                    3 => *x = 0.0,
+                    5 => *x = -0.0,
+                    7 => *x *= 1e30,
+                    9 => *x *= 1e-30,
+                    _ => {}
+                }
+            }
+            let start: Vec<Vec<f32>> = (0..3).map(|_| (0..len).map(|_| draw()).collect()).collect();
+            let step = AdamStep {
+                lr: 0.02,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+                bc1: 1.0 - 0.9f32.powi(3),
+                bc2: 1.0 - 0.999f32.powi(3),
+            };
+            let run = |simd: bool| {
+                let (mut p, mut m, mut v) = (start[0].clone(), start[1].clone(), start[2].clone());
+                v.iter_mut().for_each(|x| *x = x.abs());
+                adam_update(step, &mut p, &mut m, &mut v, &g, simd);
+                [p, m, v].map(|b| b.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+            };
+            let simd = crate::kernels::simd_available();
+            assert_eq!(run(simd), run(false), "len {len} (avx: {simd})");
+        }
     }
 
     #[test]
