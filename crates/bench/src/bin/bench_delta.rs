@@ -27,6 +27,7 @@ use ceaff::delta::DeltaState;
 use ceaff::pipeline::{try_run_with_features, CeaffConfig, CeaffOutput, EaInput, FeatureSet};
 use ceaff::sim::SimStore;
 use ceaff::{GcnConfig, Telemetry};
+use ceaff_bench::median;
 use serde_json::{json, Value};
 use std::time::Instant;
 
@@ -86,18 +87,6 @@ fn outputs_identical(warm: &CeaffOutput, fresh: &CeaffOutput) -> bool {
         (SimStore::Sparse(a), SimStore::Sparse(b)) => a == b,
         _ => false,
     }
-}
-
-/// Nearest-rank percentile of an unsorted sample, in place.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timing"));
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    percentile(samples, 0.5)
 }
 
 fn bench_mode(

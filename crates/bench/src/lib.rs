@@ -276,6 +276,22 @@ pub fn maybe_write_json(opts: &HarnessOpts, experiment: &str, value: &serde_json
     }
 }
 
+/// Nearest-rank percentile of an unsorted sample, sorted in place.
+///
+/// # Panics
+/// Panics on an empty sample or a NaN.
+pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
+    assert!(!samples.is_empty());
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
+}
+
+/// Median of an unsorted sample, sorted in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    percentile(samples, 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,7 +122,8 @@ USAGE:
         --checkpoint-dir DIR
                           persist training/stage checkpoints to DIR so an
                           interrupted run can be resumed; resumed results
-                          are bitwise-identical to an uninterrupted run
+                          are bitwise-identical to an uninterrupted run,
+                          with dense or blocked candidates
         --checkpoint-every N
                           save GCN training state every N epochs
                           [default 10; 0 = stage boundaries only]

@@ -161,7 +161,24 @@ fn metric_lines(stdout: &[u8]) -> String {
 
 #[test]
 fn kill_and_resume_is_bitwise_identical() {
-    let dir = tmp_dir("kill-resume");
+    kill_and_resume_matches("kill-resume", &[]);
+}
+
+#[test]
+fn kill_and_resume_blocked_is_bitwise_identical() {
+    // Truncated top-k stores checkpoint and resume like dense matrices;
+    // the resumed run takes the strategy from the run directory.
+    kill_and_resume_matches(
+        "kill-resume-blocked",
+        &["--candidates", "blocked", "--topk", "8"],
+    );
+}
+
+/// Abort an `align` run mid-training, resume it at another thread count,
+/// and compare with an uninterrupted run; `strategy` flags go to the two
+/// runs that are not resumed.
+fn kill_and_resume_matches(tag: &str, strategy: &[&str]) {
+    let dir = tmp_dir(tag);
     let dir_s = dir.display().to_string();
     let out = ceaff()
         .args([
@@ -189,7 +206,11 @@ fn kill_and_resume_is_bitwise_identical() {
 
     // Reference: uninterrupted run at 1 thread writing predicted pairs.
     let ref_pred = dir.join("pred-ref.tsv");
-    let reference = align(&["--out", ref_pred.to_str().unwrap()], "1", &[]);
+    let reference = align(
+        &[&["--out", ref_pred.to_str().unwrap()], strategy].concat(),
+        "1",
+        &[],
+    );
     assert!(
         reference.status.success(),
         "{}",
@@ -201,7 +222,11 @@ fn kill_and_resume_is_bitwise_identical() {
     let ck = dir.join("ckpt");
     let ck_s = ck.display().to_string();
     let crashed = align(
-        &["--checkpoint-dir", &ck_s, "--checkpoint-every", "5"],
+        &[
+            &["--checkpoint-dir", &ck_s, "--checkpoint-every", "5"],
+            strategy,
+        ]
+        .concat(),
         "1",
         &[("CEAFF_FI_ABORT_AT_EPOCH", "12")],
     );

@@ -18,15 +18,20 @@
 //! values as raw bits), so floating-point state round-trips exactly.
 
 use crate::error::CeaffError;
+use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
 use crate::pipeline::CeaffConfig;
+use ceaff_graph::KgPair;
+use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
 use ceaff_tensor::{Matrix, OptimSlot, OptimState};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// Version tag written into `config.json` and checked on open, so a
-/// future layout change fails loudly instead of mis-parsing old runs.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version tag written into `config.json` and checked by
+/// [`Checkpointer::create`] and [`Checkpointer::open`], so a layout change
+/// fails loudly instead of mis-parsing old runs. Version 2 stores each
+/// stage as a [`SimStore`] (dense or sparse top-k) behind a store tag.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// In-flight GCN training state artifact.
 pub const TRAIN_FILE: &str = "gcn_train.ckpt";
@@ -164,6 +169,18 @@ impl ByteWriter {
             self.f32(v);
         }
     }
+
+    /// An optional field: tag `0` for `None`, else tag `1` and `put`'s
+    /// bytes.
+    pub(crate) fn opt<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Self, &T)) {
+        match v {
+            None => self.u8(0),
+            Some(v) => {
+                self.u8(1);
+                put(self, v);
+            }
+        }
+    }
 }
 
 /// Cursor-based decoder over a checkpoint artifact; every read is
@@ -196,9 +213,13 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
+    /// End of the payload: bytes left over after the last field mean a
+    /// foreign or corrupt payload, not a shorter one.
+    pub(crate) fn finish(&self) -> Result<(), String> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after the last field")),
+        }
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, String> {
@@ -278,6 +299,18 @@ impl<'a> ByteReader<'a> {
         }
         Ok(Matrix::from_vec(rows, cols, data))
     }
+
+    /// An optional field written by [`ByteWriter::opt`].
+    pub(crate) fn opt<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            tag => Err(format!("bad option tag {tag}")),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,6 +378,21 @@ fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     std::fs::read(path)
 }
 
+/// Read and parse the run directory's JSON `file` at `path`.
+fn read_json<T: serde::de::DeserializeOwned>(path: &Path, file: &str) -> Result<T, CeaffError> {
+    let bytes = read_file(path).map_err(|e| ckpt_err(file, format!("cannot read: {e}")))?;
+    let text = String::from_utf8(bytes).map_err(|_| ckpt_err(file, "not valid UTF-8"))?;
+    serde_json::from_str(&text).map_err(|e| ckpt_err(file, format!("bad JSON: {e}")))
+}
+
+/// Serialize `value` into the run directory's JSON `file` at `path`,
+/// atomically.
+fn write_json<T: Serialize>(path: &Path, file: &str, value: &T) -> Result<(), CeaffError> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| ckpt_err(file, format!("cannot serialize: {e}")))?;
+    atomic_write(path, json.as_bytes()).map_err(|e| ckpt_err(file, format!("cannot write: {e}")))
+}
+
 // ---------------------------------------------------------------------------
 // Checkpointer
 // ---------------------------------------------------------------------------
@@ -362,9 +410,10 @@ impl Checkpointer {
     /// Create (or re-open) a run directory for `cfg`.
     ///
     /// A fresh directory gets a `config.json` envelope; an existing one
-    /// must have been produced by the *same* configuration — a
-    /// fingerprint mismatch is a [`CeaffError::Checkpoint`] error, since
-    /// resuming under different hyperparameters would corrupt the run.
+    /// must have been produced by the *same* configuration and
+    /// [`FORMAT_VERSION`] — a mismatch is a [`CeaffError::Checkpoint`]
+    /// error, since resuming under different hyperparameters or another
+    /// artifact layout would corrupt the run.
     pub fn create(
         dir: impl AsRef<Path>,
         policy: CheckpointPolicy,
@@ -402,10 +451,7 @@ impl Checkpointer {
             policy,
             config: cfg.clone(),
         };
-        let json = serde_json::to_string_pretty(&envelope)
-            .map_err(|e| ckpt_err("config.json", format!("cannot serialize: {e}")))?;
-        atomic_write(&config_path, json.as_bytes())
-            .map_err(|e| ckpt_err("config.json", format!("cannot write: {e}")))?;
+        write_json(&config_path, "config.json", &envelope)?;
         Ok(Self {
             dir,
             policy,
@@ -419,15 +465,6 @@ impl Checkpointer {
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, CeaffConfig), CeaffError> {
         let dir = dir.as_ref().to_path_buf();
         let envelope = Self::read_envelope(&dir.join("config.json"))?;
-        if envelope.version != FORMAT_VERSION {
-            return Err(ckpt_err(
-                "config.json",
-                format!(
-                    "format version {} is not the supported {FORMAT_VERSION}",
-                    envelope.version
-                ),
-            ));
-        }
         let fingerprint = config_fingerprint(&envelope.config)?;
         Ok((
             Self {
@@ -439,12 +476,21 @@ impl Checkpointer {
         ))
     }
 
+    /// Read `config.json`; a directory written under another
+    /// [`FORMAT_VERSION`] is rejected, since its artifacts would be read
+    /// under the wrong layout.
     fn read_envelope(path: &Path) -> Result<ConfigEnvelope, CeaffError> {
-        let bytes =
-            read_file(path).map_err(|e| ckpt_err("config.json", format!("cannot read: {e}")))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ckpt_err("config.json", "not valid UTF-8"))?;
-        serde_json::from_str(&text).map_err(|e| ckpt_err("config.json", format!("bad JSON: {e}")))
+        let envelope: ConfigEnvelope = read_json(path, "config.json")?;
+        if envelope.version != FORMAT_VERSION {
+            return Err(ckpt_err(
+                "config.json",
+                format!(
+                    "format version {} is not the supported {FORMAT_VERSION}",
+                    envelope.version
+                ),
+            ));
+        }
+        Ok(envelope)
     }
 
     /// The policy this run was created with.
@@ -470,12 +516,7 @@ impl Checkpointer {
                 entries: Vec::new(),
             });
         }
-        let bytes =
-            read_file(&path).map_err(|e| ckpt_err("manifest.json", format!("cannot read: {e}")))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ckpt_err("manifest.json", "not valid UTF-8"))?;
-        let manifest: Manifest = serde_json::from_str(&text)
-            .map_err(|e| ckpt_err("manifest.json", format!("bad JSON: {e}")))?;
+        let manifest: Manifest = read_json(&path, "manifest.json")?;
         if manifest.config_crc32 != self.config_crc32 {
             return Err(ckpt_err(
                 "manifest.json",
@@ -501,10 +542,7 @@ impl Checkpointer {
             Some(slot) => *slot = entry,
             None => manifest.entries.push(entry),
         }
-        let json = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| ckpt_err("manifest.json", format!("cannot serialize: {e}")))?;
-        atomic_write(&self.manifest_path(), json.as_bytes())
-            .map_err(|e| ckpt_err("manifest.json", format!("cannot write: {e}")))
+        write_json(&self.manifest_path(), "manifest.json", &manifest)
     }
 
     /// Load and verify an artifact. `Ok(None)` when the manifest has no
@@ -555,10 +593,7 @@ impl Checkpointer {
     pub fn remove(&self, name: &str) -> Result<(), CeaffError> {
         let mut manifest = self.read_manifest()?;
         manifest.entries.retain(|e| e.file != name);
-        let json = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| ckpt_err("manifest.json", format!("cannot serialize: {e}")))?;
-        atomic_write(&self.manifest_path(), json.as_bytes())
-            .map_err(|e| ckpt_err("manifest.json", format!("cannot write: {e}")))?;
+        write_json(&self.manifest_path(), "manifest.json", &manifest)?;
         std::fs::remove_file(self.dir.join(name)).ok();
         Ok(())
     }
@@ -627,15 +662,11 @@ pub(crate) fn encode_train_state(s: &GcnTrainState) -> Vec<u8> {
     w.f32s(&s.loss_curve);
     write_pools(&mut w, &s.pool_u);
     write_pools(&mut w, &s.pool_v);
-    match &s.best {
-        None => w.u8(0),
-        Some((score, z1, z2)) => {
-            w.u8(1);
-            w.f64(*score);
-            w.matrix(z1);
-            w.matrix(z2);
-        }
-    }
+    w.opt(s.best.as_ref(), |w, (score, z1, z2)| {
+        w.f64(*score);
+        w.matrix(z1);
+        w.matrix(z2);
+    });
     w.into_bytes()
 }
 
@@ -667,11 +698,8 @@ pub(crate) fn decode_train_state(bytes: &[u8]) -> Result<GcnTrainState, String> 
     let loss_curve = r.f32s()?;
     let pool_u = read_pools(&mut r)?;
     let pool_v = read_pools(&mut r)?;
-    let best = match r.u8()? {
-        0 => None,
-        1 => Some((r.f64()?, r.matrix()?, r.matrix()?)),
-        other => return Err(format!("bad best-snapshot tag {other}")),
-    };
+    let best = r.opt(|r| Ok((r.f64()?, r.matrix()?, r.matrix()?)))?;
+    r.finish()?;
     Ok(GcnTrainState {
         next_epoch,
         retries,
@@ -691,66 +719,194 @@ pub(crate) fn decode_train_state(bytes: &[u8]) -> Result<GcnTrainState, String> 
 }
 
 // ---------------------------------------------------------------------------
-// Stage-output artifacts
+// Feature codec: stage artifacts and warm snapshots
 // ---------------------------------------------------------------------------
 
-/// Encode a structural-stage result: normalized embeddings, the test
-/// similarity matrix, and the loss curve — everything
-/// `StructuralFeature::from_saved_parts` needs.
-pub(crate) fn encode_structural(
-    z_source: &Matrix,
-    z_target: &Matrix,
-    test: &Matrix,
-    loss_curve: &[f32],
-) -> Vec<u8> {
+/// Encode a similarity store: tag `0` and the dense matrix, or tag `1`,
+/// `targets`, `k`, `sources` and each sparse row's columns and scores.
+pub(crate) fn put_store(w: &mut ByteWriter, store: &SimStore) {
+    match store {
+        SimStore::Dense(m) => {
+            w.u8(0);
+            w.matrix(m.as_matrix());
+        }
+        SimStore::Sparse(sp) => {
+            w.u8(1);
+            w.usize(sp.targets());
+            w.usize(sp.k());
+            w.usize(sp.sources());
+            for i in 0..sp.sources() {
+                let (cols, vals) = sp.row_entries(i);
+                w.u32s(cols);
+                w.f32s(vals);
+            }
+        }
+    }
+}
+
+/// Decode a store written by [`put_store`] that scores `pair`'s test
+/// split. A shape other than the split's, and everything the store
+/// constructors would panic on — `k = 0`, a column out of range, a NaN
+/// score, a row over the `k` cap — fail with a reason instead.
+pub(crate) fn get_store(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<SimStore, String> {
+    let n = pair.test_pairs().len();
+    let check_shape = |sources: usize, targets: usize| {
+        if (sources, targets) == (n, n) {
+            return Ok(());
+        }
+        Err(format!(
+            "store shape {sources}x{targets} does not match the {n}x{n} test split"
+        ))
+    };
+    match r.u8()? {
+        0 => {
+            let m = r.matrix()?;
+            check_shape(m.rows(), m.cols())?;
+            if m.as_slice().iter().any(|v| v.is_nan()) {
+                return Err("NaN score in a dense store".into());
+            }
+            Ok(SimStore::Dense(SimilarityMatrix::new(m)))
+        }
+        1 => {
+            let (targets, k, sources) = (r.usize()?, r.usize()?, r.usize()?);
+            check_shape(sources, targets)?;
+            if k == 0 {
+                return Err("sparse store with k = 0".into());
+            }
+            let mut rows = Vec::with_capacity(sources);
+            for i in 0..sources {
+                let (cols, vals) = (r.u32s()?, r.f32s()?);
+                if cols.len() != vals.len() || cols.len() > k {
+                    return Err(format!("sparse row {i} has bad entries (k = {k})"));
+                }
+                if let Some(c) = cols.iter().find(|&&c| c as usize >= targets) {
+                    return Err(format!("sparse row {i} has column {c} of {targets}"));
+                }
+                if vals.iter().any(|v| v.is_nan()) {
+                    return Err(format!("NaN score in sparse row {i}"));
+                }
+                rows.push(cols.into_iter().zip(vals).collect());
+            }
+            // `from_rows` keeps already-canonical rows (score-desc,
+            // col-asc ties) untouched, so the rebuilt store is bitwise
+            // the encoded one — and it re-registers the tensor-ledger
+            // bytes the serde skip dropped.
+            Ok(SimStore::Sparse(SparseTopK::from_rows(targets, k, rows)))
+        }
+        tag => Err(format!("unknown store tag {tag}")),
+    }
+}
+
+/// One feature's payload: the whole of its checkpoint stage artifact and
+/// its block in a warm snapshot. Embeddings are stored already
+/// L2-row-normalised (re-normalising is not bitwise-stable), names are
+/// re-derived from the pair, and the test store keeps its kind, so a
+/// decoded feature is bit-identical to the encoded one.
+pub(crate) trait FeatureCodec: Sized {
+    /// Append the feature's block.
+    fn put(&self, w: &mut ByteWriter);
+    /// Read a block written by [`FeatureCodec::put`] for `pair`.
+    fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String>;
+}
+
+impl FeatureCodec for StructuralFeature {
+    fn put(&self, w: &mut ByteWriter) {
+        w.matrix(self.source_embeddings());
+        w.matrix(self.target_embeddings());
+        w.f32s(&self.loss_curve);
+        put_store(w, self.test_store());
+    }
+
+    fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String> {
+        let (zs, zt, loss_curve) = (r.matrix()?, r.matrix()?, r.f32s()?);
+        Ok(Self::from_store_parts(
+            zs,
+            zt,
+            get_store(r, pair)?,
+            loss_curve,
+        ))
+    }
+}
+
+impl FeatureCodec for SemanticFeature {
+    fn put(&self, w: &mut ByteWriter) {
+        w.matrix(self.source_embeddings());
+        w.matrix(self.target_embeddings());
+        put_store(w, self.test_store());
+    }
+
+    fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String> {
+        let (ns, nt) = (r.matrix()?, r.matrix()?);
+        Ok(Self::from_store_parts(ns, nt, get_store(r, pair)?))
+    }
+}
+
+impl FeatureCodec for StringFeature {
+    fn put(&self, w: &mut ByteWriter) {
+        put_store(w, self.test_store());
+    }
+
+    fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String> {
+        Ok(Self::from_store(pair, get_store(r, pair)?))
+    }
+}
+
+/// A stage artifact: the feature's block and nothing else.
+pub(crate) fn encode_stage<F: FeatureCodec>(f: &F) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.matrix(z_source);
-    w.matrix(z_target);
-    w.matrix(test);
-    w.f32s(loss_curve);
+    f.put(&mut w);
     w.into_bytes()
 }
 
-pub(crate) fn decode_structural(
-    bytes: &[u8],
-) -> Result<(Matrix, Matrix, Matrix, Vec<f32>), String> {
+/// Decode a stage artifact written by [`encode_stage`] for `pair`.
+pub(crate) fn decode_stage<F: FeatureCodec>(bytes: &[u8], pair: &KgPair) -> Result<F, String> {
     let mut r = ByteReader::new(bytes);
-    Ok((r.matrix()?, r.matrix()?, r.matrix()?, r.f32s()?))
-}
-
-/// Encode a semantic- (or any two-embedding-) stage result.
-pub(crate) fn encode_embedding_stage(
-    n_source: &Matrix,
-    n_target: &Matrix,
-    test: &Matrix,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.matrix(n_source);
-    w.matrix(n_target);
-    w.matrix(test);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_embedding_stage(bytes: &[u8]) -> Result<(Matrix, Matrix, Matrix), String> {
-    let mut r = ByteReader::new(bytes);
-    Ok((r.matrix()?, r.matrix()?, r.matrix()?))
-}
-
-/// Encode a string-stage result (names are rebuilt from the KG pair).
-pub(crate) fn encode_matrix_stage(test: &Matrix) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.matrix(test);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_matrix_stage(bytes: &[u8]) -> Result<Matrix, String> {
-    let mut r = ByteReader::new(bytes);
-    r.matrix()
+    let f = F::get(&mut r, pair)?;
+    r.finish()?;
+    Ok(f)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Crafted stores over an `n`×`n` test split (`n >= 2`), each with a
+    /// substring of the typed error its decode must fail with.
+    pub(crate) fn hostile_stores(n: usize) -> Vec<(&'static str, Vec<u8>)> {
+        // Row 0 holds `cols`/`vals`, every later row is empty.
+        let sparse = |targets: usize, k: usize, sources: usize, cols: &[u32], vals: &[f32]| {
+            let mut w = ByteWriter::new();
+            w.u8(1);
+            [targets, k, sources].into_iter().for_each(|v| w.usize(v));
+            w.u32s(cols);
+            w.f32s(vals);
+            for _ in 1..sources {
+                w.u32s(&[]);
+                w.f32s(&[]);
+            }
+            w.into_bytes()
+        };
+        let dense = |cols: usize, first: f32| {
+            let mut data = vec![0.0; n * cols];
+            data[0] = first;
+            let mut w = ByteWriter::new();
+            w.u8(0);
+            w.matrix(&Matrix::from_vec(n, cols, data));
+            w.into_bytes()
+        };
+        vec![
+            ("k = 0", sparse(n, 0, n, &[], &[])),
+            ("column", sparse(n, 2, n, &[n as u32], &[0.5])),
+            ("NaN", sparse(n, 2, n, &[0], &[f32::NAN])),
+            ("bad entries", sparse(n, 1, n, &[0, 1], &[0.9, 0.5])),
+            ("bad entries", sparse(n, 2, n, &[0, 1], &[0.9])),
+            ("shape", sparse(n, 2, n + 1, &[], &[])),
+            ("shape", sparse(n + 1, 2, n, &[], &[])),
+            ("NaN", dense(n, f32::NAN)),
+            ("shape", dense(n + 1, 0.5)),
+            ("tag", vec![7]),
+        ]
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -778,7 +934,7 @@ mod tests {
         let vs = r.f32s().unwrap();
         assert_eq!(vs[1].to_bits(), (-0.0f32).to_bits());
         assert_eq!(r.matrix().unwrap()[(1, 0)], 3.0);
-        assert!(r.is_empty());
+        r.finish().unwrap();
     }
 
     #[test]
@@ -835,10 +991,65 @@ mod tests {
         assert_eq!(score.to_bits(), 0.75f64.to_bits());
         assert_eq!(z1, Matrix::filled(2, 2, 1.0));
         assert_eq!(z2, Matrix::filled(2, 2, 2.0));
-        // Every decode path rejects truncation.
+        // Every decode path rejects truncation, and bytes left over.
         for cut in [1usize, 9, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_train_state(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        let err = decode_train_state(&[&bytes[..], &[0]].concat()).err();
+        assert!(err.is_some_and(|e| e.contains("trailing")));
+    }
+
+    #[test]
+    fn hostile_stage_artifacts_fail_typed_never_panic() {
+        let ds = ceaff_datagen::generate(&ceaff_datagen::GenConfig {
+            aligned_entities: 40,
+            ..ceaff_datagen::GenConfig::default()
+        });
+        let pair = &ds.pair;
+        let n = pair.test_pairs().len();
+        // A string artifact is one store, so a crafted store is a whole
+        // crafted artifact.
+        for (want, bytes) in hostile_stores(n) {
+            let err = decode_stage::<StringFeature>(&bytes, pair).expect_err(want);
+            assert!(err.contains(want), "expected {want:?}: {err}");
+        }
+        // Both store kinds round-trip; a trailing byte is rejected.
+        let (s, t) = (ds.test_source_names(), ds.test_target_names());
+        let cands = ceaff_sim::build_candidates(&s, &t, &Default::default(), 4);
+        for blocked in [None, Some((&cands, 4))] {
+            let mut bytes = encode_stage(&StringFeature::compute_scoring(pair, blocked));
+            let back: StringFeature = decode_stage(&bytes, pair).unwrap();
+            assert_eq!(encode_stage(&back), bytes);
+            bytes.push(0);
+            let err = decode_stage::<StringFeature>(&bytes, pair).unwrap_err();
+            assert!(err.contains("trailing"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_directory_of_another_format_version_fails_create_and_open() {
+        let dir = tmp_dir("version");
+        let cfg = CeaffConfig::default();
+        Checkpointer::create(&dir, CheckpointPolicy::PerStage, &cfg).unwrap();
+        let path = dir.join("config.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = format!("\"version\": {FORMAT_VERSION}");
+        assert!(text.contains(&old), "{text}");
+        std::fs::write(&path, text.replacen(&old, "\"version\": 1", 1)).unwrap();
+        for res in [
+            Checkpointer::create(&dir, CheckpointPolicy::PerStage, &cfg).map(|_| ()),
+            Checkpointer::open(&dir).map(|_| ()),
+        ] {
+            let err = res.unwrap_err();
+            assert!(matches!(err, CeaffError::Checkpoint { .. }), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("'config.json': format version 1"), "{msg}");
+        }
+        // The rejected `create` left the old envelope alone.
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"version\": 1"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

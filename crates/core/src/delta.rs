@@ -59,16 +59,14 @@ use std::collections::{BTreeSet, HashMap};
 
 use ceaff_embed::{embed_name, WordEmbedder};
 use ceaff_graph::{DeltaOp, EntityId, KgDelta, KgPair, KnowledgeGraph, Side};
-use ceaff_sim::{
-    levenshtein_ratio, BlockingConfig, SimStore, SimilarityMatrix, SparseTopK, TargetIndex,
-};
+use ceaff_sim::{BlockingConfig, LevPattern, SimStore, SimilarityMatrix, SparseTopK, TargetIndex};
 use ceaff_telemetry::Telemetry;
 use ceaff_tensor::{dot, Matrix};
 
 use crate::budget::ExecBudget;
 use crate::checkpoint::{config_fingerprint, crc32};
 use crate::error::CeaffError;
-use crate::features::{embedding_score, name_score, Feature};
+use crate::features::{embedding_score, name_score, test_names, Feature};
 use crate::matching::Matching;
 use crate::pipeline::{
     fuse_and_match_active, select_active, try_run_with_features, CandidateStrategy, CeaffConfig,
@@ -268,11 +266,10 @@ impl DeltaState {
         // ---- string: cells are pure in the two names --------------------
         let string = self.features.string.as_ref().map(|old_f| {
             let _span = telemetry.span("delta.string");
-            let cell = |i: usize, j: usize| {
-                levenshtein_ratio(
-                    entity_name(&new_pair.source, new_tests[i].0),
-                    entity_name(&new_pair.target, new_tests[j].1),
-                )
+            let (pair, tests) = (&new_pair, &new_tests);
+            let row_scorer = |i: usize| {
+                let pattern = LevPattern::new(entity_name(&pair.source, tests[i].0));
+                move |j: usize| pattern.ratio(entity_name(&pair.target, tests[j].1).chars())
             };
             match old_f.test_store() {
                 SimStore::Dense(old_m) => {
@@ -281,13 +278,13 @@ impl DeltaState {
                         old_m,
                         &maps.new_row_old,
                         &maps.new_col_old,
-                        cell,
+                        row_scorer,
                     ))
                 }
                 SimStore::Sparse(old_s) => {
                     let ctx = ctx.expect("sparse store implies blocking");
                     note(ctx.rows.len() as f64);
-                    SimStore::Sparse(patch_sparse(old_s, &maps, ctx, |i, j| cell(i, j as usize)))
+                    SimStore::Sparse(patch_sparse(old_s, &maps, ctx, row_scorer))
                 }
             }
         });
@@ -299,7 +296,7 @@ impl DeltaState {
             let fresh_s = embed_added(&new_pair.source, &remap_s, old_ns.cols(), source_embedder);
             let fresh_t = embed_added(&new_pair.target, &remap_t, old_nt.cols(), target_embedder);
             let ns = PendingMatrix::new(old_ns, &remap_s, &fresh_s);
-            let nt = PendingMatrix::new(old_nt, &remap_t, &fresh_t);
+            let nt = &PendingMatrix::new(old_nt, &remap_t, &fresh_t);
             let store = match old_f.test_store() {
                 SimStore::Dense(old_m) => {
                     note(count_dirty(&maps.new_row_old) as f64);
@@ -310,7 +307,10 @@ impl DeltaState {
                         old_m,
                         &maps.new_row_old,
                         &maps.new_col_old,
-                        |i, j| dot(&unit(ns.row(src(i))), &unit(nt.row(tgt(j)))),
+                        |i| {
+                            let ui = unit(ns.row(src(i)));
+                            move |j| dot(&ui, &unit(nt.row(tgt(j))))
+                        },
                     ))
                 }
                 SimStore::Sparse(old_s) => {
@@ -318,8 +318,9 @@ impl DeltaState {
                     note(ctx.rows.len() as f64);
                     // The blocked kernel scores plain dots on the
                     // normalised matrices — no re-normalisation here.
-                    SimStore::Sparse(patch_sparse(old_s, &maps, ctx, |i, j| {
-                        dot(ns.row(src(i)), nt.row(tgt(j as usize)))
+                    SimStore::Sparse(patch_sparse(old_s, &maps, ctx, |i| {
+                        let zi = ns.row(src(i));
+                        move |j| dot(zi, nt.row(tgt(j)))
                     }))
                 }
             };
@@ -338,7 +339,7 @@ impl DeltaState {
             let fresh_zs = layers_s.last().expect("at least layer 0").normalized();
             let fresh_zt = layers_t.last().expect("at least layer 0").normalized();
             let zs = PendingMatrix::new(old_f.source_embeddings(), &remap_s, &fresh_zs);
-            let zt = PendingMatrix::new(old_f.target_embeddings(), &remap_t, &fresh_zt);
+            let zt = &PendingMatrix::new(old_f.target_embeddings(), &remap_t, &fresh_zt);
             let store = match old_f.test_store() {
                 SimStore::Dense(old_m) => {
                     let clean_row: Vec<Option<usize>> = (0..n_tests)
@@ -348,14 +349,15 @@ impl DeltaState {
                         .map(|j| maps.new_col_old[j].filter(|_| !fresh_zt.contains(tgt(j))))
                         .collect();
                     note(count_dirty(&clean_row) as f64);
-                    SimStore::Dense(patch_dense(old_m, &clean_row, &clean_col, |i, j| {
-                        dot(&unit(zs.row(src(i))), &unit(zt.row(tgt(j))))
+                    SimStore::Dense(patch_dense(old_m, &clean_row, &clean_col, |i| {
+                        let ui = unit(zs.row(src(i)));
+                        move |j| dot(&ui, &unit(zt.row(tgt(j))))
                     }))
                 }
                 SimStore::Sparse(old_s) => {
                     let ctx = ctx.expect("sparse store implies blocking");
-                    let score = |i: usize, j: u32| dot(zs.row(src(i)), zt.row(tgt(j as usize)));
-                    let mut rebuilt = score_dirty_rows(&maps, ctx, score);
+                    let score = |i: usize, j: usize| dot(zs.row(src(i)), zt.row(tgt(j)));
+                    let mut rebuilt = score_dirty_rows(&maps, ctx, |i| move |j| score(i, j));
                     let stale_col: Vec<bool> =
                         (0..n_tests).map(|j| fresh_zt.contains(tgt(j))).collect();
                     let repaired = repair_stale_cells(
@@ -701,14 +703,6 @@ fn unit(row: &[f32]) -> Vec<f32> {
     v
 }
 
-/// The test split's (source, target) names, in split order.
-fn test_names(pair: &KgPair) -> (Vec<&str>, Vec<&str>) {
-    pair.test_pairs()
-        .iter()
-        .map(|&(u, v)| (entity_name(&pair.source, u), entity_name(&pair.target, v)))
-        .unzip()
-}
-
 /// The blocking indexes a [`DeltaState`] keeps warm across edits: target
 /// names → test columns (for candidate rows) and source names → test rows
 /// (for the rows an added target qualifies for).
@@ -859,33 +853,24 @@ fn base_dirty_rows(
 }
 
 /// Patch a dense store: copy `(clean_row, clean_col)` cells from `old`,
-/// recompute the rest with `cell` — which must be the scalar form of the
-/// bulk kernel that built `old`.
-fn patch_dense(
+/// recompute the rest with `row_scorer(i)` — the scalar form of the bulk
+/// kernel that built `old`, holding the row's per-source work. It is built
+/// at a row's first recomputed cell, so clean rows build none.
+fn patch_dense<F: FnMut(usize) -> f32>(
     old: &SimilarityMatrix,
     clean_row: &[Option<usize>],
     clean_col: &[Option<usize>],
-    cell: impl Fn(usize, usize) -> f32 + Sync,
+    row_scorer: impl Fn(usize) -> F + Sync,
 ) -> SimilarityMatrix {
     let (rows, cols) = (clean_row.len(), clean_col.len());
     let m = propagation::matrix_from_par_rows(rows, cols, |i| {
-        let mut out = vec![0.0f32; cols];
-        match clean_row[i] {
-            Some(oi) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = match clean_col[j] {
-                        Some(oj) => old.get(oi, oj),
-                        None => cell(i, j),
-                    };
-                }
-            }
-            None => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = cell(i, j);
-                }
-            }
-        }
-        out
+        let mut score = None;
+        (0..cols)
+            .map(|j| match (clean_row[i], clean_col[j]) {
+                (Some(oi), Some(oj)) => old.get(oi, oj),
+                _ => score.get_or_insert_with(|| row_scorer(i))(j),
+            })
+            .collect()
     });
     SimilarityMatrix::new(m)
 }
@@ -893,25 +878,26 @@ fn patch_dense(
 /// Patch a sparse top-k store: score the base-dirty rows' fresh candidate
 /// columns (the same `candidate_row` + score path
 /// [`SparseTopK::from_candidates`] takes), remap everything else.
-fn patch_sparse(
+fn patch_sparse<F: FnMut(usize) -> f32>(
     old: &SparseTopK,
     maps: &SplitMaps,
     ctx: &BlockedCtx,
-    score: impl Fn(usize, u32) -> f32 + Sync,
+    row_scorer: impl Fn(usize) -> F + Sync,
 ) -> SparseTopK {
-    assemble(old, maps, score_dirty_rows(maps, ctx, score))
+    assemble(old, maps, score_dirty_rows(maps, ctx, row_scorer))
 }
 
 /// Per new row: the base-dirty rows scored over their fresh candidate
-/// columns, `None` elsewhere.
-fn score_dirty_rows(
+/// columns by one `row_scorer(i)` each, `None` elsewhere.
+fn score_dirty_rows<F: FnMut(usize) -> f32>(
     maps: &SplitMaps,
     ctx: &BlockedCtx,
-    score: impl Fn(usize, u32) -> f32 + Sync,
+    row_scorer: impl Fn(usize) -> F + Sync,
 ) -> Vec<Option<Vec<(u32, f32)>>> {
     let scored: Vec<Vec<(u32, f32)>> = ceaff_parallel::par_map(ctx.rows.len(), PATCH_GRAIN, |x| {
         let (i, cols) = &ctx.rows[x];
-        cols.iter().map(|&j| (j, score(*i, j))).collect()
+        let mut score = row_scorer(*i);
+        cols.iter().map(|&j| (j, score(j as usize))).collect()
     });
     let mut rebuilt = vec![None; maps.new_row_old.len()];
     for ((i, _), row) in ctx.rows.iter().zip(scored) {
@@ -935,7 +921,7 @@ fn repair_stale_cells(
     rebuilt: &mut [Option<Vec<(u32, f32)>>],
     stale_row: impl Fn(usize) -> bool + Sync,
     stale_col: &[bool],
-    score: impl Fn(usize, u32) -> f32 + Sync,
+    score: impl Fn(usize, usize) -> f32 + Sync,
 ) -> f64 {
     let repaired: Vec<PatchedRow> = ceaff_parallel::par_map(rebuilt.len(), PATCH_GRAIN, |i| {
         if ctx.is_dirty(i) {
@@ -954,7 +940,10 @@ fn repair_stale_cells(
         let row = cols
             .iter()
             .zip(vals)
-            .map(|(&c, &v)| (remap(c), if stale(c) { score(i, remap(c)) } else { v }))
+            .map(|(&c, &v)| {
+                let j = remap(c);
+                (j, if stale(c) { score(i, j as usize) } else { v })
+            })
             .collect();
         (Some(row), (n_stale as f64 / ctx.k as f64).min(1.0))
     });

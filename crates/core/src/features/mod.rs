@@ -21,8 +21,9 @@ pub use semantic::SemanticFeature;
 pub use string::StringFeature;
 pub use structural::StructuralFeature;
 
-use ceaff_graph::EntityId;
-use ceaff_sim::SimStore;
+use ceaff_graph::{EntityId, KgPair, KnowledgeGraph};
+use ceaff_sim::{cosine_similarity_matrix, CandidateSet, SimStore, SparseTopK};
+use ceaff_tensor::Matrix;
 
 /// A computed alignment feature.
 pub trait Feature: Send + Sync {
@@ -43,6 +44,51 @@ pub trait Feature: Send + Sync {
 /// rows are already unit-normalised, so the dot product is the cosine.
 pub(crate) fn embedding_score(source_row: &[f32], target_row: &[f32]) -> f32 {
     ceaff_tensor::dot(source_row, target_row)
+}
+
+/// Score the test split from all-entity embeddings that are already
+/// L2-row-normalised: every pair into a dense cosine matrix, or only the
+/// `blocked` candidate pairs, `k` kept per row, into a sparse top-k store.
+pub(crate) fn score_test_split(
+    pair: &KgPair,
+    z_source: &Matrix,
+    z_target: &Matrix,
+    blocked: Option<(&CandidateSet, usize)>,
+) -> SimStore {
+    let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
+    let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
+    let zs = z_source.gather_rows(&src_idx);
+    let zt = z_target.gather_rows(&tgt_idx);
+    match blocked {
+        None => SimStore::Dense(cosine_similarity_matrix(&zs, &zt)),
+        // Rows are unit-normalised, so the dot product is the cosine.
+        Some((candidates, k)) => {
+            SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i| {
+                let (zi, zt) = (zs.row(i), &zt);
+                move |j| embedding_score(zi, zt.row(j as usize))
+            }))
+        }
+    }
+}
+
+/// Every entity name of `kg`, in id order.
+pub(crate) fn all_names(kg: &KnowledgeGraph) -> Vec<&str> {
+    kg.entity_ids()
+        .map(|e| kg.entity_name(e).expect("interned entity has a name"))
+        .collect()
+}
+
+/// The test split's (source, target) names, in split order.
+pub(crate) fn test_names(pair: &KgPair) -> (Vec<&str>, Vec<&str>) {
+    pair.test_pairs()
+        .iter()
+        .map(|&(u, v)| {
+            (
+                pair.source.entity_name(u).expect("interned"),
+                pair.target.entity_name(v).expect("interned"),
+            )
+        })
+        .unzip()
 }
 
 /// [`Feature::score`] of the string feature: the Levenshtein ratio of the

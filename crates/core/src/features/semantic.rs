@@ -4,8 +4,8 @@
 
 use super::Feature;
 use ceaff_embed::{name_embedding_matrix, WordEmbedder};
-use ceaff_graph::{EntityId, KgPair, KnowledgeGraph};
-use ceaff_sim::{cosine_similarity_matrix, CandidateSet, SimStore, SimilarityMatrix, SparseTopK};
+use ceaff_graph::{EntityId, KgPair};
+use ceaff_sim::{CandidateSet, SimStore};
 use ceaff_tensor::Matrix;
 
 /// A computed semantic feature.
@@ -18,12 +18,6 @@ pub struct SemanticFeature {
     test: SimStore,
 }
 
-fn all_names(kg: &KnowledgeGraph) -> Vec<&str> {
-    kg.entity_ids()
-        .map(|e| kg.entity_name(e).expect("interned entity has a name"))
-        .collect()
-}
-
 impl SemanticFeature {
     /// Embed every entity name of both KGs (matrix `N` of the paper) and
     /// compute the test similarity matrix. Fully-out-of-vocabulary names
@@ -34,26 +28,7 @@ impl SemanticFeature {
         source_embedder: &dyn WordEmbedder,
         target_embedder: &dyn WordEmbedder,
     ) -> Self {
-        assert_eq!(
-            source_embedder.dim(),
-            target_embedder.dim(),
-            "embedders must share one vector space"
-        );
-        let mut n_source = name_embedding_matrix(source_embedder, &all_names(&pair.source));
-        let mut n_target = name_embedding_matrix(target_embedder, &all_names(&pair.target));
-        n_source.l2_normalize_rows();
-        n_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let test = SimStore::Dense(cosine_similarity_matrix(
-            &n_source.gather_rows(&src_idx),
-            &n_target.gather_rows(&tgt_idx),
-        ));
-        Self {
-            n_source,
-            n_target,
-            test,
-        }
+        Self::compute_scoring(pair, source_embedder, target_embedder, None)
     }
 
     /// Like [`SemanticFeature::compute`], but scores only the blocked
@@ -67,46 +42,45 @@ impl SemanticFeature {
         candidates: &CandidateSet,
         k: usize,
     ) -> Self {
+        Self::compute_scoring(
+            pair,
+            source_embedder,
+            target_embedder,
+            Some((candidates, k)),
+        )
+    }
+
+    /// The body of [`SemanticFeature::compute`] and
+    /// [`SemanticFeature::compute_blocked`]: `blocked` picks the store.
+    pub(crate) fn compute_scoring(
+        pair: &KgPair,
+        source_embedder: &dyn WordEmbedder,
+        target_embedder: &dyn WordEmbedder,
+        blocked: Option<(&CandidateSet, usize)>,
+    ) -> Self {
         assert_eq!(
             source_embedder.dim(),
             target_embedder.dim(),
             "embedders must share one vector space"
         );
-        let mut n_source = name_embedding_matrix(source_embedder, &all_names(&pair.source));
-        let mut n_target = name_embedding_matrix(target_embedder, &all_names(&pair.target));
+        let mut n_source = name_embedding_matrix(source_embedder, &super::all_names(&pair.source));
+        let mut n_target = name_embedding_matrix(target_embedder, &super::all_names(&pair.target));
         n_source.l2_normalize_rows();
         n_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let zs = n_source.gather_rows(&src_idx);
-        let zt = n_target.gather_rows(&tgt_idx);
-        // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
-        });
+        let test = super::score_test_split(pair, &n_source, &n_target, blocked);
         Self {
             n_source,
             n_target,
-            test: SimStore::Sparse(sparse),
+            test,
         }
     }
 
-    /// Rebuild from checkpointed parts without recomputing anything. The
-    /// embedding matrices must already be L2-row-normalised (saved that
-    /// way; re-normalising is not bitwise-stable).
-    pub fn from_saved_parts(n_source: Matrix, n_target: Matrix, test: SimilarityMatrix) -> Self {
-        Self {
-            n_source,
-            n_target,
-            test: SimStore::Dense(test),
-        }
-    }
-
-    /// Assemble from already-patched parts (the delta pipeline's
-    /// constructor). Same normalisation contract as
-    /// [`SemanticFeature::from_saved_parts`], but store-shaped so both
-    /// the dense and the sparse candidate strategy go through it.
-    pub(crate) fn from_store_parts(n_source: Matrix, n_target: Matrix, test: SimStore) -> Self {
+    /// Assemble from computed parts without recomputing anything: the
+    /// constructor of checkpoint restores, warm snapshots and the delta
+    /// pipeline, under either candidate strategy. The embedding matrices
+    /// must already be L2-row-normalised (re-normalising is not
+    /// bitwise-stable).
+    pub fn from_store_parts(n_source: Matrix, n_target: Matrix, test: SimStore) -> Self {
         Self {
             n_source,
             n_target,
@@ -116,7 +90,7 @@ impl SemanticFeature {
 
     /// The embeddings and test store, for the delta pipeline's in-place
     /// commit (same normalisation contract as
-    /// [`SemanticFeature::from_saved_parts`]).
+    /// [`SemanticFeature::from_store_parts`]).
     pub(crate) fn parts_mut(&mut self) -> (&mut Matrix, &mut Matrix, &mut SimStore) {
         (&mut self.n_source, &mut self.n_target, &mut self.test)
     }

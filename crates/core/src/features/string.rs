@@ -8,10 +8,7 @@
 
 use super::Feature;
 use ceaff_graph::{EntityId, KgPair};
-use ceaff_sim::{
-    levenshtein_ratio, string_similarity_matrix, CandidateSet, SimStore, SimilarityMatrix,
-    SparseTopK,
-};
+use ceaff_sim::{string_similarity_matrix, CandidateSet, LevPattern, SimStore, SparseTopK};
 
 /// A computed string feature. Entity names are retained so arbitrary pairs
 /// can be scored on demand (used by the logistic-regression baseline).
@@ -23,81 +20,49 @@ pub struct StringFeature {
 }
 
 fn kg_names(pair: &KgPair) -> (Vec<String>, Vec<String>) {
-    let source_names: Vec<String> = pair
-        .source
-        .entity_ids()
-        .map(|e| pair.source.entity_name(e).expect("interned").to_owned())
-        .collect();
-    let target_names: Vec<String> = pair
-        .target
-        .entity_ids()
-        .map(|e| pair.target.entity_name(e).expect("interned").to_owned())
-        .collect();
-    (source_names, target_names)
+    let owned = |kg| {
+        super::all_names(kg)
+            .into_iter()
+            .map(str::to_owned)
+            .collect()
+    };
+    (owned(&pair.source), owned(&pair.target))
 }
 
 impl StringFeature {
     /// Compute the dense test-set Levenshtein-ratio matrix.
     pub fn compute(pair: &KgPair) -> Self {
-        let (source_names, target_names) = kg_names(pair);
-        let src_test: Vec<&str> = pair
-            .test_sources()
-            .iter()
-            .map(|e| source_names[e.index()].as_str())
-            .collect();
-        let tgt_test: Vec<&str> = pair
-            .test_targets()
-            .iter()
-            .map(|e| target_names[e.index()].as_str())
-            .collect();
-        let test = SimStore::Dense(string_similarity_matrix(&src_test, &tgt_test));
-        Self {
-            source_names,
-            target_names,
-            test,
-        }
+        Self::compute_scoring(pair, None)
     }
 
     /// Compute a sparse test store scoring only the blocked candidate
     /// pairs: `O(|candidates|)` Levenshtein calls instead of the dense
     /// `O(n·t)`. Rows keep at most `k` entries in canonical order.
     pub fn compute_blocked(pair: &KgPair, candidates: &CandidateSet, k: usize) -> Self {
-        let (source_names, target_names) = kg_names(pair);
-        let src_test: Vec<&str> = pair
-            .test_sources()
-            .iter()
-            .map(|e| source_names[e.index()].as_str())
-            .collect();
-        let tgt_test: Vec<&str> = pair
-            .test_targets()
-            .iter()
-            .map(|e| target_names[e.index()].as_str())
-            .collect();
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            levenshtein_ratio(src_test[i], tgt_test[j as usize])
-        });
-        Self {
-            source_names,
-            target_names,
-            test: SimStore::Sparse(sparse),
-        }
+        Self::compute_scoring(pair, Some((candidates, k)))
     }
 
-    /// Rebuild from a checkpointed test matrix. Names are cheap to derive
-    /// from the KG pair again; only the O(n²·len²) similarity matrix is
-    /// worth saving.
-    pub fn from_saved_parts(pair: &KgPair, test: SimilarityMatrix) -> Self {
-        let (source_names, target_names) = kg_names(pair);
-        Self {
-            source_names,
-            target_names,
-            test: SimStore::Dense(test),
-        }
+    /// The body of [`StringFeature::compute`] and
+    /// [`StringFeature::compute_blocked`]: `blocked` picks the store. Each
+    /// source name is compiled into one [`LevPattern`] for its whole row.
+    pub(crate) fn compute_scoring(pair: &KgPair, blocked: Option<(&CandidateSet, usize)>) -> Self {
+        let (sources, targets) = super::test_names(pair);
+        let test = match blocked {
+            None => SimStore::Dense(string_similarity_matrix(&sources, &targets)),
+            Some((candidates, k)) => {
+                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i| {
+                    let (pattern, targets) = (LevPattern::new(sources[i]), &targets);
+                    move |j| pattern.ratio(targets[j as usize].chars())
+                }))
+            }
+        };
+        Self::from_store(pair, test)
     }
 
-    /// Assemble from an already-patched store (the delta pipeline's
-    /// constructor); names are re-derived from the updated pair.
-    pub(crate) fn from_store(pair: &KgPair, test: SimStore) -> Self {
+    /// Assemble from a computed test store: the constructor of checkpoint
+    /// restores, warm snapshots and the delta pipeline. Names are cheap to
+    /// re-derive from the pair; only the store is worth saving.
+    pub fn from_store(pair: &KgPair, test: SimStore) -> Self {
         let (source_names, target_names) = kg_names(pair);
         Self {
             source_names,
@@ -170,6 +135,28 @@ mod tests {
             margin.abs() < 0.1,
             "distant-lingual string should carry no signal: {margin}"
         );
+    }
+
+    #[test]
+    fn blocked_cells_are_levenshtein_ratio_bits() {
+        // One compiled pattern per source row scores exactly what a fresh
+        // `levenshtein_ratio` per cell does.
+        let ds = dataset(NameChannel::CloseLingual {
+            morph_rate: 0.5,
+            replace_rate: 0.2,
+        });
+        let (sn, tn) = (ds.test_source_names(), ds.test_target_names());
+        let cands = ceaff_sim::build_candidates(&sn, &tn, &Default::default(), 8);
+        let f = StringFeature::compute_blocked(&ds.pair, &cands, 8);
+        let store = f.test_store().as_sparse().expect("blocked store");
+        assert!(store.nnz() > 0);
+        for (i, source) in sn.iter().enumerate() {
+            let (cols, vals) = store.row_entries(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let want = ceaff_sim::levenshtein_ratio(source, tn[j as usize]);
+                assert_eq!(v.to_bits(), want.to_bits(), "cell ({i},{j})");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::checkpoint::Checkpointer;
 use crate::error::CeaffError;
 use crate::gcn::{self, GcnConfig, GcnEncoder};
 use ceaff_graph::{EntityId, KgPair};
-use ceaff_sim::{cosine_similarity_matrix, CandidateSet, SimStore, SimilarityMatrix, SparseTopK};
+use ceaff_sim::{CandidateSet, SimStore};
 use ceaff_telemetry::Telemetry;
 use ceaff_tensor::Matrix;
 
@@ -118,19 +118,7 @@ impl StructuralFeature {
         } = encoder;
         z_source.l2_normalize_rows();
         z_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let zs = z_source.gather_rows(&src_idx);
-        let zt = z_target.gather_rows(&tgt_idx);
-        let test = match blocked {
-            None => SimStore::Dense(cosine_similarity_matrix(&zs, &zt)),
-            // Rows are unit-normalised, so the dot product is the cosine.
-            Some((candidates, k)) => {
-                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i, j| {
-                    ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
-                }))
-            }
-        };
+        let test = super::score_test_split(pair, &z_source, &z_target, blocked);
         Self {
             z_source,
             z_target,
@@ -139,31 +127,13 @@ impl StructuralFeature {
         }
     }
 
-    /// Rebuild from checkpointed parts without recomputing anything.
-    ///
-    /// The embeddings must already be L2-row-normalised (they are saved
-    /// that way): re-normalising an already-normalised matrix is *not*
-    /// bitwise-stable, and a restored stage must be bit-identical to the
-    /// run that saved it.
-    pub fn from_saved_parts(
-        z_source: Matrix,
-        z_target: Matrix,
-        test: SimilarityMatrix,
-        loss_curve: Vec<f32>,
-    ) -> Self {
-        Self {
-            z_source,
-            z_target,
-            test: SimStore::Dense(test),
-            loss_curve,
-        }
-    }
-
-    /// Assemble from already-patched parts (the delta pipeline's
-    /// constructor). The embeddings must carry whatever normalisation
-    /// [`StructuralFeature::from_encoder`] would have applied — the
-    /// delta patcher reproduces it bit-for-bit.
-    pub(crate) fn from_store_parts(
+    /// Assemble from computed parts without recomputing anything: the
+    /// constructor of checkpoint restores, warm snapshots and the delta
+    /// pipeline. The embeddings must carry the L2 row normalisation
+    /// [`StructuralFeature::from_encoder`] applies — re-normalising an
+    /// already-normalised matrix is *not* bitwise-stable, and a restored
+    /// feature must be bit-identical to the one that was saved.
+    pub fn from_store_parts(
         z_source: Matrix,
         z_target: Matrix,
         test: SimStore,

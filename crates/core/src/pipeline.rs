@@ -17,7 +17,7 @@
 //! active event stream) the full event sequence of the run.
 
 use crate::budget::{ExecBudget, StopReason};
-use crate::checkpoint::{self, Checkpointer};
+use crate::checkpoint::{self, Checkpointer, FeatureCodec};
 use crate::error::CeaffError;
 use crate::eval::{accuracy, ranking_metrics_store, RankingMetrics};
 use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
@@ -30,7 +30,7 @@ use crate::lr::{learn_weights, LrConfig};
 use crate::matching::{MatcherKind, Matching};
 use ceaff_embed::WordEmbedder;
 use ceaff_graph::KgPair;
-use ceaff_sim::{BlockingConfig, CandidateSet, SimStore, SimilarityMatrix};
+use ceaff_sim::{BlockingConfig, CandidateSet, SimStore};
 use ceaff_telemetry::{Degradation, RunTrace, Telemetry};
 use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -55,13 +55,6 @@ pub enum CandidateStrategy {
         /// Blocking-stage tuning (trigram band width etc.).
         blocking: BlockingConfig,
     },
-}
-
-impl CandidateStrategy {
-    /// `true` for [`CandidateStrategy::Dense`].
-    pub fn is_dense(&self) -> bool {
-        matches!(self, CandidateStrategy::Dense)
-    }
 }
 
 // Hand-written so configs serialized before the `candidates` field existed
@@ -641,22 +634,25 @@ impl StageProgress {
     /// fail — and an exhausted budget skips the stage. A computed stage
     /// is saved unless the budget stopped the run short, so a degraded
     /// output never masquerades as the completed artifact. `artifact`
-    /// is `None` for stages that are never checkpointed.
-    fn stage<F>(
+    /// is `None` for stages that are never checkpointed. Artifacts go
+    /// through the feature codec warm snapshots use, so a stage restores
+    /// the same way under either candidate strategy.
+    fn stage<F: FeatureCodec>(
         &mut self,
         opts: &RunOptions<'_>,
-        telemetry: &Telemetry,
+        input: &EaInput<'_>,
         artifact: Option<&str>,
-        restore: impl FnOnce(&[u8]) -> Result<F, String>,
         compute: impl FnOnce() -> Result<F, CeaffError>,
-        encode: impl FnOnce(&F) -> Vec<u8>,
     ) -> Result<Option<F>, CeaffError> {
+        let telemetry = &input.telemetry;
         let store = opts.checkpoint.zip(artifact);
         if let Some((ck, file)) = store {
             if let Some(bytes) = ck.load(file)? {
-                let f = restore(&bytes).map_err(|reason| CeaffError::Checkpoint {
-                    file: file.to_owned(),
-                    reason,
+                let f = checkpoint::decode_stage(&bytes, input.pair).map_err(|reason| {
+                    CeaffError::Checkpoint {
+                        file: file.to_owned(),
+                        reason,
+                    }
                 })?;
                 telemetry.counter_add("checkpoint", "stages_resumed", 1);
                 self.done += 1;
@@ -675,7 +671,7 @@ impl StageProgress {
         self.done += 1;
         if let Some((ck, file)) = store {
             if opts.budget.stop_reason().is_none() {
-                ck.save(file, &encode(&f))?;
+                ck.save(file, &checkpoint::encode_stage(&f))?;
                 if file == checkpoint::STAGE_STRUCTURAL {
                     // The in-flight training state is subsumed by the
                     // completed stage artifact.
@@ -762,9 +758,9 @@ impl FeatureSet {
     /// `checkpoint/stages_resumed`), each stage that runs to completion
     /// saves its output (`checkpoint/stages_saved`), and the GCN saves and
     /// resumes its epoch-level training state when the policy has an
-    /// epoch interval. Artifacts store the *normalised* matrices, so a
-    /// restored stage is bit-identical to a fresh one. Checkpointing
-    /// requires [`CandidateStrategy::Dense`].
+    /// epoch interval. Artifacts store the *normalised* matrices and the
+    /// test store of either kind, so a restored stage is bit-identical to
+    /// a fresh one under both candidate strategies.
     pub fn try_compute(
         input: &EaInput<'_>,
         cfg: &CeaffConfig,
@@ -783,14 +779,6 @@ impl FeatureSet {
         keep_layers: Option<&mut PropagationLayers>,
     ) -> Result<Self, CeaffError> {
         cfg.validate()?;
-        if opts.checkpoint.is_some() && !cfg.candidates.is_dense() {
-            return Err(CeaffError::InvalidConfig(
-                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
-                 checkpoint stage artifacts are dense-only, so checkpointing requires \
-                 CandidateStrategy::Dense"
-                    .into(),
-            ));
-        }
         let telemetry = &input.telemetry;
         telemetry.gauge(
             "parallel",
@@ -819,89 +807,33 @@ impl FeatureSet {
             let trained = matches!(cfg.structural, StructuralMode::Trained);
             progress.stage(
                 opts,
-                telemetry,
+                input,
                 trained.then_some(checkpoint::STAGE_STRUCTURAL),
-                |bytes| {
-                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(bytes)?;
-                    Ok(StructuralFeature::from_saved_parts(
-                        zs,
-                        zt,
-                        SimilarityMatrix::new(test),
-                        loss_curve,
-                    ))
-                },
                 || compute_structural(input, cfg, opts, blocked, keep_layers),
-                |f| {
-                    checkpoint::encode_structural(
-                        f.source_embeddings(),
-                        f.target_embeddings(),
-                        f.test_store().as_matrix(),
-                        &f.loss_curve,
-                    )
-                },
             )?
         } else {
             None
         };
 
         let semantic = if cfg.use_semantic {
-            progress.stage(
-                opts,
-                telemetry,
-                Some(checkpoint::STAGE_SEMANTIC),
-                |bytes| {
-                    let (ns, nt, test) = checkpoint::decode_embedding_stage(bytes)?;
-                    Ok(SemanticFeature::from_saved_parts(
-                        ns,
-                        nt,
-                        SimilarityMatrix::new(test),
-                    ))
-                },
-                || {
-                    let _probe_off = crate::budget::uninterruptible_scope();
-                    let _span = telemetry.span("semantic");
-                    let (src, tgt) = (input.source_embedder, input.target_embedder);
-                    Ok(match blocked {
-                        None => SemanticFeature::compute(input.pair, src, tgt),
-                        Some((cands, k)) => {
-                            SemanticFeature::compute_blocked(input.pair, src, tgt, cands, k)
-                        }
-                    })
-                },
-                |f| {
-                    checkpoint::encode_embedding_stage(
-                        f.source_embeddings(),
-                        f.target_embeddings(),
-                        f.test_store().as_matrix(),
-                    )
-                },
-            )?
+            progress.stage(opts, input, Some(checkpoint::STAGE_SEMANTIC), || {
+                let _probe_off = crate::budget::uninterruptible_scope();
+                let _span = telemetry.span("semantic");
+                let (src, tgt) = (input.source_embedder, input.target_embedder);
+                Ok(SemanticFeature::compute_scoring(
+                    input.pair, src, tgt, blocked,
+                ))
+            })?
         } else {
             None
         };
 
         let string = if cfg.use_string {
-            progress.stage(
-                opts,
-                telemetry,
-                Some(checkpoint::STAGE_STRING),
-                |bytes| {
-                    let test = checkpoint::decode_matrix_stage(bytes)?;
-                    Ok(StringFeature::from_saved_parts(
-                        input.pair,
-                        SimilarityMatrix::new(test),
-                    ))
-                },
-                || {
-                    let _probe_off = crate::budget::uninterruptible_scope();
-                    let _span = telemetry.span("string");
-                    Ok(match blocked {
-                        None => StringFeature::compute(input.pair),
-                        Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, k),
-                    })
-                },
-                |f| checkpoint::encode_matrix_stage(f.test_store().as_matrix()),
-            )?
+            progress.stage(opts, input, Some(checkpoint::STAGE_STRING), || {
+                let _probe_off = crate::budget::uninterruptible_scope();
+                let _span = telemetry.span("string");
+                Ok(StringFeature::compute_scoring(input.pair, blocked))
+            })?
         } else {
             None
         };
@@ -1383,6 +1315,7 @@ pub fn try_run(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<CeaffOutput, Ce
 mod tests {
     use super::*;
     use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel, Preset};
+    use ceaff_sim::SimilarityMatrix;
     use ceaff_telemetry::{EventKind, InMemorySink};
     use std::sync::Arc;
 
@@ -1541,7 +1474,7 @@ mod tests {
         let stripped = json.replace("\"candidates\":\"Dense\"", "\"candidates\":null");
         assert_ne!(json, stripped, "serialized config must contain the field");
         let cfg: CeaffConfig = serde_json::from_str(&stripped).expect("old config loads");
-        assert!(cfg.candidates.is_dense());
+        assert_eq!(cfg.candidates, CandidateStrategy::Dense);
         // And the blocked variant round-trips.
         let blocked = fast_cfg().with_blocking(40);
         let json = serde_json::to_string(&blocked).expect("serializes");
@@ -1584,33 +1517,6 @@ mod tests {
             out.accuracy
         );
         assert!(out.matching.is_one_to_one());
-    }
-
-    #[test]
-    fn blocked_pipeline_rejects_checkpointing() {
-        let ds = dataset();
-        let src = ds.source_embedder(32);
-        let tgt = ds.target_embedder(32);
-        let input = EaInput::new(&ds.pair, &src, &tgt);
-        let cfg = fast_cfg().with_blocking(25);
-        let dir = std::env::temp_dir().join(format!("ceaff-blocked-ck-{}", std::process::id()));
-        let ck = Checkpointer::create(&dir, checkpoint::CheckpointPolicy::PerStage, &cfg)
-            .expect("run directory");
-        let opts = RunOptions {
-            checkpoint: Some(&ck),
-            ..RunOptions::default()
-        };
-        let err = run(&input, &cfg, &opts).unwrap_err();
-        match &err {
-            // The message must name both offending flags so a CLI user
-            // knows exactly which pair of options conflicts.
-            CeaffError::InvalidConfig(msg) => {
-                assert!(msg.contains("--checkpoint-dir"), "{msg}");
-                assert!(msg.contains("--candidates blocked"), "{msg}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! A snapshot captures everything [`DeltaState`] caches — the evolved
 //! pair, the raw feature stores, the propagation layers, the last
 //! pipeline output, and the chained fingerprint — in the same
-//! little-endian fixed-width codec the checkpoint artifacts use, so
-//! every `f32`/`f64` round-trips bitwise and a decoded state is
-//! *indistinguishable* from the state that was encoded. Nothing is
+//! little-endian fixed-width codec the checkpoint artifacts use (each
+//! feature is the very block its stage artifact holds, see
+//! [`crate::checkpoint`]), so every `f32`/`f64` round-trips bitwise and
+//! a decoded state is *indistinguishable* from the state that was
+//! encoded. Nothing is
 //! recomputed on decode: that is what makes a warm restart cheap (no
 //! feature extraction, no fusion) and provable (bit-identical answers).
 //!
@@ -17,7 +19,9 @@
 //! * the configuration is pinned by its fingerprint (CRC32 of its JSON) — the
 //!   caller rebuilds [`CeaffConfig`] from its own flags and decode
 //!   *verifies* it matches the one the snapshot was taken under,
-//! * every read is bounds-checked, so truncated or bit-flipped payloads
+//! * every read is bounds-checked, every store and matched pair is
+//!   checked against the pair's test split, and bytes after the last
+//!   field are rejected, so truncated, bit-flipped or crafted payloads
 //!   fail with a typed [`CeaffError::Checkpoint`], never a panic — the
 //!   outer file framing (CRC32, atomic rename) is the WAL layer's job.
 //!
@@ -27,14 +31,14 @@
 //! stale timings.
 
 use ceaff_graph::{Alignment, EntityId, KgPair, KnowledgeGraph, RelationId, SeedSplit, Triple};
-use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
 use ceaff_telemetry::RunTrace;
 
-use crate::checkpoint::{config_fingerprint, ByteReader, ByteWriter};
+use crate::checkpoint::{
+    config_fingerprint, get_store, put_store, ByteReader, ByteWriter, FeatureCodec,
+};
 use crate::delta::DeltaState;
 use crate::error::CeaffError;
 use crate::eval::RankingMetrics;
-use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
 use crate::fusion::FusionReport;
 use crate::matching::Matching;
 use crate::pipeline::{CeaffConfig, CeaffOutput, FeatureSet};
@@ -54,26 +58,6 @@ fn snap_err(reason: impl Into<String>) -> CeaffError {
 // ---------------------------------------------------------------------------
 // Encode
 // ---------------------------------------------------------------------------
-
-fn put_store(w: &mut ByteWriter, store: &SimStore) {
-    match store {
-        SimStore::Dense(m) => {
-            w.u8(0);
-            w.matrix(m.as_matrix());
-        }
-        SimStore::Sparse(sp) => {
-            w.u8(1);
-            w.usize(sp.targets());
-            w.usize(sp.k());
-            w.usize(sp.sources());
-            for i in 0..sp.sources() {
-                let (cols, vals) = sp.row_entries(i);
-                w.u32s(cols);
-                w.f32s(vals);
-            }
-        }
-    }
-}
 
 fn put_links(w: &mut ByteWriter, links: &[(EntityId, EntityId)]) {
     w.usize(links.len());
@@ -158,32 +142,10 @@ pub fn encode_delta_state(state: &DeltaState) -> Result<Vec<u8>, CeaffError> {
         }
     }
 
-    match &features.structural {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            w.matrix(f.source_embeddings());
-            w.matrix(f.target_embeddings());
-            w.f32s(&f.loss_curve);
-            put_store(&mut w, f.test_store());
-        }
-    }
-    match &features.semantic {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            w.matrix(f.source_embeddings());
-            w.matrix(f.target_embeddings());
-            put_store(&mut w, f.test_store());
-        }
-    }
-    match &features.string {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            put_store(&mut w, f.test_store());
-        }
-    }
+    // Each enabled feature is the block of its stage artifact.
+    w.opt(features.structural.as_ref(), |w, f| f.put(w));
+    w.opt(features.semantic.as_ref(), |w, f| f.put(w));
+    w.opt(features.string.as_ref(), |w, f| f.put(w));
 
     let output = state.output();
     put_store(&mut w, &output.fused);
@@ -196,22 +158,9 @@ pub fn encode_delta_state(state: &DeltaState) -> Result<Vec<u8>, CeaffError> {
     w.f64(output.ranking.hits1);
     w.f64(output.ranking.hits10);
     w.f64(output.ranking.mrr);
-    for report in [&output.textual_fusion, &output.final_fusion] {
-        match report {
-            None => w.u8(0),
-            Some(r) => {
-                w.u8(1);
-                put_fusion_report(&mut w, r);
-            }
-        }
-    }
-    match &output.flat_weights {
-        None => w.u8(0),
-        Some(ws) => {
-            w.u8(1);
-            w.f32s(ws);
-        }
-    }
+    w.opt(output.textual_fusion.as_ref(), put_fusion_report);
+    w.opt(output.final_fusion.as_ref(), put_fusion_report);
+    w.opt(output.flat_weights.as_ref(), |w, ws| w.f32s(ws));
     Ok(w.into_bytes())
 }
 
@@ -270,32 +219,6 @@ fn get_pair(r: &mut ByteReader<'_>) -> Result<KgPair, String> {
         alignment,
         split: SeedSplit::from_parts(seed, test),
     })
-}
-
-fn get_store(r: &mut ByteReader<'_>) -> Result<SimStore, String> {
-    match r.u8()? {
-        0 => Ok(SimStore::Dense(SimilarityMatrix::new(r.matrix()?))),
-        1 => {
-            let targets = r.usize()?;
-            let k = r.usize()?;
-            let sources = r.usize()?;
-            let mut rows = Vec::with_capacity(sources);
-            for _ in 0..sources {
-                let cols = r.u32s()?;
-                let vals = r.f32s()?;
-                if cols.len() != vals.len() {
-                    return Err("sparse row column/value length mismatch".into());
-                }
-                rows.push(cols.into_iter().zip(vals).collect());
-            }
-            // `from_rows` keeps already-canonical rows (score-desc,
-            // col-asc ties) untouched, so the rebuilt store is bitwise
-            // the encoded one — and it re-registers the tensor-ledger
-            // bytes the serde skip dropped.
-            Ok(SimStore::Sparse(SparseTopK::from_rows(targets, k, rows)))
-        }
-        tag => Err(format!("unknown store tag {tag}")),
-    }
 }
 
 fn get_fusion_report(r: &mut ByteReader<'_>) -> Result<FusionReport, String> {
@@ -358,46 +281,24 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
     }
     let [prop_source, prop_target] = prop;
 
-    let structural = match r.u8()? {
-        0 => None,
-        _ => {
-            let z_source = r.matrix()?;
-            let z_target = r.matrix()?;
-            let loss_curve = r.f32s()?;
-            let test = get_store(&mut r)?;
-            Some(StructuralFeature::from_store_parts(
-                z_source, z_target, test, loss_curve,
-            ))
-        }
-    };
-    let semantic = match r.u8()? {
-        0 => None,
-        _ => {
-            let n_source = r.matrix()?;
-            let n_target = r.matrix()?;
-            let test = get_store(&mut r)?;
-            Some(SemanticFeature::from_store_parts(n_source, n_target, test))
-        }
-    };
-    let string = match r.u8()? {
-        0 => None,
-        _ => {
-            let test = get_store(&mut r)?;
-            Some(StringFeature::from_store(&pair, test))
-        }
-    };
     let features = FeatureSet {
-        structural,
-        semantic,
-        string,
+        structural: r.opt(|r| FeatureCodec::get(r, &pair))?,
+        semantic: r.opt(|r| FeatureCodec::get(r, &pair))?,
+        string: r.opt(|r| FeatureCodec::get(r, &pair))?,
         extra: Vec::new(),
     };
 
-    let fused = get_store(&mut r)?;
+    let fused = get_store(&mut r, &pair)?;
     let n = r.usize()?;
     let mut pairs = Vec::with_capacity(n.min(bytes.len() / 16));
+    let tests = pair.test_pairs().len();
     for _ in 0..n {
-        pairs.push((r.usize()?, r.usize()?));
+        let (i, j) = (r.usize()?, r.usize()?);
+        if i >= tests || j >= tests {
+            // The next apply indexes the split maps with these.
+            return Err(format!("matched pair ({i}, {j}) outside the test split"));
+        }
+        pairs.push((i, j));
     }
     let matching = Matching::from_pairs(pairs);
     let accuracy = r.f64()?;
@@ -406,27 +307,17 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
         hits10: r.f64()?,
         mrr: r.f64()?,
     };
-    let mut reports = [None, None];
-    for slot in &mut reports {
-        if r.u8()? != 0 {
-            *slot = Some(get_fusion_report(&mut r)?);
-        }
-    }
-    let [textual_fusion, final_fusion] = reports;
-    let flat_weights = match r.u8()? {
-        0 => None,
-        _ => Some(r.f32s()?),
-    };
     let output = CeaffOutput {
         fused,
         matching,
         accuracy,
         ranking,
-        textual_fusion,
-        final_fusion,
-        flat_weights,
+        textual_fusion: r.opt(get_fusion_report)?,
+        final_fusion: r.opt(get_fusion_report)?,
+        flat_weights: r.opt(|r| r.f32s())?,
         trace: RunTrace::default(),
     };
+    r.finish()?;
 
     Ok(DeltaState::from_parts(
         cfg.clone(),
@@ -443,9 +334,11 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::Feature;
     use crate::gcn::GcnConfig;
     use crate::pipeline::EaInput;
     use ceaff_graph::{DeltaOp, KgDelta, Side};
+    use ceaff_sim::SimStore;
 
     fn dataset() -> ceaff_datagen::GeneratedDataset {
         ceaff_datagen::generate(&ceaff_datagen::GenConfig {
@@ -557,6 +450,39 @@ mod tests {
         roundtrip(true);
     }
 
+    /// FNV-1a over a snapshot payload.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned_across_commits() {
+        // Cross-commit pin of the snapshot layout: WAL directories written
+        // by an older build must keep warm-restarting, so the bytes of a
+        // fixed state may not move. Recorded before the feature codec was
+        // shared with the checkpoint stage artifacts.
+        let ds = dataset();
+        let src = ds.source_embedder(32);
+        let tgt = ds.target_embedder(32);
+        for (blocked, want) in [
+            (false, 0xcffd_39c5_cdac_7d30_u64),
+            (true, 0x5170_16ea_4ffe_dae8),
+        ] {
+            let state =
+                DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg(blocked)).unwrap();
+            let bytes = encode_delta_state(&state).unwrap();
+            let got = fnv1a(&bytes);
+            assert_eq!(
+                got,
+                want,
+                "snapshot bytes moved (blocked: {blocked}, {} bytes): {got:#018x}",
+                bytes.len()
+            );
+        }
+    }
+
     #[test]
     fn decode_rejects_a_different_configuration() {
         let ds = dataset();
@@ -595,5 +521,46 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(decode_delta_state(&bad, &cfg).is_err());
+        // So are bytes after the last field.
+        let mut long = bytes.clone();
+        long.push(0);
+        expect_typed(decode_delta_state(&long, &cfg), "trailing");
+        // Crafted stores in place of the structural one — the first store
+        // of the payload — fail typed instead of panicking the store
+        // constructors.
+        let mut w = ByteWriter::new();
+        put_store(
+            &mut w,
+            state.features().structural.as_ref().unwrap().test_store(),
+        );
+        let store = w.into_bytes();
+        let at = bytes
+            .windows(store.len())
+            .position(|win| win == store.as_slice())
+            .expect("the structural store is in the payload");
+        let n = ds.pair.test_pairs().len();
+        for (want, crafted) in crate::checkpoint::tests::hostile_stores(n) {
+            let spliced = [&bytes[..at], &crafted, &bytes[at + store.len()..]].concat();
+            expect_typed(decode_delta_state(&spliced, &cfg), want);
+        }
+        // So does a matched pair outside the test split.
+        let matching = state.output().matching.pairs();
+        let (i, j) = matching[0];
+        let needle = [matching.len(), i, j]
+            .map(|v| (v as u64).to_le_bytes())
+            .concat();
+        let at = bytes
+            .windows(needle.len())
+            .position(|win| win == needle.as_slice())
+            .expect("the matching is in the payload");
+        let mut far = bytes.clone();
+        far[at + 8..at + 16].copy_from_slice(&(n as u64).to_le_bytes());
+        expect_typed(decode_delta_state(&far, &cfg), "outside the test split");
+    }
+
+    fn expect_typed(res: Result<DeltaState, CeaffError>, want: &str) {
+        let err = res.err().expect("a crafted payload must be rejected");
+        let typed = matches!(&err, CeaffError::Checkpoint { reason, .. } if reason.contains(want));
+        assert!(typed, "expected a typed {want:?} error, got {err}");
     }
 }

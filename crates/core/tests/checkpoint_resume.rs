@@ -379,3 +379,100 @@ fn corrupted_manifest_is_rejected_with_a_typed_error() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The blocked strategy: the same trained GCN, but every feature keeps
+/// only its 8 best of ~100 candidate targets per row.
+fn blocked_cfg() -> CeaffConfig {
+    cfg().with_blocking(8)
+}
+
+/// [`assert_bitwise_equal`] for blocked runs: the fused top-k stores hold
+/// the same cells with the same bits.
+fn assert_blocked_bitwise_equal(a: &CeaffOutput, b: &CeaffOutput) {
+    let sa = a
+        .fused
+        .as_sparse()
+        .expect("a blocked run fuses a sparse store");
+    let sb = b
+        .fused
+        .as_sparse()
+        .expect("a blocked run fuses a sparse store");
+    assert_eq!(
+        (sa.sources(), sa.targets(), sa.k()),
+        (sb.sources(), sb.targets(), sb.k())
+    );
+    assert!(
+        sa.nnz() < sa.sources() * sa.targets(),
+        "the stores must be truncated"
+    );
+    for i in 0..sa.sources() {
+        let ((ca, va), (cb, vb)) = (sa.row_entries(i), sb.row_entries(i));
+        assert_eq!(ca, cb, "fused row {i} columns diverge");
+        for (x, y) in va.iter().zip(vb) {
+            assert_eq!(x.to_bits(), y.to_bits(), "fused row {i} scores diverge");
+        }
+    }
+    assert_eq!(a.matching.pairs(), b.matching.pairs());
+    assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+    assert_eq!(a.ranking.hits1.to_bits(), b.ranking.hits1.to_bits());
+    assert_eq!(a.ranking.hits10.to_bits(), b.ranking.hits10.to_bits());
+    assert_eq!(a.ranking.mrr.to_bits(), b.ranking.mrr.to_bits());
+}
+
+#[test]
+fn blocked_runs_resume_bitwise_mid_training_and_from_completed_stages() {
+    let ds = dataset();
+    let src = ds.source_embedder(16);
+    let tgt = ds.target_embedder(16);
+    let cfg = blocked_cfg();
+    let uninterrupted = {
+        let _quiet = FaultPlan::default().activate();
+        let input = EaInput::new(&ds.pair, &src, &tgt);
+        try_run(&input, &cfg).expect("uninterrupted blocked run")
+    };
+
+    // A crash mid-training at one thread, resumed at four.
+    let dir = run_dir("blocked-crash");
+    {
+        let _scope = FaultPlan {
+            fail_train_at_epoch: Some(17),
+            ..FaultPlan::default()
+        }
+        .activate();
+        let crashed = ceaff_parallel::with_threads(1, || {
+            let input = EaInput::new(&ds.pair, &src, &tgt);
+            run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::EveryNEpochs(5))
+        });
+        assert!(crashed.is_err(), "the injected crash must abort the run");
+        assert!(dir.join("gcn_train.ckpt").exists());
+    }
+    let resumed = {
+        let _quiet = FaultPlan::default().activate();
+        ceaff_parallel::with_threads(4, || {
+            let input = EaInput::new(&ds.pair, &src, &tgt);
+            resume_dir(&dir, &input).expect("resumed blocked run")
+        })
+    };
+    assert_eq!(resumed.trace.counter("checkpoint", "stages_saved"), Some(3));
+    assert_blocked_bitwise_equal(&uninterrupted, &resumed);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A completed per-stage run, resumed: all three sparse stages are
+    // restored, none recomputed.
+    let _quiet = FaultPlan::default().activate();
+    let dir = run_dir("blocked-stages");
+    let input = EaInput::new(&ds.pair, &src, &tgt);
+    let first = run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::PerStage)
+        .expect("first blocked run completes");
+    assert_eq!(first.trace.counter("checkpoint", "stages_saved"), Some(3));
+    let input = EaInput::new(&ds.pair, &src, &tgt);
+    let second = resume_dir(&dir, &input).expect("second blocked run completes");
+    assert_eq!(
+        second.trace.counter("checkpoint", "stages_resumed"),
+        Some(3)
+    );
+    assert_eq!(second.trace.counter("checkpoint", "stages_saved"), None);
+    assert_blocked_bitwise_equal(&uninterrupted, &first);
+    assert_blocked_bitwise_equal(&uninterrupted, &second);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,9 +11,6 @@
 //! the mono-lingual and close-lingual regimes need. Names in disjoint
 //! scripts share nothing and are — correctly — never candidates.
 
-use crate::levenshtein::LevPattern;
-use crate::matrix::SimilarityMatrix;
-use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -337,63 +334,11 @@ pub fn keys_of(name: &str, cfg: &BlockingConfig) -> Vec<String> {
     keys
 }
 
-/// Compute the string similarity matrix with inverted-index blocking.
-///
-/// Cells whose names share fewer than `min_shared_keys` index keys are
-/// left at 0 (never scored). Returns the matrix and the blocking
-/// statistics.
-pub fn blocked_string_similarity_matrix<S: AsRef<str>, T: AsRef<str>>(
-    sources: &[S],
-    targets: &[T],
-    cfg: &BlockingConfig,
-) -> (SimilarityMatrix, BlockingStats) {
-    assert!(
-        cfg.index_tokens || cfg.index_trigrams,
-        "blocking needs at least one key kind enabled"
-    );
-    // Inverted index over target names.
-    let mut index: HashMap<String, Vec<u32>> = HashMap::new();
-    for (j, t) in targets.iter().enumerate() {
-        for key in keys_of(t.as_ref(), cfg) {
-            index.entry(key).or_default().push(j as u32);
-        }
-    }
-
-    let n = sources.len();
-    let m = targets.len();
-    let mut out = Matrix::zeros(n, m);
-    let mut pairs_scored = 0usize;
-    let mut shared: HashMap<u32, usize> = HashMap::new();
-    for (i, s) in sources.iter().enumerate() {
-        shared.clear();
-        for key in keys_of(s.as_ref(), cfg) {
-            if let Some(posting) = index.get(&key) {
-                for &j in posting {
-                    *shared.entry(j).or_insert(0) += 1;
-                }
-            }
-        }
-        let pattern = LevPattern::new(s.as_ref());
-        for (&j, &count) in &shared {
-            if count >= cfg.min_shared_keys {
-                out[(i, j as usize)] = pattern.ratio(targets[j as usize].as_ref().chars());
-                pairs_scored += 1;
-            }
-        }
-    }
-    (
-        SimilarityMatrix::new(out),
-        BlockingStats {
-            pairs_scored,
-            pairs_total: n * m,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::levenshtein::string_similarity_matrix;
+    use crate::levenshtein::{string_similarity_matrix, LevPattern};
+    use crate::store::SparseTopK;
 
     #[test]
     fn keys_include_tokens_and_trigrams() {
@@ -405,20 +350,42 @@ mod tests {
         assert!(keys.contains(&"ork".to_string()));
     }
 
+    /// The test names of a mono-lingual benchmark: gold is the diagonal.
+    fn mono_lingual_test_names() -> (Vec<String>, Vec<String>) {
+        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
+        let owned = |names: Vec<&str>| names.into_iter().map(str::to_owned).collect();
+        (owned(ds.test_source_names()), owned(ds.test_target_names()))
+    }
+
+    /// The string store blocking yields: `levenshtein_ratio` over each
+    /// candidate pair, every candidate kept (`k` = all targets).
+    fn blocked_string_store<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
+        s: &[S],
+        t: &[T],
+        cfg: &BlockingConfig,
+    ) -> (SparseTopK, BlockingStats) {
+        let k = t.len().max(1);
+        let cands = build_candidates(s, t, cfg, k);
+        let store = SparseTopK::from_candidates(&cands, k, |i| {
+            let pattern = LevPattern::new(s[i].as_ref());
+            move |j| pattern.ratio(t[j as usize].as_ref().chars())
+        });
+        (store, cands.stats())
+    }
+
     #[test]
     fn scored_cells_match_the_dense_matrix() {
         let s = ["New York City", "Berlin", "Tokyo Tower"];
         let t = ["New York", "Berlin (city)", "Kyoto"];
-        let (blocked, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let (blocked, stats) = blocked_string_store(&s, &t, &BlockingConfig::default());
         let dense = string_similarity_matrix(&s, &t);
         for i in 0..3 {
-            for j in 0..3 {
-                let b = blocked.get(i, j);
-                if b > 0.0 {
-                    assert!((b - dense.get(i, j)).abs() < 1e-6, "cell ({i},{j})");
-                }
+            let (cols, vals) = blocked.row_entries(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                assert_eq!(v.to_bits(), dense.get(i, j as usize).to_bits(), "({i},{j})");
             }
         }
+        assert_eq!(blocked.nnz(), stats.pairs_scored);
         assert!(stats.pairs_scored < stats.pairs_total);
         assert!(stats.scored_fraction() < 1.0);
     }
@@ -428,7 +395,7 @@ mod tests {
         // Typo'd counterparts still share most trigrams.
         let s = ["gavora benatil", "triskel dromvou"];
         let t = ["gavora bentail", "triskel dromvuo"];
-        let (m, _) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let (m, _) = blocked_string_store(&s, &t, &BlockingConfig::default());
         assert!(
             m.get(0, 0) > 0.7,
             "typo pair must be scored: {}",
@@ -441,25 +408,15 @@ mod tests {
     fn disjoint_scripts_are_never_candidates() {
         let s = ["gavora"];
         let t = ["佢丗凋"];
-        let (m, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let (m, stats) = blocked_string_store(&s, &t, &BlockingConfig::default());
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(stats.pairs_scored, 0);
     }
 
     #[test]
     fn blocking_prunes_most_of_a_realistic_cross_product() {
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let (m, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let (s, t) = mono_lingual_test_names();
+        let (m, stats) = blocked_string_store(&s, &t, &BlockingConfig::default());
         assert!(
             stats.scored_fraction() < 0.5,
             "blocking should prune over half the cross product: {}",
@@ -483,45 +440,37 @@ mod tests {
             pairs_total: 0,
         };
         assert_eq!(empty.scored_fraction(), 0.0);
-        let (_, stats) =
-            blocked_string_similarity_matrix::<&str, &str>(&[], &[], &BlockingConfig::default());
+        let stats = build_candidates::<&str, &str>(&[], &[], &BlockingConfig::default(), 1).stats();
         assert_eq!(stats.pairs_total, 0);
         assert_eq!(stats.scored_fraction(), 0.0);
     }
 
     #[test]
-    fn candidate_set_matches_the_blocked_matrix_support() {
+    fn candidate_set_is_every_pair_sharing_enough_keys() {
         let s = ["New York City", "Berlin", "Tokyo Tower"];
         let t = ["New York", "Berlin (city)", "Kyoto"];
         let cfg = BlockingConfig::default();
         let cands = build_candidates(&s, &t, &cfg, 10);
-        let (blocked, stats) = blocked_string_similarity_matrix(&s, &t, &cfg);
-        for i in 0..3 {
-            for j in 0..3 {
+        for (i, name) in s.iter().enumerate() {
+            let keys = keys_of(name, &cfg);
+            for (j, target) in t.iter().enumerate() {
+                let shared = keys_of(target, &cfg)
+                    .iter()
+                    .filter(|k| keys.contains(k))
+                    .count();
                 assert_eq!(
                     cands.contains(i, j),
-                    blocked.get(i, j) > 0.0,
+                    shared >= cfg.min_shared_keys,
                     "cell ({i},{j})"
                 );
             }
         }
-        assert_eq!(cands.stats(), stats);
-        assert_eq!(cands.len(), stats.pairs_scored);
+        assert_eq!(cands.stats().pairs_scored, cands.len());
     }
 
     #[test]
     fn candidate_cap_keeps_rows_bounded_and_deterministic() {
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
+        let (s, t) = mono_lingual_test_names();
         let cfg = BlockingConfig::default();
         let capped = build_candidates(&s, &t, &cfg, 5);
         for i in 0..capped.sources() {
@@ -600,17 +549,7 @@ mod tests {
     fn recall_counts_surviving_gold_pairs() {
         // Gold is the diagonal of a mono-lingual benchmark: blocking must
         // keep almost all of it.
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
+        let (s, t) = mono_lingual_test_names();
         let cands = build_candidates(&s, &t, &BlockingConfig::default(), 50);
         let gold: Vec<(usize, usize)> = (0..s.len()).map(|i| (i, i)).collect();
         let recall = cands.recall_of(&gold);
@@ -626,6 +565,6 @@ mod tests {
             index_trigrams: false,
             min_shared_keys: 1,
         };
-        let _ = blocked_string_similarity_matrix(&["a"], &["b"], &cfg);
+        let _ = TargetIndex::build(&["b"], &cfg);
     }
 }

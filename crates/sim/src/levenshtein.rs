@@ -34,19 +34,22 @@ use rayon::prelude::*;
 /// Longest source the bit-parallel kernel takes: one bit per char.
 const WORD: usize = 64;
 
-/// A source name compiled once for `lev*` against many targets.
+/// A source name compiled once for `lev*` against many targets: build one
+/// per source row and score each of the row's targets with
+/// [`LevPattern::ratio`], whose bits equal [`levenshtein_ratio`]'s.
 ///
 /// Holds the bit-parallel match masks — `mask(c)` has bit `i` set where the
 /// source's `i`-th char is `c` — as a table for ASCII plus a sorted list
 /// for every other char.
-pub(crate) struct LevPattern {
+pub struct LevPattern {
     chars: Vec<char>,
     ascii: [u64; 128],
     other: Vec<(char, u64)>,
 }
 
 impl LevPattern {
-    pub(crate) fn new(source: &str) -> Self {
+    /// Compile `source`.
+    pub fn new(source: &str) -> Self {
         let chars: Vec<char> = source.chars().collect();
         let mut ascii = [0u64; 128];
         let mut other: Vec<(char, u64)> = Vec::new();
@@ -108,9 +111,9 @@ impl LevPattern {
         self.distance_and_len(target).0
     }
 
-    /// The Levenshtein ratio of the source and `target` (see
+    /// The Levenshtein ratio of the source and `target`'s chars (see
     /// [`levenshtein_ratio`]).
-    pub(crate) fn ratio(&self, target: impl IntoIterator<Item = char>) -> f32 {
+    pub fn ratio(&self, target: impl IntoIterator<Item = char>) -> f32 {
         let (d, lb) = self.distance_and_len(target);
         let total = self.chars.len() + lb;
         if total == 0 {

@@ -18,11 +18,12 @@ pub mod matrix;
 pub mod store;
 
 pub use blocking::{
-    blocked_string_similarity_matrix, build_candidates, keys_of, BlockingConfig, BlockingStats,
-    CandidateSet, TargetIndex,
+    build_candidates, keys_of, BlockingConfig, BlockingStats, CandidateSet, TargetIndex,
 };
 pub use cosine::{cosine, cosine_similarity_matrix};
 pub use csls::{csls_adjusted, csls_adjusted_sparse, csls_adjusted_store};
-pub use levenshtein::{levenshtein, levenshtein_ratio, levenshtein_sub2, string_similarity_matrix};
+pub use levenshtein::{
+    levenshtein, levenshtein_ratio, levenshtein_sub2, string_similarity_matrix, LevPattern,
+};
 pub use matrix::SimilarityMatrix;
 pub use store::{SimScores, SimStore, SparseTopK, SparseTopKBuilder};

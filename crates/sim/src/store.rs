@@ -309,25 +309,26 @@ impl SparseTopK {
     }
 
     /// Score a fixed candidate structure: row `i` keeps the `k` best of
-    /// `candidates.row(i)` under `score`. Rows fan out across the pool;
-    /// each row is scored, sorted and truncated sequentially, so the
-    /// result is bitwise-identical at any thread count.
-    pub fn from_candidates<F>(
+    /// `candidates.row(i)` under `row_scorer(i)`, built once per row so
+    /// per-source work (a compiled [`LevPattern`](crate::LevPattern)) is
+    /// not repeated per cell. Rows fan out across the pool; each row is
+    /// scored, sorted and truncated sequentially, so the result is
+    /// bitwise-identical at any thread count.
+    pub fn from_candidates<R, F>(
         candidates: &crate::blocking::CandidateSet,
         k: usize,
-        score: F,
+        row_scorer: R,
     ) -> Self
     where
-        F: Fn(usize, u32) -> f32 + Sync,
+        R: Fn(usize) -> F + Sync,
+        F: FnMut(u32) -> f32,
     {
         assert!(k > 0, "SparseTopK needs k >= 1");
         let sources = candidates.sources();
         let build = |i: usize| -> Vec<(u32, f32)> {
-            let mut row: Vec<(u32, f32)> = candidates
-                .row(i)
-                .iter()
-                .map(|&j| (j, score(i, j)))
-                .collect();
+            let mut score = row_scorer(i);
+            let mut row: Vec<(u32, f32)> =
+                candidates.row(i).iter().map(|&j| (j, score(j))).collect();
             sort_row_canonical(&mut row);
             row.truncate(k);
             row
