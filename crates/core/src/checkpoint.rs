@@ -25,7 +25,6 @@ use ceaff_sim::{SimStore, SimilarityMatrix, SparseTopK};
 use ceaff_tensor::{Matrix, OptimSlot, OptimState};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// Version tag written into `config.json` and checked by
 /// [`Checkpointer::create`] and [`Checkpointer::open`], so a layout change
@@ -67,32 +66,63 @@ impl CheckpointPolicy {
 // CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC state contribution of byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the state
+/// by eight bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC32 checksum (IEEE) of a byte slice — the integrity check attached
-/// to every checkpoint artifact.
+/// to every checkpoint artifact, WAL frame and snapshot file. Slicing-by-8:
+/// the same checksum a bytewise table walk computes, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -819,6 +849,7 @@ impl FeatureCodec for StructuralFeature {
 
     fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String> {
         let (zs, zt, loss_curve) = (r.matrix()?, r.matrix()?, r.f32s()?);
+        check_embeddings("structural", &zs, &zt, pair)?;
         Ok(Self::from_store_parts(
             zs,
             zt,
@@ -837,8 +868,41 @@ impl FeatureCodec for SemanticFeature {
 
     fn get(r: &mut ByteReader<'_>, pair: &KgPair) -> Result<Self, String> {
         let (ns, nt) = (r.matrix()?, r.matrix()?);
+        check_embeddings("semantic", &ns, &nt, pair)?;
         Ok(Self::from_store_parts(ns, nt, get_store(r, pair)?))
     }
+}
+
+/// A feature's whole-KG embedding matrices must hold one row per entity of
+/// their graph and share one width: the delta patcher renumbers their
+/// rows by entity id and scores source rows against target rows.
+fn check_embeddings(feature: &str, zs: &Matrix, zt: &Matrix, pair: &KgPair) -> Result<(), String> {
+    check_rows(feature, "source", zs, pair.source.num_entities())?;
+    check_rows(feature, "target", zt, pair.target.num_entities())?;
+    if zs.cols() != zt.cols() {
+        return Err(format!(
+            "{feature} embedding widths differ: source {}, target {}",
+            zs.cols(),
+            zt.cols()
+        ));
+    }
+    Ok(())
+}
+
+/// `m` holds one row per entity of a graph with `entities` of them.
+pub(crate) fn check_rows(
+    what: &str,
+    side: &str,
+    m: &Matrix,
+    entities: usize,
+) -> Result<(), String> {
+    if m.rows() == entities {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} {side} matrix has {} rows for {entities} entities",
+        m.rows()
+    ))
 }
 
 impl FeatureCodec for StringFeature {
@@ -913,6 +977,57 @@ pub(crate) mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC32 (IEEE, reflected `0xEDB88320`), one bit at a
+    /// time: the reference the sliced implementation must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        // Deterministic pseudo-random bytes (xorshift).
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 19)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        // Every length through two whole 8-byte blocks plus a tail.
+        for len in 0..=17 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bytewise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        // Sub-slices at every alignment, of lengths on both sides of a block.
+        for start in 0..8 {
+            for len in [1, 7, 8, 9, 63, 64, 65, 1000] {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        // 1 MiB, aligned and off by three.
+        let mib = &bytes[..1 << 20];
+        assert_eq!(crc32(mib), crc32_bytewise(mib));
+        let shifted = &bytes[3..(1 << 20) + 3];
+        assert_eq!(crc32(shifted), crc32_bytewise(shifted));
     }
 
     #[test]
@@ -1012,6 +1127,55 @@ pub(crate) mod tests {
         for (want, bytes) in hostile_stores(n) {
             let err = decode_stage::<StringFeature>(&bytes, pair).expect_err(want);
             assert!(err.contains(want), "expected {want:?}: {err}");
+        }
+        // Embedding matrices must hold one row per entity and share a
+        // width (a mis-shaped one used to decode, then panic the next
+        // delta apply when it renumbered the rows).
+        let (ns_rows, nt_rows) = (pair.source.num_entities(), pair.target.num_entities());
+        let artifact = |zs: Matrix, zt: Matrix, structural: bool| {
+            let mut w = ByteWriter::new();
+            w.matrix(&zs);
+            w.matrix(&zt);
+            if structural {
+                w.f32s(&[1.0]);
+            }
+            put_store(&mut w, &SimStore::Dense(SimilarityMatrix::zeros(n, n)));
+            w.into_bytes()
+        };
+        for structural in [false, true] {
+            for (want, zs, zt) in [
+                ("1 rows", Matrix::zeros(1, 4), Matrix::zeros(nt_rows, 4)),
+                (
+                    "rows for",
+                    Matrix::zeros(ns_rows, 4),
+                    Matrix::zeros(nt_rows + 1, 4),
+                ),
+                (
+                    "widths differ",
+                    Matrix::zeros(ns_rows, 4),
+                    Matrix::zeros(nt_rows, 5),
+                ),
+            ] {
+                let bytes = artifact(zs, zt, structural);
+                let err = if structural {
+                    decode_stage::<StructuralFeature>(&bytes, pair).map(|_| ())
+                } else {
+                    decode_stage::<SemanticFeature>(&bytes, pair).map(|_| ())
+                };
+                let err = err.expect_err(want);
+                assert!(err.contains(want), "expected {want:?}: {err}");
+            }
+            let ok = artifact(
+                Matrix::zeros(ns_rows, 4),
+                Matrix::zeros(nt_rows, 4),
+                structural,
+            );
+            let decoded = if structural {
+                decode_stage::<StructuralFeature>(&ok, pair).map(|_| ())
+            } else {
+                decode_stage::<SemanticFeature>(&ok, pair).map(|_| ())
+            };
+            decoded.expect("a well-shaped artifact decodes");
         }
         // Both store kinds round-trip; a trailing byte is rejected.
         let (s, t) = (ds.test_source_names(), ds.test_target_names());

@@ -54,6 +54,13 @@
 //! arbitrarily). With the bookkeeping proportional to the edit, that
 //! re-run and the other global stages are a large share of what an edit
 //! costs.
+//!
+//! A stream of deltas whose intermediate decisions nobody reads — a WAL
+//! tail on warm restart — goes through [`DeltaState::replay`] instead: it
+//! patches and commits every delta exactly as `apply` does and runs the
+//! global stages once, over the final stores. Nothing a patch or the
+//! fingerprint chain computes reads a decision, so the result is bitwise
+//! that of applying the deltas one by one.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -214,9 +221,86 @@ impl DeltaState {
         target_embedder: &dyn WordEmbedder,
         budget: &ExecBudget,
     ) -> Result<AlignmentDiff, CeaffError> {
+        let telemetry = self.telemetry.child();
+        let patch = self.patch(delta, source_embedder, target_embedder, &telemetry)?;
+        let mut output = self.decide_pending(&patch, &telemetry, budget)?;
+
+        let span = telemetry.span("delta.diff");
+        let (added, removed, changed) = diff_matchings(
+            &self.output.matching,
+            &output.matching,
+            &patch.maps,
+            &self.pair,
+            &patch.pair,
+        );
+        span.finish();
+        let tail = telemetry.take_trace();
+        output.trace.stages.extend(tail.stages);
+        output.trace.events.extend(tail.events);
+
+        // Every fallible step is behind us.
+        let recompute_fraction = patch.recompute_fraction;
+        self.commit(patch);
+        let diff = AlignmentDiff {
+            step: self.step,
+            fingerprint: self.fingerprint,
+            accuracy: output.accuracy,
+            matched: output.matching.len(),
+            added,
+            removed,
+            changed,
+            recompute_fraction,
+        };
+        self.output = output;
+        Ok(diff)
+    }
+
+    /// Apply a stream of edit batches and decide once, at the end: each
+    /// delta is patched and committed exactly as [`DeltaState::apply`]
+    /// does, but fusion and matching run a single time, over the final
+    /// stores, through [`try_run_with_features`]. The result is bitwise
+    /// the state sequential applies reach — the decision is a pure
+    /// function of the committed stores, and no patch or fingerprint
+    /// reads it — at the cost of one decision instead of one per delta.
+    /// This is how a warm restart replays its log tail.
+    ///
+    /// The state is consumed, so one whose output trails its stores is
+    /// never observable; on error it is dropped. The returned output's
+    /// trace holds every delta's patch spans, then `fusion` and
+    /// `matcher`. An empty stream returns the state unchanged.
+    pub fn replay<'d>(
+        mut self,
+        deltas: impl IntoIterator<Item = &'d KgDelta>,
+        source_embedder: &dyn WordEmbedder,
+        target_embedder: &dyn WordEmbedder,
+    ) -> Result<Self, CeaffError> {
+        let telemetry = self.telemetry.child();
+        let start = self.step;
+        for delta in deltas {
+            let patch = self.patch(delta, source_embedder, target_embedder, &telemetry)?;
+            self.commit(patch);
+        }
+        if self.step > start {
+            self.output = try_run_with_features(&self.pair, &self.features, &self.cfg, &telemetry)?;
+        }
+        Ok(self)
+    }
+
+    /// Everything `delta` changes, computed against the current state but
+    /// not yet written into it: the edited pair and its id and split
+    /// maps, the chained fingerprint, the patched blocking indexes, and
+    /// each feature's recomputed rows and patched test store. Fails
+    /// before anything is taken from `self`; past the graph edit it only
+    /// moves the warm blocking indexes into the patch.
+    fn patch(
+        &mut self,
+        delta: &KgDelta,
+        source_embedder: &dyn WordEmbedder,
+        target_embedder: &dyn WordEmbedder,
+        telemetry: &Telemetry,
+    ) -> Result<Patch, CeaffError> {
         let cfg = &self.cfg;
         cfg.validate()?;
-        let telemetry = self.telemetry.child();
 
         let span = telemetry.span("delta.graph");
         let applied = delta
@@ -376,71 +460,95 @@ impl DeltaState {
             (layers_s, layers_t, fresh_zs, fresh_zt, store)
         });
 
-        // Global stages re-run in full through the batch pipeline's
-        // decision body, over the patched stores. The uncommitted rows are
-        // read through views, which only the LR weighting consults (it
-        // scores seed pairs outside the stores).
-        let mut output = {
-            let structural_view = self
-                .features
-                .structural
-                .as_ref()
-                .zip(structural.as_ref())
-                .map(
-                    |(old_f, (_, _, fresh_zs, fresh_zt, store))| PendingFeature {
-                        name: "structural",
-                        store,
-                        pairs: PairScore::Rows(
-                            PendingMatrix::new(old_f.source_embeddings(), &remap_s, fresh_zs),
-                            PendingMatrix::new(old_f.target_embeddings(), &remap_t, fresh_zt),
-                        ),
-                    },
-                );
-            let semantic_view = self.features.semantic.as_ref().zip(semantic.as_ref()).map(
-                |(old_f, (fresh_s, fresh_t, store))| PendingFeature {
-                    name: "semantic",
+        Ok(Patch {
+            blocking: blocked.map(|(warm, _)| warm),
+            pair: new_pair,
+            remap_s,
+            remap_t,
+            maps,
+            fingerprint,
+            string,
+            semantic,
+            structural,
+            recompute_fraction,
+        })
+    }
+
+    /// The global stages re-run in full through the batch pipeline's
+    /// decision body, over the patched stores. The uncommitted rows are
+    /// read through views, which only the LR weighting consults (it scores
+    /// seed pairs outside the stores).
+    fn decide_pending(
+        &self,
+        patch: &Patch,
+        telemetry: &Telemetry,
+        budget: &ExecBudget,
+    ) -> Result<CeaffOutput, CeaffError> {
+        let (remap_s, remap_t) = (&patch.remap_s, &patch.remap_t);
+        let structural_view = self
+            .features
+            .structural
+            .as_ref()
+            .zip(patch.structural.as_ref())
+            .map(
+                |(old_f, (_, _, fresh_zs, fresh_zt, store))| PendingFeature {
+                    name: "structural",
                     store,
                     pairs: PairScore::Rows(
-                        PendingMatrix::new(old_f.source_embeddings(), &remap_s, fresh_s),
-                        PendingMatrix::new(old_f.target_embeddings(), &remap_t, fresh_t),
+                        PendingMatrix::new(old_f.source_embeddings(), remap_s, fresh_zs),
+                        PendingMatrix::new(old_f.target_embeddings(), remap_t, fresh_zt),
                     ),
                 },
             );
-            let string_view = string.as_ref().map(|store| PendingFeature {
-                name: "string",
+        let semantic_view = self
+            .features
+            .semantic
+            .as_ref()
+            .zip(patch.semantic.as_ref())
+            .map(|(old_f, (fresh_s, fresh_t, store))| PendingFeature {
+                name: "semantic",
                 store,
-                pairs: PairScore::Names(&new_pair),
+                pairs: PairScore::Rows(
+                    PendingMatrix::new(old_f.source_embeddings(), remap_s, fresh_s),
+                    PendingMatrix::new(old_f.target_embeddings(), remap_t, fresh_t),
+                ),
             });
-            let active = select_active(
-                structural_view.as_ref().map(|f| f as &dyn Feature),
-                semantic_view.as_ref().map(|f| f as &dyn Feature),
-                string_view.as_ref().map(|f| f as &dyn Feature),
-                &[],
-                cfg,
-            );
-            fuse_and_match_active(&new_pair, &active, 0, cfg, &telemetry, budget)?
-        };
-
-        let span = telemetry.span("delta.diff");
-        let (added, removed, changed) = diff_matchings(
-            &self.output.matching,
-            &output.matching,
-            &maps,
-            &self.pair,
-            &new_pair,
+        let string_view = patch.string.as_ref().map(|store| PendingFeature {
+            name: "string",
+            store,
+            pairs: PairScore::Names(&patch.pair),
+        });
+        let active = select_active(
+            structural_view.as_ref().map(|f| f as &dyn Feature),
+            semantic_view.as_ref().map(|f| f as &dyn Feature),
+            string_view.as_ref().map(|f| f as &dyn Feature),
+            &[],
+            &self.cfg,
         );
-        span.finish();
-        let tail = telemetry.take_trace();
-        output.trace.stages.extend(tail.stages);
-        output.trace.events.extend(tail.events);
+        fuse_and_match_active(&patch.pair, &active, 0, &self.cfg, telemetry, budget)
+    }
 
-        // Commit — every fallible step is behind us. Recomputed rows go
-        // into the cached matrices in place; nothing n×dim is copied.
-        self.blocking = blocked.map(|(warm, _)| warm);
+    /// Write a patch into the state: recomputed rows go into the cached
+    /// matrices in place (nothing n×dim is copied), the patched stores
+    /// replace the old ones, and pair, step and fingerprint advance. The
+    /// output is left as it was; the caller replaces it.
+    fn commit(&mut self, patch: Patch) {
+        let Patch {
+            blocking,
+            pair,
+            remap_s,
+            remap_t,
+            fingerprint,
+            string,
+            semantic,
+            structural,
+            ..
+        } = patch;
+        self.blocking = blocking;
         if let (Some(f), Some(store)) = (self.features.string.as_mut(), string) {
             let (names_s, names_t, test) = f.parts_mut();
-            remap_names(names_s, &remap_s, &new_pair.source);
-            remap_names(names_t, &remap_t, &new_pair.target);
+            remap_names(names_s, &remap_s, &pair.source);
+            remap_names(names_t, &remap_t, &pair.target);
             *test = store;
         }
         if let (Some(f), Some((fresh_s, fresh_t, store))) =
@@ -465,21 +573,9 @@ impl DeltaState {
             fresh_zt.commit(zt, &remap_t);
             *test = store;
         }
-        self.pair = new_pair;
+        self.pair = pair;
         self.step += 1;
         self.fingerprint = fingerprint;
-        let diff = AlignmentDiff {
-            step: self.step,
-            fingerprint,
-            accuracy: output.accuracy,
-            matched: output.matching.len(),
-            added,
-            removed,
-            changed,
-            recompute_fraction,
-        };
-        self.output = output;
-        Ok(diff)
     }
 
     /// Record every later apply on fresh children of `telemetry` — for a
@@ -561,9 +657,40 @@ impl DeltaState {
     }
 }
 
-/// `crc32(prev_le ‖ canonical-JSON(delta))` — see
-/// [`AlignmentDiff::fingerprint`].
-fn chain_fingerprint(prev: u32, delta: &KgDelta) -> Result<u32, CeaffError> {
+/// One delta's effect on a [`DeltaState`], computed but not committed:
+/// what [`DeltaState::patch`] returns and [`DeltaState::commit`] writes.
+struct Patch {
+    /// The warm blocking indexes, patched to the new split.
+    blocking: Option<WarmIndexes>,
+    /// The edited pair.
+    pair: KgPair,
+    remap_s: IdRemap,
+    remap_t: IdRemap,
+    maps: SplitMaps,
+    fingerprint: u32,
+    /// The patched string store.
+    string: Option<SimStore>,
+    /// Fresh semantic rows per graph and the patched store.
+    semantic: Option<(FreshRows, FreshRows, SimStore)>,
+    /// Fresh propagation rows per layer and graph, fresh structural
+    /// embedding rows per graph, and the patched store.
+    #[allow(clippy::type_complexity)]
+    structural: Option<(
+        Vec<FreshRows>,
+        Vec<FreshRows>,
+        FreshRows,
+        FreshRows,
+        SimStore,
+    )>,
+    /// See [`AlignmentDiff::recompute_fraction`].
+    recompute_fraction: f64,
+}
+
+/// The chained fingerprint after `delta`: `crc32(prev_le ‖
+/// canonical-JSON(delta))`, see [`AlignmentDiff::fingerprint`]. Pure in
+/// its inputs and independent of any alignment decision, so a log's
+/// chain can be checked before its deltas are replayed.
+pub fn chain_fingerprint(prev: u32, delta: &KgDelta) -> Result<u32, CeaffError> {
     let delta_json = serde_json::to_string(delta)
         .map_err(|e| CeaffError::Delta(format!("delta not serializable: {e}")))?;
     let mut bytes = prev.to_le_bytes().to_vec();
@@ -1636,6 +1763,104 @@ mod tests {
             let rebuilt = WarmIndexes::build(&state.pair, blocking);
             assert!(warm.targets == rebuilt.targets && warm.sources == rebuilt.sources);
         }
+    }
+
+    /// A tail touching structure, the split order (a link moved to the
+    /// end of the split) and ordinary evolve edits.
+    fn replay_tail(pair: &KgPair) -> Vec<KgDelta> {
+        let mut deltas = vec![edit_delta(pair)];
+        let edited = deltas[0].apply(pair).expect("valid delta").pair;
+        deltas.push(relink(&edited, 0));
+        let relinked = deltas[1].apply(&edited).expect("valid delta").pair;
+        let stream = ceaff_datagen::evolve(
+            &relinked,
+            &ceaff_datagen::EvolveConfig {
+                steps: 4,
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        deltas.extend(stream.into_iter().map(|td| td.delta));
+        deltas
+    }
+
+    /// Replaying a tail and deciding once lands on the very state that
+    /// applying it delta by delta reaches: same fused bits, decision,
+    /// metrics, fingerprint, step and snapshot bytes.
+    fn assert_replay_equals_apply(blocked: bool) {
+        let ds = dataset();
+        let (src, tgt) = (ds.source_embedder(32), ds.target_embedder(32));
+        let input = EaInput::new(&ds.pair, &src, &tgt);
+        let mut applied = DeltaState::new(&input, &cfg(blocked)).expect("warm state");
+        let fresh = DeltaState::new(&input, &cfg(blocked)).expect("warm state");
+        let deltas = replay_tail(&ds.pair);
+        for delta in &deltas {
+            applied.apply(delta, &src, &tgt).expect("delta applies");
+        }
+        let replayed = fresh.replay(&deltas, &src, &tgt).expect("tail replays");
+
+        let (a, b) = (applied.output(), replayed.output());
+        assert!(
+            store_bits(&a.fused) == store_bits(&b.fused),
+            "fused store diverged"
+        );
+        assert_eq!(a.matching.pairs(), b.matching.pairs());
+        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+        for (x, y) in [
+            (a.ranking.hits1, b.ranking.hits1),
+            (a.ranking.hits10, b.ranking.hits10),
+            (a.ranking.mrr, b.ranking.mrr),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "ranking metrics diverged");
+        }
+        assert_eq!(applied.fingerprint(), replayed.fingerprint());
+        assert_eq!(applied.step(), deltas.len());
+        assert_eq!(replayed.step(), deltas.len());
+        assert!(
+            crate::snapshot::encode_delta_state(&applied).unwrap()
+                == crate::snapshot::encode_delta_state(&replayed).unwrap(),
+            "re-encoded snapshots must be byte-identical"
+        );
+        // The trace holds every delta's patch spans and one decision.
+        let spans = |name: &str| b.trace.stages.iter().filter(|s| s.stage == name).count();
+        assert_eq!(spans("delta.graph"), deltas.len());
+        assert_eq!(spans("fusion"), 1);
+
+        // An empty tail leaves the state as it was.
+        let before = crate::snapshot::encode_delta_state(&replayed).unwrap();
+        let again = replayed.replay([], &src, &tgt).expect("empty tail");
+        assert!(crate::snapshot::encode_delta_state(&again).unwrap() == before);
+    }
+
+    #[test]
+    fn replay_equals_sequential_apply_dense() {
+        assert_replay_equals_apply(false);
+    }
+
+    #[test]
+    fn replay_equals_sequential_apply_blocked() {
+        assert_replay_equals_apply(true);
+    }
+
+    #[test]
+    fn replay_fails_typed_on_a_bad_frame_mid_tail() {
+        let ds = dataset();
+        let (src, tgt) = (ds.source_embedder(32), ds.target_embedder(32));
+        let state =
+            DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg(false)).expect("warm state");
+        let mut deltas = replay_tail(&ds.pair);
+        deltas.insert(
+            2,
+            KgDelta::new(vec![DeltaOp::RemoveEntity {
+                side: Side::Source,
+                name: "no_such_entity_anywhere".into(),
+            }]),
+        );
+        let err = state
+            .replay(&deltas, &src, &tgt)
+            .err()
+            .expect("a bad frame must fail the replay");
+        assert!(matches!(err, CeaffError::Delta(_)), "{err:?}");
     }
 
     /// The lower column of the first pair of adjacent stored cells with

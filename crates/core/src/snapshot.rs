@@ -32,9 +32,10 @@
 
 use ceaff_graph::{Alignment, EntityId, KgPair, KnowledgeGraph, RelationId, SeedSplit, Triple};
 use ceaff_telemetry::RunTrace;
+use ceaff_tensor::Matrix;
 
 use crate::checkpoint::{
-    config_fingerprint, get_store, put_store, ByteReader, ByteWriter, FeatureCodec,
+    check_rows, config_fingerprint, get_store, put_store, ByteReader, ByteWriter, FeatureCodec,
 };
 use crate::delta::DeltaState;
 use crate::error::CeaffError;
@@ -236,6 +237,47 @@ fn get_fusion_report(r: &mut ByteReader<'_>) -> Result<FusionReport, String> {
     })
 }
 
+/// The propagation layer stacks `[H₀…H_L]` must hold one row per entity
+/// of their graph in every layer, be equally deep, and share one width —
+/// that of the structural embeddings, whose rows the structural patcher
+/// recomputes from the last layer. A structural feature needs a layer.
+fn check_layers(
+    prop_source: &[Matrix],
+    prop_target: &[Matrix],
+    pair: &KgPair,
+    features: &FeatureSet,
+) -> Result<(), String> {
+    if prop_source.len() != prop_target.len() {
+        return Err(format!(
+            "propagation stacks differ in depth: source {}, target {}",
+            prop_source.len(),
+            prop_target.len()
+        ));
+    }
+    let structural = features.structural.as_ref();
+    if structural.is_some() && prop_source.is_empty() {
+        return Err("structural feature without propagation layers".into());
+    }
+    let width = structural.map(|f| f.source_embeddings().cols());
+    let width = width.or(prop_source.first().map(Matrix::cols));
+    for (side, stack, entities) in [
+        ("source", prop_source, pair.source.num_entities()),
+        ("target", prop_target, pair.target.num_entities()),
+    ] {
+        for m in stack {
+            check_rows("propagation layer", side, m, entities)?;
+            if Some(m.cols()) != width {
+                return Err(format!(
+                    "propagation layer width {} does not match width {}",
+                    m.cols(),
+                    width.unwrap_or(0)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Reassemble a [`DeltaState`] from a snapshot payload.
 ///
 /// `cfg` is the configuration the caller is serving under (rebuilt from
@@ -287,6 +329,7 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
         string: r.opt(|r| FeatureCodec::get(r, &pair))?,
         extra: Vec::new(),
     };
+    check_layers(&prop_source, &prop_target, &pair, &features)?;
 
     let fused = get_store(&mut r, &pair)?;
     let n = r.usize()?;
@@ -542,6 +585,39 @@ mod tests {
         for (want, crafted) in crate::checkpoint::tests::hostile_stores(n) {
             let spliced = [&bytes[..at], &crafted, &bytes[at + store.len()..]].concat();
             expect_typed(decode_delta_state(&spliced, &cfg), want);
+        }
+        // Mis-shaped embedding matrices and propagation layers: one row
+        // per entity and one shared width are required (a 1-row semantic
+        // matrix used to decode, then panic the next apply).
+        let enc = |m: &Matrix| {
+            let mut w = ByteWriter::new();
+            w.matrix(m);
+            w.into_bytes()
+        };
+        let splice = |from: &Matrix, to: &Matrix| {
+            let (old, new) = (enc(from), enc(to));
+            let at = bytes
+                .windows(old.len())
+                .position(|win| win == old.as_slice())
+                .expect("the matrix is in the payload");
+            [&bytes[..at], &new, &bytes[at + old.len()..]].concat()
+        };
+        let first_row = |m: &Matrix| Matrix::from_vec(1, m.cols(), m.row(0).to_vec());
+        let wider = |m: &Matrix| Matrix::zeros(m.rows(), m.cols() + 1);
+        let semantic = state.features().semantic.as_ref().unwrap();
+        let (ns, nt) = (semantic.source_embeddings(), semantic.target_embeddings());
+        let (layers_s, layers_t) = state.prop_layers();
+        for (want, from, to) in [
+            ("semantic source matrix has 1 rows", ns, first_row(ns)),
+            ("semantic embedding widths differ", nt, wider(nt)),
+            (
+                "propagation layer source matrix has 1 rows",
+                &layers_s[0],
+                first_row(&layers_s[0]),
+            ),
+            ("propagation layer width", &layers_t[0], wider(&layers_t[0])),
+        ] {
+            expect_typed(decode_delta_state(&splice(from, &to), &cfg), want);
         }
         // So does a matched pair outside the test split.
         let matching = state.output().matching.pairs();

@@ -436,11 +436,13 @@ impl WarmState {
 }
 
 /// Rebuild warm state from a WAL directory: newest valid snapshot (with
-/// fallback to the previous generation), then replay the WAL tail,
-/// re-proving the fingerprint chain frame by frame. Falls back to a cold
-/// pipeline run only when no snapshot is usable — and even then replays
-/// whatever contiguous history the log holds. Returns the recovered
-/// state, an opened log positioned for the next append, and the report.
+/// fallback to the previous generation), then the WAL tail. The tail's
+/// fingerprint chain is proven frame by frame before any delta is
+/// replayed, and the tail is then replayed in one [`DeltaState::replay`],
+/// which decides once. Falls back to a cold pipeline run only when no
+/// snapshot is usable — and even then replays whatever contiguous history
+/// the log holds. Returns the recovered state, an opened log positioned
+/// for the next append, and the report.
 fn recover_durable(
     walopts: &WalOptions,
     cfg: &CeaffConfig,
@@ -463,7 +465,7 @@ fn recover_durable(
             Err(_) => snapshots_skipped += 1,
         }
     }
-    let (snapshot_step, mut state) = match chosen {
+    let (snapshot_step, state) = match chosen {
         Some((step, state)) => (Some(step), state),
         None => {
             let input = EaInput::new(pair, base, target).with_telemetry(telemetry.child());
@@ -471,31 +473,32 @@ fn recover_durable(
         }
     };
 
-    let mut replayed = 0usize;
-    for frame in &rec.frames {
-        if frame.step <= state.step() {
-            continue;
-        }
-        if frame.step != state.step() + 1 {
+    let tail: Vec<&wal::Frame> = rec
+        .frames
+        .iter()
+        .filter(|f| f.step > state.step())
+        .collect();
+    let (mut step, mut fingerprint) = (state.step(), state.fingerprint());
+    for frame in &tail {
+        if frame.step != step + 1 {
             return Err(load_err(format!(
-                "wal replay gap: recovered state is at step {} but the next durable frame \
+                "wal replay gap: recovered state is at step {step} but the next durable frame \
                  is step {} — the log no longer reaches back to a usable snapshot",
-                state.step(),
                 frame.step
             )));
         }
-        state.apply(&frame.delta, base, target)?;
-        if state.fingerprint() != frame.fingerprint {
+        fingerprint = ceaff_core::chain_fingerprint(fingerprint, &frame.delta)?;
+        step += 1;
+        if fingerprint != frame.fingerprint {
             return Err(load_err(format!(
-                "fingerprint chain broke at replayed step {}: frame recorded {:#010x}, \
-                 replay produced {:#010x}",
-                frame.step,
-                frame.fingerprint,
-                state.fingerprint()
+                "fingerprint chain broke at replayed step {step}: frame recorded {:#010x}, \
+                 replay produced {fingerprint:#010x}",
+                frame.fingerprint
             )));
         }
-        replayed += 1;
     }
+    let replayed = tail.len();
+    let state = state.replay(tail.iter().map(|f| &f.delta), base, target)?;
 
     let gen = rec.max_gen.unwrap_or(0).max(snapshot_step.unwrap_or(0));
     let mut wal = Wal::open(

@@ -256,16 +256,22 @@ fn parse_frames(bytes: &[u8], start: usize) -> (Vec<Frame>, usize) {
     }
 }
 
+/// A snapshot file's payload, CRC-checked. The header is read apart, so
+/// the payload lands in its own buffer without a copy.
 fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
     let name = path.file_name().unwrap_or_default().to_string_lossy();
-    if bytes.len() < 4 {
-        return Err(corrupt(name, "shorter than its CRC header"));
+    let mut file = File::open(path)?;
+    let mut header = [0u8; 4];
+    if let Err(e) = file.read_exact(&mut header) {
+        return Err(match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => corrupt(name, "shorter than its CRC header"),
+            _ => e.into(),
+        });
     }
-    let crc = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let payload = bytes[4..].to_vec();
-    if crc32(&payload) != crc {
+    let len = file.metadata()?.len().saturating_sub(4) as usize;
+    let mut payload = Vec::with_capacity(len);
+    file.read_to_end(&mut payload)?;
+    if crc32(&payload) != u32::from_le_bytes(header) {
         return Err(corrupt(name, "payload CRC mismatch"));
     }
     Ok(payload)
@@ -596,6 +602,29 @@ mod tests {
             rec.frames.iter().map(|f| f.step).collect::<Vec<_>>(),
             vec![2]
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn damaged_snapshots_are_all_counted_while_the_newest_is_valid() {
+        let dir = tmpdir("skipcount");
+        let mut wal = Wal::open(opts(&dir, 1), 0, 0, 0).unwrap();
+        for n in 1..=2 {
+            wal.append(&delta(n), n, n as u32).unwrap();
+            wal.install_snapshot(format!("payload-{n}").as_bytes())
+                .unwrap();
+        }
+        // An older generation is CRC-checked even though the newest one
+        // is usable, so a lost fallback shows in the skipped count.
+        ceaff_faultinject::flip_byte(dir.join("snap-1.bin"), 6).unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.skipped_snapshots, 1);
+        assert_eq!(rec.snapshots, vec![(2, b"payload-2".to_vec())]);
+        // A file shorter than its CRC header is skipped the same way.
+        fs::write(dir.join("snap-1.bin"), b"ab").unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.skipped_snapshots, 1);
+        assert_eq!(rec.snapshots.len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -302,6 +302,52 @@ fn corrupt_snapshot_falls_back_to_the_previous_generation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Overwrite the fingerprint of frame `step` (1-based within the log
+/// file) and re-seal its CRC, so the frame is well-formed but claims a
+/// fingerprint its delta does not chain to.
+fn forge_fingerprint(log: &Path, step: usize) {
+    let mut bytes = std::fs::read(log).expect("read log");
+    let mut pos = 0;
+    for _ in 1..step {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += len + 12;
+    }
+    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+    let fp_at = pos + 8 + len;
+    bytes[fp_at] ^= 0x01;
+    let crc = ceaff_core::checkpoint::crc32(&bytes[pos + 8..fp_at + 4]);
+    bytes[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(log, bytes).expect("write forged log");
+}
+
+#[test]
+fn a_chain_broken_mid_tail_fails_the_load_and_names_the_step() {
+    let root = scratch("chain-break");
+    let data = dataset_dir(&root);
+    let wal_dir = root.join("wal");
+    let walopts = WalOptions {
+        dir: wal_dir.clone(),
+        snapshot_every: 10,
+    };
+    // One snapshot at step 0 and a three-frame tail.
+    let durable = load(&data, Some(walopts.clone()));
+    for i in 1..=3 {
+        apply(&durable, i);
+    }
+    drop(durable);
+    forge_fingerprint(&wal_dir.join("wal-0.log"), 2);
+
+    let err = WarmState::load_dir(&data, &opts(Some(walopts)), &Telemetry::disabled())
+        .map(|_| ())
+        .expect_err("a broken fingerprint chain must fail recovery");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("fingerprint chain broke at replayed step 2"),
+        "error should name the step whose fingerprint does not chain: {msg}"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn wal_requires_incremental_mode() {
     let root = scratch("wal-needs-incremental");
