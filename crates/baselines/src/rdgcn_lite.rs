@@ -56,6 +56,8 @@ fn train_name_gcn(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let a1 = Rc::new(build_adjacency(&pair.source, cfg.adjacency));
     let a2 = Rc::new(build_adjacency(&pair.target, cfg.adjacency));
+    // Each epoch's backward multiplies by the fixed transposes.
+    let (at1, at2) = (Rc::new(a1.transpose()), Rc::new(a2.transpose()));
     let mut params = ParamSet::new();
     let mut n1_in = n1.clone();
     n1_in.l2_normalize_rows();
@@ -108,15 +110,16 @@ fn train_name_gcn(
         let xv2 = g.leaf(params.get(x2).clone());
         let wv1 = g.leaf(params.get(w1).clone());
         let wv2 = g.leaf(params.get(w2).clone());
-        let forward = |g: &mut Graph, a: &Rc<ceaff_graph::CsrMatrix>, x, wa, wb| {
-            let h = g.spmm(Rc::clone(a), x);
+        type Sparse = Rc<ceaff_graph::CsrMatrix>;
+        let forward = |g: &mut Graph, a: &Sparse, at: &Sparse, x, wa, wb| {
+            let h = g.spmm_transposed(Rc::clone(a), Rc::clone(at), x);
             let h = g.matmul(h, wa);
             let h = g.relu(h);
-            let h = g.spmm(Rc::clone(a), h);
+            let h = g.spmm_transposed(Rc::clone(a), Rc::clone(at), h);
             g.matmul(h, wb)
         };
-        let z1 = forward(&mut g, &a1, xv1, wv1, wv2);
-        let z2 = forward(&mut g, &a2, xv2, wv1, wv2);
+        let z1 = forward(&mut g, &a1, &at1, xv1, wv1, wv2);
+        let z2 = forward(&mut g, &a2, &at2, xv2, wv1, wv2);
         let pu = g.gather_rows(z1, Rc::clone(&pos_u));
         let pv = g.gather_rows(z2, Rc::clone(&pos_v));
         let nu = g.gather_rows(z1, Rc::new(neg_u));

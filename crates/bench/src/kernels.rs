@@ -20,8 +20,10 @@
 //! Workloads are sized by `--scale` (committed results use 0.2, 1 and 5)
 //! and mirror the pipeline's real kernel shapes: the large square matmul,
 //! the tall-skinny GCN forward product and both backward products
-//! (`G · Wᵀ`, `Hᵀ · G`), the row-skipping GCN backward at align_gcn's
-//! share of live gradient rows, the similarity `A · Aᵀ`, the string
+//! (`G · Wᵀ`, `Hᵀ · G`), the forward product and the row-skipping
+//! backward at align_gcn's own shape and share of live gradient rows, the
+//! sparse `Âᵀ · G` backward (scatter against the gather over a transpose
+//! built once), the similarity `A · Aᵀ`, the string
 //! feature's `lev*` (DP against bit-parallel), fused
 //! elementwise+normalize, CSLS adjustment, and the full decision stage.
 
@@ -217,18 +219,33 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         ));
     }
 
+    // GCN forward `H · W` at align_gcn's own shape (650 entities at
+    // scale 1): zero-free rows take the unconditional strips.
+    let gcn_rows = ((650.0 * scale).round() as usize).max(64);
+    {
+        let h = lcg_matrix(gcn_rows, 64, 59);
+        let w = lcg_matrix(64, 64, 61);
+        workloads.push(product_workload(
+            "matmul_gcn_forward_align",
+            format!("{gcn_rows}x64 * 64x64"),
+            reps,
+            par_threads,
+            || reference::matmul(&h, &w),
+            || h.matmul(&w),
+        ));
+    }
+
     // GCN backward at align_gcn's shape: the margin loss gathers about
     // 343 of each output's 650 rows, so the rest of its gradient is zero.
     // The naive side is the pre-skip backward — both full products — on
     // the same values.
-    let gcn_rows = ((650.0 * scale).round() as usize).max(64);
+    let dead = |r: usize| (r * 7919) % 650 >= 343;
     {
         let h = lcg_matrix(gcn_rows, 64, 43);
         let w = lcg_matrix(64, 64, 47);
         let mut grad = lcg_matrix(gcn_rows, 64, 53);
         // 7919 is prime to 650, so every 650 consecutive rows keep 343,
         // spread out.
-        let dead = |r: usize| (r * 7919) % 650 >= 343;
         for r in (0..gcn_rows).filter(|&r| dead(r)) {
             grad.row_mut(r).fill(0.0);
         }
@@ -245,6 +262,37 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             par_threads,
             || stacked((grad.matmul_transpose(&w), h.transpose_matmul(&grad))),
             || stacked(matmul_grads(&grad, &h, &w)),
+        ));
+    }
+
+    // The sparse GCN backward `Âᵀ · G` over align_gcn's own adjacency and
+    // the live-row pattern above: the scatter over `Â`'s rows (skipping
+    // zero gradient rows) against the gather over `Âᵀ`, which a training
+    // run builds once, outside the timed calls.
+    {
+        let ds = Preset::Dbp15kZhEn.generate((0.5 * scale).min(2.0));
+        let adj = ceaff::graph::build_adjacency(
+            &ds.pair.source,
+            ceaff::graph::AdjacencyKind::Functionality,
+        );
+        let adj_t = adj.transpose();
+        let n = adj.rows();
+        let mut grad = lcg_matrix(n, 64, 67);
+        for r in (0..n).filter(|&r| dead(r)) {
+            grad.row_mut(r).fill(0.0);
+        }
+        let product = |f: &dyn Fn(&mut [f32])| {
+            let mut out = Matrix::zeros(n, 64);
+            f(out.as_mut_slice());
+            out
+        };
+        workloads.push(product_workload(
+            "spmm_backward",
+            format!("({n}x{n}, {} entries)^T * {n}x64 grad", adj.nnz()),
+            reps,
+            par_threads,
+            || product(&|out| adj.transpose_mul_dense(grad.as_slice(), 64, out)),
+            || product(&|out| adj_t.mul_dense(grad.as_slice(), 64, out)),
         ));
     }
 

@@ -44,10 +44,12 @@ fn bench_kernels_check_emits_schema_valid_json_with_every_workload() {
     for expected in [
         "matmul_large",
         "matmul_gcn_forward",
+        "matmul_gcn_forward_align",
         "matmul_transpose_grad",
         "matmul_transpose_sim",
         "transpose_matmul_grad",
         "gcn_backward_row_skip",
+        "spmm_backward",
         "levenshtein_sub2",
         "fusion_elementwise",
         "csls",

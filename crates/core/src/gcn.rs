@@ -18,9 +18,9 @@
 use crate::budget::ExecBudget;
 use crate::checkpoint::{self, Checkpointer, GcnTrainState};
 use crate::error::CeaffError;
-use ceaff_graph::{build_adjacency, AdjacencyKind, KgPair};
+use ceaff_graph::{build_adjacency, AdjacencyKind, CsrMatrix, KgPair};
 use ceaff_telemetry::Telemetry;
-use ceaff_tensor::{init, Adam, Graph, Matrix, Optimizer, ParamSet, Sgd};
+use ceaff_tensor::{init, Adam, Graph, Matrix, Optimizer, ParamSet, Sgd, Var};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -180,22 +180,108 @@ struct Layers {
     w2: ceaff_tensor::ParamId,
 }
 
+/// One KG's normalised adjacency `Â` and its transpose, both built once
+/// per run: every forward pass multiplies by `Â`, every backward pass by
+/// `Âᵀ`.
+struct Adjacency {
+    a: Rc<CsrMatrix>,
+    at: Rc<CsrMatrix>,
+}
+
+impl Adjacency {
+    fn build(kg: &ceaff_graph::KnowledgeGraph, kind: AdjacencyKind) -> Self {
+        let a = build_adjacency(kg, kind);
+        Self {
+            at: Rc::new(a.transpose()),
+            a: Rc::new(a),
+        }
+    }
+}
+
 fn forward(
     g: &mut Graph,
-    adj: &Rc<ceaff_graph::CsrMatrix>,
-    x: ceaff_tensor::Var,
-    w1: ceaff_tensor::Var,
-    w2: ceaff_tensor::Var,
+    adj: &Adjacency,
+    x: Var,
+    w1: Var,
+    w2: Var,
     activation: Activation,
-) -> ceaff_tensor::Var {
-    let h = g.spmm(Rc::clone(adj), x);
+) -> Var {
+    let h = g.spmm_transposed(Rc::clone(&adj.a), Rc::clone(&adj.at), x);
     let h = g.matmul(h, w1);
     let h = match activation {
         Activation::Relu => g.relu(h),
         Activation::Linear => h,
     };
-    let h = g.spmm(Rc::clone(adj), h);
+    let h = g.spmm_transposed(Rc::clone(&adj.a), Rc::clone(&adj.at), h);
     g.matmul(h, w2)
+}
+
+/// Both GCNs' forward pass over one parameter state, kept as a tape.
+///
+/// The validation scorer (after epoch `e`'s step) and the hard-negative
+/// refresh (at the top of epoch `e + 1`) score exactly the parameters that
+/// epoch `e + 1` trains on, so one tape serves all three: they read `z1`
+/// and `z2` from it, and the epoch extends it with its loss and runs the
+/// backward pass. Every product therefore runs once per parameter state.
+/// A tape is only valid for the parameters it was built from: anything
+/// that changes them (a step, or a numeric rollback) leaves no tape
+/// pending, and the next epoch builds a fresh one.
+struct Tape {
+    g: Graph,
+    x1: Var,
+    x2: Var,
+    w1: Var,
+    w2: Var,
+    z1: Var,
+    z2: Var,
+}
+
+impl Tape {
+    fn z1(&self) -> &Matrix {
+        self.g.value(self.z1)
+    }
+
+    fn z2(&self) -> &Matrix {
+        self.g.value(self.z2)
+    }
+}
+
+fn forward_tape(
+    params: &ParamSet,
+    layers: &Layers,
+    a1: &Adjacency,
+    a2: &Adjacency,
+    activation: Activation,
+) -> Tape {
+    let mut g = Graph::new();
+    let x1 = g.leaf(params.get(layers.x1).clone());
+    let x2 = g.leaf(params.get(layers.x2).clone());
+    let w1 = g.leaf(params.get(layers.w1).clone());
+    let w2 = g.leaf(params.get(layers.w2).clone());
+    let z1 = forward(&mut g, a1, x1, w1, w2, activation);
+    let z2 = forward(&mut g, a2, x2, w1, w2, activation);
+    Tape {
+        g,
+        x1,
+        x2,
+        w1,
+        w2,
+        z1,
+        z2,
+    }
+}
+
+/// The embeddings of one parameter state where no epoch follows to
+/// train on its tape.
+fn final_forward(
+    params: &ParamSet,
+    layers: &Layers,
+    a1: &Adjacency,
+    a2: &Adjacency,
+    activation: Activation,
+) -> (Matrix, Matrix) {
+    let tape = forward_tape(params, layers, a1, a2, activation);
+    (tape.z1().clone(), tape.z2().clone())
 }
 
 /// Identity matrix initialiser for the shared layer weights.
@@ -326,6 +412,11 @@ fn restore_state(
 /// telemetry counter; after [`MAX_NUMERIC_RETRIES`] failed recoveries it
 /// returns [`CeaffError::NumericDivergence`].
 ///
+/// Each parameter state is forwarded once: the validation scorer, the
+/// hard-negative refresh and the next epoch share one tape of both GCNs'
+/// forward pass. A rollback drops the tape of the abandoned parameters,
+/// and the replay forwards the restored ones afresh.
+///
 /// Training runs under `budget`. The granule is one epoch: each epoch
 /// boundary consumes a budget step, polls the memory cap, and reports a
 /// progress heartbeat. When the budget stops the run
@@ -369,8 +460,8 @@ pub fn try_train_budgeted(
         ((all_seeds.len() as f64) * cfg.validation_fraction.clamp(0.0, 0.5)).round() as usize;
     let val_seeds: Vec<_> = all_seeds.split_off(all_seeds.len() - n_val.min(all_seeds.len()));
     let train_seeds = all_seeds;
-    let a1 = Rc::new(build_adjacency(&pair.source, cfg.adjacency));
-    let a2 = Rc::new(build_adjacency(&pair.target, cfg.adjacency));
+    let a1 = Adjacency::build(&pair.source, cfg.adjacency);
+    let a2 = Adjacency::build(&pair.target, cfg.adjacency);
 
     let mut params = ParamSet::new();
     let mut x1_init = init::truncated_normal(n1, cfg.dim, 1.0, &mut rng);
@@ -448,16 +539,15 @@ pub fn try_train_budgeted(
 
     // Early-stopping state: best validation score and its embeddings.
     let mut best: Option<(f64, Matrix, Matrix)> = None;
-    let validate = |params: &ParamSet, best: &mut Option<(f64, Matrix, Matrix)>| {
-        if val_seeds.is_empty() {
-            return;
-        }
-        let (z1, z2) = final_forward(params, &layers, &a1, &a2, cfg.activation);
-        let score = validation_hits1(&z1, &z2, &val_seeds);
+    let validate = |tape: &Tape, best: &mut Option<(f64, Matrix, Matrix)>| {
+        let score = validation_hits1(tape.z1(), tape.z2(), &val_seeds);
         if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
-            *best = Some((score, z1, z2));
+            *best = Some((score, tape.z1().clone(), tape.z2().clone()));
         }
     };
+    // The forward pass of the current parameters, when a validation has
+    // already built it for the next epoch to train on (see `Tape`).
+    let mut pending: Option<Tape> = None;
 
     // Resume: the prologue above replayed every deterministic draw from a
     // fresh seeded RNG; a verified training checkpoint now overwrites the
@@ -490,11 +580,13 @@ pub fn try_train_budgeted(
             telemetry.counter_add("checkpoint", "train_resumed", 1);
         }
     }
-    if !resumed {
+    if !resumed && !val_seeds.is_empty() {
         // Only a fresh run scores the initial parameters: the resumed
         // trajectory already contains every validation snapshot up to the
         // boundary, and an extra comparison would change which epoch wins.
-        validate(&params, &mut best);
+        let tape = forward_tape(&params, &layers, &a1, &a2, cfg.activation);
+        validate(&tape, &mut best);
+        pending = Some(tape);
     }
 
     let disk_interval = checkpointer.and_then(|c| c.policy().epoch_interval());
@@ -532,13 +624,15 @@ pub fn try_train_budgeted(
         }
         budget.check_mem("gcn")?;
         telemetry.progress("gcn", epoch as u64, cfg.epochs as u64);
+        let tape = pending
+            .take()
+            .unwrap_or_else(|| forward_tape(&params, &layers, &a1, &a2, cfg.activation));
         if cfg.hard_negative_pool > 0
             && (epoch == 0 || epoch.is_multiple_of(cfg.hard_negative_refresh.max(1)))
             && epoch + 1 < cfg.epochs
         {
-            let (z1, z2) = final_forward(&params, &layers, &a1, &a2, cfg.activation);
-            pool_u = nearest_pools(&z1, &pos_u, cfg.hard_negative_pool);
-            pool_v = nearest_pools(&z2, &pos_v, cfg.hard_negative_pool);
+            pool_u = nearest_pools(tape.z1(), &pos_u, cfg.hard_negative_pool);
+            pool_v = nearest_pools(tape.z2(), &pos_v, cfg.hard_negative_pool);
         }
         // Fresh corruptions each epoch (S′ in Eq. 1): mostly hard
         // negatives from the pools, mixed with uniform exploration.
@@ -570,20 +664,17 @@ pub fn try_train_budgeted(
         let neg_u = Rc::new(neg_u);
         let neg_v = Rc::new(neg_v);
 
-        let mut g = Graph::new();
-        let x1 = g.leaf(params.get(layers.x1).clone());
-        let x2 = g.leaf(params.get(layers.x2).clone());
-        let w1 = g.leaf(params.get(layers.w1).clone());
-        let w2 = g.leaf(params.get(layers.w2).clone());
-        let z1 = forward(&mut g, &a1, x1, w1, w2, cfg.activation);
-        let z2 = forward(&mut g, &a2, x2, w1, w2, cfg.activation);
-
-        let pu = g.gather_rows(z1, Rc::clone(&rep_u));
-        let pv = g.gather_rows(z2, Rc::clone(&rep_v));
-        let nu = g.gather_rows(z1, neg_u);
-        let nv = g.gather_rows(z2, neg_v);
-        let pos_dist = g.row_l1_diff(pu, pv);
-        let neg_dist = g.row_l1_diff(nu, nv);
+        let Tape {
+            mut g,
+            x1,
+            x2,
+            w1,
+            w2,
+            z1,
+            z2,
+        } = tape;
+        let pos_dist = g.row_l1_diff_gathered(z1, Rc::clone(&rep_u), z2, Rc::clone(&rep_v));
+        let neg_dist = g.row_l1_diff_gathered(z1, neg_u, z2, neg_v);
         let loss = g.margin_ranking_loss(pos_dist, neg_dist, cfg.margin);
         let mut loss_value = g.value(loss)[(0, 0)];
         if ceaff_faultinject::nan_loss(epoch) {
@@ -621,7 +712,10 @@ pub fn try_train_budgeted(
         if !healthy {
             // Non-finite loss or gradient: roll back to the last good
             // boundary, halve the learning rate, and replay — bounded by
-            // MAX_NUMERIC_RETRIES before the typed divergence error.
+            // MAX_NUMERIC_RETRIES before the typed divergence error. This
+            // epoch's tape forwarded the abandoned parameters; it drops
+            // with the iteration and none is pending, so the replay
+            // forwards the restored parameters afresh.
             drop(grads);
             retries += 1;
             telemetry.counter_add("gcn", "numeric_recovery", 1);
@@ -683,8 +777,18 @@ pub fn try_train_budgeted(
         if cfg.tie_seed_inputs && cfg.train_input {
             tie_seeds(&mut params, &layers, seeds);
         }
-        if epoch + 1 == cfg.epochs || (epoch + 1).is_multiple_of(cfg.validate_every.max(1)) {
-            validate(&params, &mut best);
+        if !val_seeds.is_empty()
+            && (epoch + 1 == cfg.epochs || (epoch + 1).is_multiple_of(cfg.validate_every.max(1)))
+        {
+            // The epoch's graph (its forward values and every gradient) is
+            // spent: free it first, so the next tape, the scoring and the
+            // snapshot below reuse its memory instead of adding to it.
+            drop(g);
+            let tape = forward_tape(&params, &layers, &a1, &a2, cfg.activation);
+            validate(&tape, &mut best);
+            if epoch + 1 < cfg.epochs {
+                pending = Some(tape);
+            }
         }
         epoch += 1;
         if epoch.is_multiple_of(snap_interval) || epoch == cfg.epochs {
@@ -787,14 +891,12 @@ fn validation_hits1(
 fn nearest_pools(z: &Matrix, anchors: &[usize], k: usize) -> Vec<Vec<u32>> {
     let normed = z.l2_normalized_rows();
     let mut pools = Vec::with_capacity(anchors.len());
+    let mut scored: Vec<(f32, u32)> = Vec::with_capacity(z.rows());
     for_each_score_row(&normed, anchors, &normed, |i, row| {
         let a = anchors[i];
-        let mut scored: Vec<(f32, u32)> = row
-            .iter()
-            .enumerate()
-            .filter(|&(e, _)| e != a)
-            .map(|(e, &s)| (s, e as u32))
-            .collect();
+        scored.clear();
+        let others = row.iter().enumerate().filter(|&(e, _)| e != a);
+        scored.extend(others.map(|(e, &s)| (s, e as u32)));
         let k = k.min(scored.len());
         if k == 0 {
             pools.push(Vec::new());
@@ -803,8 +905,7 @@ fn nearest_pools(z: &Matrix, anchors: &[usize], k: usize) -> Vec<Vec<u32>> {
         scored.select_nth_unstable_by(k - 1, |x, y| {
             y.0.partial_cmp(&x.0).expect("cosines are finite")
         });
-        scored.truncate(k);
-        pools.push(scored.into_iter().map(|(_, e)| e).collect());
+        pools.push(scored[..k].iter().map(|&(_, e)| e).collect());
     });
     pools
 }
@@ -835,23 +936,6 @@ fn tie_seeds(
             .row_mut(v.index())
             .copy_from_slice(&avg);
     }
-}
-
-fn final_forward(
-    params: &ParamSet,
-    layers: &Layers,
-    a1: &Rc<ceaff_graph::CsrMatrix>,
-    a2: &Rc<ceaff_graph::CsrMatrix>,
-    activation: Activation,
-) -> (Matrix, Matrix) {
-    let mut g = Graph::new();
-    let x1 = g.leaf(params.get(layers.x1).clone());
-    let x2 = g.leaf(params.get(layers.x2).clone());
-    let w1 = g.leaf(params.get(layers.w1).clone());
-    let w2 = g.leaf(params.get(layers.w2).clone());
-    let z1 = forward(&mut g, a1, x1, w1, w2, activation);
-    let z2 = forward(&mut g, a2, x2, w1, w2, activation);
-    (g.value(z1).clone(), g.value(z2).clone())
 }
 
 #[cfg(test)]

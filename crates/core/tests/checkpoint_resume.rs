@@ -159,6 +159,15 @@ fn crash_before_any_checkpoint_restarts_from_scratch() {
 }
 
 #[test]
+fn resume_at_a_validation_and_refresh_boundary_is_bitwise_identical() {
+    // Epoch 22 resumes from the epoch-20 checkpoint: epoch 19 ended with a
+    // validation and epoch 20 opens with a hard-negative refresh, so the
+    // resumed run must rebuild the forward pass both of them scored.
+    crash_and_resume_matches(1, 22);
+    crash_and_resume_matches(4, 22);
+}
+
+#[test]
 fn resume_across_thread_counts_is_bitwise_identical() {
     // The determinism contract makes thread count irrelevant: crash at 1
     // thread, resume at 4 — results still match an uninterrupted run.

@@ -275,3 +275,76 @@ fn injected_io_error_fails_checkpoint_saves_cleanly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a over the bit patterns of a GCN run's embeddings and loss curve
+/// (the hash `gcn_bits_hash` in `parallel_determinism.rs` pins).
+fn gcn_bits_hash(enc: &gcn::GcnEncoder) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = enc
+        .z_source
+        .as_slice()
+        .iter()
+        .chain(enc.z_target.as_slice())
+        .chain(&enc.loss_curve);
+    for v in words {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn rollback_after_a_validation_and_refresh_boundary_is_pinned() {
+    // With validation and hard-negative refresh both every 5 epochs, epochs
+    // 10, 15 and 20 each start right after epoch e-1's validation and their
+    // own pool refresh, which score the same parameters. The rollback
+    // snapshot (every 10 epochs) sits at the boundary of epochs 10 and 20,
+    // and five epochs behind epoch 15's: a NaN there discards those five
+    // epochs and replays from epoch 10 at the halved rate, so it must end
+    // exactly where a NaN at epoch 10 does. The constants were recorded
+    // before the training loop shared one forward pass between validation,
+    // refresh and the next epoch, so they pin that sharing to the old bits.
+    let ds = dataset();
+    let gcn_cfg = GcnConfig {
+        dim: 16,
+        epochs: 25,
+        validate_every: 5,
+        hard_negative_refresh: 5,
+        ..GcnConfig::default()
+    };
+    for (nan_epoch, want) in [
+        (10, 0x4de6_c466_e251_bd02_u64),
+        (15, 0x4de6_c466_e251_bd02),
+        (20, 0x6705_3530_4b17_897c),
+    ] {
+        for threads in [1, 4] {
+            let sink = Arc::new(InMemorySink::default());
+            let telemetry = Telemetry::with_sink(sink);
+            let _scope = FaultPlan {
+                nan_loss_at_epoch: Some(nan_epoch),
+                ..FaultPlan::default()
+            }
+            .activate();
+            let enc = ceaff_parallel::with_threads(threads, || {
+                gcn::try_train_budgeted(
+                    &ds.pair,
+                    &gcn_cfg,
+                    &telemetry,
+                    None,
+                    &ExecBudget::unlimited(),
+                )
+            })
+            .expect("one NaN epoch must be recoverable");
+            assert_eq!(enc.loss_curve.len(), gcn_cfg.epochs);
+            let trace = telemetry.take_trace();
+            assert_eq!(trace.counter("gcn", "numeric_recovery"), Some(1));
+            let got = gcn_bits_hash(&enc);
+            assert_eq!(
+                got, want,
+                "NaN at epoch {nan_epoch}, {threads} threads: {got:#018x}"
+            );
+        }
+    }
+}

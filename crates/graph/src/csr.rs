@@ -134,7 +134,6 @@ impl CsrMatrix {
             "dense operand must be cols×d row-major"
         );
         assert_eq!(out.len(), self.rows * d, "output must be rows×d row-major");
-        out.fill(0.0);
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx") {
             // SAFETY: AVX support was detected at run time.
@@ -154,27 +153,21 @@ impl CsrMatrix {
         self.mul_dense_body(dense, d, out);
     }
 
-    /// The `mul_dense` loop over a zeroed `out`: every output cell adds
-    /// its row's terms in stored-column order. Each vector lane is one
-    /// cell and multiply and add stay separate, so any instruction set
-    /// gives the same bits.
+    /// The `mul_dense` loop: every output cell starts at `+0.0` and adds
+    /// its row's terms in stored-column order.
     #[inline(always)]
     fn mul_dense_body(&self, dense: &[f32], d: usize, out: &mut [f32]) {
         for (r, out_row) in out.chunks_exact_mut(d.max(1)).enumerate() {
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                let c = c as usize;
-                let src = &dense[c * d..(c + 1) * d];
-                for (o, &s) in out_row.iter_mut().zip(src) {
-                    *o += v * s;
-                }
-            }
+            let terms = self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]);
+            combine_rows(terms.map(|(&c, &v)| (c as usize, v)), dense, d, out_row);
         }
     }
 
     /// Transposed sparse × dense product: `out = selfᵀ · dense`, with
-    /// `dense` a `rows × d` matrix and `out` a `cols × d` buffer. Used in
-    /// the backward pass of sparse–dense products.
+    /// `dense` a `rows × d` matrix and `out` a `cols × d` buffer, scattered
+    /// row by row — the reference that [`CsrMatrix::transpose`]'s gather is
+    /// checked against.
     ///
     /// A `dense` row that is all `±0` is skipped when this matrix's row
     /// holds only finite values: its terms `v · ±0` are `±0`, and adding
@@ -229,6 +222,47 @@ impl CsrMatrix {
         }
     }
 
+    /// The transpose `selfᵀ`, with each row's entries in increasing
+    /// source-row order, as every CSR row keeps them. The GCN backward
+    /// pass multiplies by the transpose of a fixed adjacency every epoch,
+    /// so it builds this once.
+    ///
+    /// `self.transpose().mul_dense(x)` is bitwise
+    /// [`CsrMatrix::transpose_mul_dense`]`(x)`: every output cell adds the
+    /// same terms in the same increasing source-row order, gathered instead
+    /// of scattered. The only terms the scatter leaves out — those of an
+    /// all-`±0` row of `x` against an all-finite row of `self` — are `±0`,
+    /// which leave a cell that starts at `+0.0` unchanged; a non-finite
+    /// stored value is never left out by either.
+    pub fn transpose(&self) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        // Visiting the source rows in increasing order appends each
+        // transposed row's entries in increasing source-row order.
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        for r in 0..self.rows {
+            for (c, v) in self.row(r) {
+                col_idx[next[c]] = r as u32;
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Symmetric degree normalisation `D^{-1/2} (self) D^{-1/2}` where `D` is
     /// the diagonal of row sums. Rows/columns with zero sum are left zero.
     ///
@@ -272,6 +306,60 @@ impl CsrMatrix {
         }
         out
     }
+}
+
+/// `out_row = Σ v · dense[k]` over `terms`: every cell starts at `+0.0`
+/// and adds its terms in the given order. Full 64- and 32-column chunks
+/// accumulate in a local array, which stays in registers across the terms
+/// instead of going through `out_row` for each one; the bits are those of
+/// the plain loop over a zeroed row. Each vector lane is one cell and
+/// multiply and add stay separate, so any instruction set gives the same
+/// bits too.
+#[inline(always)]
+fn combine_rows(
+    terms: impl Iterator<Item = (usize, f32)> + Clone,
+    dense: &[f32],
+    d: usize,
+    out_row: &mut [f32],
+) {
+    let mut c0 = 0;
+    while c0 + 64 <= d {
+        combine_chunk::<64>(terms.clone(), dense, d, c0, out_row);
+        c0 += 64;
+    }
+    if c0 + 32 <= d {
+        combine_chunk::<32>(terms.clone(), dense, d, c0, out_row);
+        c0 += 32;
+    }
+    if c0 < d {
+        let tail = &mut out_row[c0..];
+        tail.fill(0.0);
+        for (k, v) in terms {
+            let src = &dense[k * d + c0..(k + 1) * d];
+            for (o, &s) in tail.iter_mut().zip(src) {
+                *o += v * s;
+            }
+        }
+    }
+}
+
+/// Columns `[c0, c0 + W)` of [`combine_rows`].
+#[inline(always)]
+fn combine_chunk<const W: usize>(
+    terms: impl Iterator<Item = (usize, f32)>,
+    dense: &[f32],
+    d: usize,
+    c0: usize,
+    out_row: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
+    for (k, v) in terms {
+        let src = &dense[k * d + c0..k * d + c0 + W];
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a += v * s;
+        }
+    }
+    out_row[c0..c0 + W].copy_from_slice(&acc);
 }
 
 #[cfg(test)]
@@ -413,6 +501,43 @@ mod tests {
             m.values[k] = bad;
             let out = check(&m, &dense, "non-finite in a skipped row");
             assert!(out.iter().any(|x| x.is_nan()));
+        }
+    }
+
+    #[test]
+    fn transpose_gather_is_bitwise_the_scatter() {
+        // Widths through every `combine_rows` path: the 64- and 32-wide
+        // register chunks and the tail.
+        for d in [1, 13, 32, 64, 67, 97] {
+            let (mut m, mut dense) = lcg_case(40, 30, 40 * d, d as u32);
+            assert_eq!(m.transpose().transpose(), m);
+            let check = |m: &CsrMatrix, dense: &[f32], label: &str| {
+                let mut want = vec![0.0f32; m.cols() * d];
+                m.transpose_mul_dense(dense, d, &mut want);
+                // `mul_dense` overwrites every cell, whatever `out` held.
+                let mut got = vec![f32::NAN; m.cols() * d];
+                m.transpose().mul_dense(dense, d, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{label}, d = {d}");
+                got
+            };
+            check(&m, &dense, "no zero rows");
+            // Zero rows, some written as -0.0, and a -0.0 inside a live row.
+            for r in (0..40).step_by(3) {
+                let z = if r % 2 == 0 { 0.0 } else { -0.0 };
+                dense[r * d..(r + 1) * d].fill(z);
+            }
+            dense[d] = -0.0;
+            check(&m, &dense, "zero rows");
+            check(&m, &vec![-0.0; 40 * d], "all rows zero");
+            // A non-finite stored value in a zero row's sparse row: the
+            // scatter keeps that row, and the gather must produce its NaN.
+            let r = (0..40).step_by(3).find(|&r| m.row(r).count() > 0).unwrap();
+            let k = m.row_ptr[r];
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                m.values[k] = bad;
+                let out = check(&m, &dense, "non-finite in a skipped row");
+                assert!(out.iter().any(|x| x.is_nan()));
+            }
         }
     }
 

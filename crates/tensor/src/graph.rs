@@ -22,8 +22,9 @@ pub struct Var(usize);
 enum Op {
     Leaf,
     MatMul(Var, Var),
-    /// Sparse · dense with a constant sparse left operand.
-    SpMm(Rc<CsrMatrix>, Var),
+    /// Sparse · dense with a constant sparse left operand, and that
+    /// operand's transpose when the caller built it once up front.
+    SpMm(Rc<CsrMatrix>, Option<Rc<CsrMatrix>>, Var),
     Add(Var, Var),
     Sub(Var, Var),
     /// Elementwise (Hadamard) product.
@@ -37,6 +38,8 @@ enum Op {
     GatherRows(Var, Rc<Vec<usize>>, usize),
     /// Per-row L1 distance `Σ_j |a_ij − b_ij|` producing an n×1 column.
     RowL1Diff(Var, Var),
+    /// [`Op::RowL1Diff`] between rows gathered from `a` and `b` by index.
+    RowL1Gathered(Var, Rc<Vec<usize>>, Var, Rc<Vec<usize>>),
     /// Per-row squared L2 distance producing an n×1 column.
     RowL2Sq(Var, Var),
     Sum(Var),
@@ -108,14 +111,40 @@ impl Graph {
         self.push(value, Op::MatMul(a, b))
     }
 
-    /// Sparse (constant) × dense product, e.g. `Â · H` in a GCN layer.
+    /// Sparse (constant) × dense product, e.g. `Â · H` in a GCN layer. Its
+    /// backward multiplies by `Âᵀ` ([`CsrMatrix::transpose`]), built when
+    /// it runs; [`Graph::spmm_transposed`] takes one built once instead.
     pub fn spmm(&mut self, sparse: Rc<CsrMatrix>, b: Var) -> Var {
+        self.spmm_op(sparse, None, b)
+    }
+
+    /// [`Graph::spmm`] with `transpose`, which must be `sparse.transpose()`,
+    /// reused by the backward pass — for a fixed adjacency multiplied every
+    /// epoch.
+    ///
+    /// # Panics
+    /// Panics if `transpose`'s shape is not `sparse`'s transposed.
+    pub fn spmm_transposed(
+        &mut self,
+        sparse: Rc<CsrMatrix>,
+        transpose: Rc<CsrMatrix>,
+        b: Var,
+    ) -> Var {
+        assert_eq!(
+            (transpose.rows(), transpose.cols()),
+            (sparse.cols(), sparse.rows()),
+            "spmm transpose shape mismatch"
+        );
+        self.spmm_op(sparse, Some(transpose), b)
+    }
+
+    fn spmm_op(&mut self, sparse: Rc<CsrMatrix>, t: Option<Rc<CsrMatrix>>, b: Var) -> Var {
         let bv = self.value(b);
         assert_eq!(sparse.cols(), bv.rows(), "spmm dimension mismatch");
         let d = bv.cols();
         let mut out = Matrix::zeros(sparse.rows(), d);
         sparse.mul_dense(bv.as_slice(), d, out.as_mut_slice());
-        self.push(out, Op::SpMm(sparse, b))
+        self.push(out, Op::SpMm(sparse, t, b))
     }
 
     /// Elementwise sum.
@@ -198,6 +227,29 @@ impl Graph {
         self.push(out, Op::RowL1Diff(a, b))
     }
 
+    /// [`Graph::row_l1_diff`] of `gather_rows(a, ia)` and
+    /// `gather_rows(b, ib)` without building either gather: the distances
+    /// read the rows in place, and the backward pass scatters each row's
+    /// gradient straight into `a`'s and `b`'s row spaces in the same row
+    /// order, so values and gradients are bitwise those of the three
+    /// separate ops.
+    ///
+    /// # Panics
+    /// Panics if the index lists differ in length, the column counts
+    /// differ, or an index is out of range.
+    pub fn row_l1_diff_gathered(
+        &mut self,
+        a: Var,
+        ia: Rc<Vec<usize>>,
+        b: Var,
+        ib: Rc<Vec<usize>>,
+    ) -> Var {
+        let out = self
+            .value(a)
+            .row_l1_distances_gathered(&ia, self.value(b), &ib);
+        self.push(out, Op::RowL1Gathered(a, ia, b, ib))
+    }
+
     /// Per-row squared L2 distance as an n×1 column (same parallel
     /// row-block scheme as [`Graph::row_l1_diff`]).
     pub fn row_l2_sq(&mut self, a: Var, b: Var) -> Var {
@@ -264,11 +316,11 @@ impl Graph {
                     self.accumulate(a, ga);
                     self.accumulate(b, gb);
                 }
-                Op::SpMm(s, b) => {
-                    let (s, b) = (Rc::clone(s), *b);
-                    let d = grad.cols();
-                    let mut gb = Matrix::zeros(s.cols(), d);
-                    s.transpose_mul_dense(grad.as_slice(), d, gb.as_mut_slice());
+                Op::SpMm(s, t, b) => {
+                    let t = t.clone().unwrap_or_else(|| Rc::new(s.transpose()));
+                    let (b, d) = (*b, grad.cols());
+                    let mut gb = Matrix::zeros(t.rows(), d);
+                    t.mul_dense(grad.as_slice(), d, gb.as_mut_slice());
                     self.accumulate(b, gb);
                 }
                 Op::Add(a, b) => {
@@ -343,6 +395,38 @@ impl Graph {
                     let (ga, gb) = self.row_pair_grads(a, b, &grad, |gr, x, y| gr * sign(x - y));
                     self.accumulate(a, ga);
                     self.accumulate(b, gb);
+                }
+                Op::RowL1Gathered(a, ia, b, ib) => {
+                    let (a, ia, b, ib) = (*a, Rc::clone(ia), *b, Rc::clone(ib));
+                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                    let mut ga = Matrix::zeros(av.rows(), av.cols());
+                    let mut gb = Matrix::zeros(bv.rows(), bv.cols());
+                    // Row `r`'s terms are the `RowL1Diff` gradients of the
+                    // gathered pair, added in increasing `r` like the
+                    // `GatherRows` backward adds them.
+                    let mut d = vec![0.0f32; av.cols()];
+                    for (r, (&ra, &rb)) in ia.iter().zip(ib.iter()).enumerate() {
+                        let gr = grad[(r, 0)];
+                        for (o, (&x, &y)) in d.iter_mut().zip(av.row(ra).iter().zip(bv.row(rb))) {
+                            *o = gr * sign(x - y);
+                        }
+                        for (o, &v) in ga.row_mut(ra).iter_mut().zip(&d) {
+                            *o += v;
+                        }
+                        for (o, &v) in gb.row_mut(rb).iter_mut().zip(&d) {
+                            // A multiply, as in `row_pair_grads`, not `-v`:
+                            // the two differ on a NaN's sign bit.
+                            #[allow(clippy::neg_multiply)]
+                            let neg = v * -1.0;
+                            *o += neg;
+                        }
+                    }
+                    // `b` first: the unfused tape's `b` gather sits later
+                    // and so runs its backward first. When `a` and `b` are
+                    // one node this keeps the order of the two additions,
+                    // which shows in a NaN's payload.
+                    self.accumulate(b, gb);
+                    self.accumulate(a, ga);
                 }
                 Op::RowL2Sq(a, b) => {
                     let (a, b) = (*a, *b);
@@ -434,7 +518,9 @@ impl Graph {
 /// accumulator that is never `-0.0` unchanged. Both arguments need the
 /// skipped operands finite (`0 · ∞` is NaN), so a non-finite value in `B`
 /// or in a skipped row of `A` takes the full products, keeping NaN
-/// propagation — and with it numeric recovery — bit for bit.
+/// propagation — and with it numeric recovery — bit for bit. The live rows
+/// are read and written in place ([`Matrix::matmul_transpose_rows`],
+/// [`Matrix::transpose_matmul_rows`]); nothing is gathered or scattered.
 ///
 /// This is the `MatMul` step of [`Graph::backward`].
 pub fn matmul_grads(grad: &Matrix, a: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
@@ -452,14 +538,10 @@ pub fn matmul_grads(grad: &Matrix, a: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
     if !exact || live.len() == rows {
         return (grad.matmul_transpose(b), a.transpose_matmul(grad));
     }
-    let g_live = grad.gather_rows(&live);
-    let ga_live = g_live.matmul_transpose(b);
-    let mut ga = Matrix::zeros(rows, b.rows());
-    for (k, &r) in live.iter().enumerate() {
-        ga.row_mut(r).copy_from_slice(ga_live.row(k));
-    }
-    let gb = a.gather_rows(&live).transpose_matmul(&g_live);
-    (ga, gb)
+    (
+        grad.matmul_transpose_rows(b, &live),
+        a.transpose_matmul_rows(grad, &live),
+    )
 }
 
 #[inline]
@@ -746,6 +828,74 @@ mod tests {
         grad.row_mut(7).fill(1.0);
         assert_eq!(bits(g.grad(av).unwrap()), bits(&grad.matmul_transpose(&b)));
         assert_eq!(bits(g.grad(bv).unwrap()), bits(&a.transpose_matmul(&grad)));
+    }
+
+    #[test]
+    fn gathered_l1_is_bitwise_the_gathers_then_l1() {
+        // Repeated indices (several gradient rows land on one source row),
+        // a row pair that is equal in places (`sign(0) = 0`), and `a` and
+        // `b` as one node.
+        let a = random_matrix(12, 9, 41);
+        let mut b = random_matrix(10, 9, 42);
+        b.row_mut(4).copy_from_slice(a.row(3));
+        let ia = Rc::new(vec![3, 0, 3, 11, 7, 3]);
+        let ib = Rc::new(vec![4, 4, 9, 0, 2, 4]);
+        let weights = random_matrix(6, 1, 43);
+        let run = |fused: bool, same: bool| {
+            let mut g = Graph::new();
+            let av = g.leaf(a.clone());
+            let bv = if same { av } else { g.leaf(b.clone()) };
+            let d = if fused {
+                g.row_l1_diff_gathered(av, Rc::clone(&ia), bv, Rc::clone(&ib))
+            } else {
+                let pa = g.gather_rows(av, Rc::clone(&ia));
+                let pb = g.gather_rows(bv, Rc::clone(&ib));
+                g.row_l1_diff(pa, pb)
+            };
+            let w = g.leaf(weights.clone());
+            let y = g.mul(d, w);
+            let loss = g.sum(y);
+            g.backward(loss);
+            let grads = (bits(g.grad(av).unwrap()), bits(g.grad(bv).unwrap()));
+            (bits(g.value(d)), grads)
+        };
+        for same in [false, true] {
+            assert_eq!(run(true, same), run(false, same), "same node: {same}");
+        }
+    }
+
+    #[test]
+    fn spmm_with_a_built_transpose_is_bitwise_the_scatter() {
+        let csr = CsrMatrix::from_triplets(
+            5,
+            4,
+            &[
+                (0, 0, 0.5),
+                (0, 2, 1.5),
+                (1, 1, -2.0),
+                (3, 0, 1.0),
+                (3, 3, 0.25),
+                (4, 2, 3.0),
+            ],
+        )
+        .unwrap();
+        let (csr, t) = (Rc::new(csr.clone()), Rc::new(csr.transpose()));
+        let x = random_matrix(4, 3, 44);
+        let run = |transposed: bool| {
+            let mut g = Graph::new();
+            let xv = g.leaf(x.clone());
+            let y = if transposed {
+                g.spmm_transposed(Rc::clone(&csr), Rc::clone(&t), xv)
+            } else {
+                g.spmm(Rc::clone(&csr), xv)
+            };
+            // Rows 1 and 2 of the gradient are zero.
+            let picked = g.gather_rows(y, Rc::new(vec![0, 3, 4, 0]));
+            let loss = g.sum(picked);
+            g.backward(loss);
+            (bits(g.value(y)), bits(g.grad(xv).unwrap()))
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -14,11 +14,17 @@
 //!   in increasing `k` order, skipping `a == 0.0` terms, exactly like the
 //!   reference `ikj` loop. Blocking `i`/`j` does not touch any cell's
 //!   term sequence, and the packed B panel only relocates the operands.
-//!   The `a == 0.0` skip is honoured branch-free: each A row is compacted
-//!   once per row block into a `(k, value)` nonzero list (same increasing
-//!   `k` order, zeros dropped exactly where the reference's `continue`
-//!   fires); rows with no zeros take an unconditional strip kernel, which
-//!   accumulates the identical term sequence.
+//!   The `a == 0.0` skip costs no branch per term. Each A row is first
+//!   tested for a zero by a fold without an early exit, so the test
+//!   vectorizes; `-0.0 == 0.0`, so a `-0.0` counts as a zero, as in the
+//!   reference. A zero-free row — the common case for dense activations —
+//!   goes straight to the unconditional strips, which accumulate the
+//!   reference's term sequence because it skips nothing. Only a row that
+//!   holds a zero is compacted, once per row block, into a `(k, value)`
+//!   nonzero list (same increasing `k` order, zeros dropped exactly where
+//!   the reference's `continue` fires) for the strips to walk. Building
+//!   that list for every row used to cost as much as the strips
+//!   themselves at the GCN's 650×64 · 64×64 shape.
 //! * `matmul_transpose` — each cell is a [`dot`]: four lane accumulators
 //!   where lane `l` receives the products at positions `4i + l`, reduced
 //!   as `((l0+l1)+l2)+l3`, then the `k % 4` tail appended in order. B is
@@ -31,13 +37,18 @@
 //!   order, element-wise, and the tail products follow one by one, so
 //!   every cell replays `dot`'s sequence exactly. Rows past `n` in the
 //!   last panel are zero padding whose lanes are never stored.
+//!   [`matmul_transpose_rows`] computes the listed output rows only and
+//!   leaves the others as they are: the backward pass's live gradient
+//!   rows, written in place.
 //! * `transpose_matmul` — each cell accumulates `a[r][k] * b[r][j]` in
 //!   increasing `r` order, skipping `a == 0.0`, like both reference loops.
 //!   Output is register-tiled 4 rows × 16 columns while `r` streams
 //!   innermost in 64-row chunks; a tile carries its partial sums through
 //!   `out` between chunks, an exact f32 round trip. Both tiles skip a
 //!   zero `a` literally: it is one broadcast scalar per output row, so
-//!   the skip drops the whole row-of-16 update.
+//!   the skip drops the whole row-of-16 update. [`transpose_matmul_rows`]
+//!   streams the listed `r` only, in the same increasing order, so a
+//!   backward pass sums its live gradient rows without gathering them.
 //!
 //! Parallel dispatch splits output rows into fixed [`ROW_BLOCK`]-row
 //! blocks. The partition depends only on the problem shape — never the
@@ -227,113 +238,30 @@ fn pack_b_into(b: &[f32], k_dim: usize, n: usize, tile: usize, starts: &[usize],
 mod avx {
     use std::arch::x86_64::*;
 
-    /// 64-column dense strip: 8 ymm accumulators, one broadcast of
-    /// `a[k]` feeds 64 multiply-accumulates.
+    /// One `8·V`-column strip of an output row: `V` ymm accumulators, and
+    /// each term's broadcast `a[k]` feeds `8·V` multiply-accumulates
+    /// against row `k` of the panel.
     ///
     /// # Safety
     /// Caller must have verified AVX support. `out` must hold at least
-    /// 64 floats and `panel` must cover `k · w + c0 + 64` for every `k`
-    /// in `0..a_row.len()` (guaranteed when `c0 + 64 <= w` and the panel
-    /// is `a_row.len() · w` long).
+    /// `8·V` floats, and `panel` must cover `k · w + c0 + 8·V` for every
+    /// term's `k` (guaranteed when `c0 + 8·V <= w`, every `k` is below the
+    /// panel's row count, and the panel is `k_dim · w` long).
     #[target_feature(enable = "avx")]
-    pub unsafe fn strip_dense64(
-        a_row: &[f32],
+    pub unsafe fn strip<const V: usize>(
+        terms: impl Iterator<Item = (usize, f32)>,
         panel: &[f32],
         w: usize,
         c0: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(out.len() >= 64 && panel.len() >= a_row.len() * w);
-        let mut acc = [_mm256_setzero_ps(); 8];
+        debug_assert!(out.len() >= 8 * V && c0 + 8 * V <= w);
+        let mut acc = [_mm256_setzero_ps(); V];
         let base = panel.as_ptr().add(c0);
-        for (k, &av) in a_row.iter().enumerate() {
+        for (k, av) in terms {
+            debug_assert!(k * w + c0 + 8 * V <= panel.len());
             let avx = _mm256_set1_ps(av);
             let b = base.add(k * w);
-            for (l, lane) in acc.iter_mut().enumerate() {
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(avx, _mm256_loadu_ps(b.add(8 * l))));
-            }
-        }
-        let o = out.as_mut_ptr();
-        for (l, lane) in acc.iter().enumerate() {
-            _mm256_storeu_ps(o.add(8 * l), *lane);
-        }
-    }
-
-    /// 64-column strip over a compacted `(k, value)` nonzero list.
-    ///
-    /// # Safety
-    /// As [`strip_dense64`], with every `k` in `nz` below the panel's
-    /// row count.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn strip_nz64(
-        nz: &[(u32, f32)],
-        panel: &[f32],
-        w: usize,
-        c0: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert!(out.len() >= 64);
-        let mut acc = [_mm256_setzero_ps(); 8];
-        let base = panel.as_ptr().add(c0);
-        for &(k, av) in nz {
-            let avx = _mm256_set1_ps(av);
-            let b = base.add(k as usize * w);
-            for (l, lane) in acc.iter_mut().enumerate() {
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(avx, _mm256_loadu_ps(b.add(8 * l))));
-            }
-        }
-        let o = out.as_mut_ptr();
-        for (l, lane) in acc.iter().enumerate() {
-            _mm256_storeu_ps(o.add(8 * l), *lane);
-        }
-    }
-
-    /// 32-column dense strip for panel remainders (4 ymm accumulators).
-    ///
-    /// # Safety
-    /// As [`strip_dense64`] with width 32 (`c0 + 32 <= w`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn strip_dense32(
-        a_row: &[f32],
-        panel: &[f32],
-        w: usize,
-        c0: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert!(out.len() >= 32 && panel.len() >= a_row.len() * w);
-        let mut acc = [_mm256_setzero_ps(); 4];
-        let base = panel.as_ptr().add(c0);
-        for (k, &av) in a_row.iter().enumerate() {
-            let avx = _mm256_set1_ps(av);
-            let b = base.add(k * w);
-            for (l, lane) in acc.iter_mut().enumerate() {
-                *lane = _mm256_add_ps(*lane, _mm256_mul_ps(avx, _mm256_loadu_ps(b.add(8 * l))));
-            }
-        }
-        let o = out.as_mut_ptr();
-        for (l, lane) in acc.iter().enumerate() {
-            _mm256_storeu_ps(o.add(8 * l), *lane);
-        }
-    }
-
-    /// 32-column nonzero-list strip for panel remainders.
-    ///
-    /// # Safety
-    /// As [`strip_nz64`] with width 32.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn strip_nz32(
-        nz: &[(u32, f32)],
-        panel: &[f32],
-        w: usize,
-        c0: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert!(out.len() >= 32);
-        let mut acc = [_mm256_setzero_ps(); 4];
-        let base = panel.as_ptr().add(c0);
-        for &(k, av) in nz {
-            let avx = _mm256_set1_ps(av);
-            let b = base.add(k as usize * w);
             for (l, lane) in acc.iter_mut().enumerate() {
                 *lane = _mm256_add_ps(*lane, _mm256_mul_ps(avx, _mm256_loadu_ps(b.add(8 * l))));
             }
@@ -382,7 +310,8 @@ mod avx {
     /// One full 4×16 `transpose_matmul` register tile (eight
     /// accumulators): output rows `[q0, q0+4)` × columns `[j0, j0+16)` of
     /// `out` (row stride `n`) continue their sums over the `A` rows `rs`
-    /// in increasing `r`, skipping `a == 0.0` like the reference.
+    /// in the order given (increasing `r`), skipping `a == 0.0` like the
+    /// reference.
     ///
     /// # Safety
     /// Caller must have verified AVX support; for every `r` in `rs`, `a[r·a_cols + kc .. +4]` and
@@ -396,13 +325,11 @@ mod avx {
         kc: usize,
         b: &[f32],
         n: usize,
-        rs: std::ops::Range<usize>,
+        rs: impl Iterator<Item = usize>,
         q0: usize,
         j0: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(rs.is_empty() || (rs.end - 1) * a_cols + kc + 4 <= a.len());
-        debug_assert!(rs.is_empty() || (rs.end - 1) * n + j0 + 16 <= b.len());
         debug_assert!((q0 + 3) * n + j0 + 16 <= out.len());
         let o = out.as_mut_ptr().add(q0 * n + j0);
         let mut acc = [[_mm256_setzero_ps(); 2]; 4];
@@ -411,6 +338,7 @@ mod avx {
             row[1] = _mm256_loadu_ps(o.add(q * n + 8));
         }
         for r in rs {
+            debug_assert!(r * a_cols + kc + 4 <= a.len() && r * n + j0 + 16 <= b.len());
             let bp = b.as_ptr().add(r * n + j0);
             let (b0, b1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8)));
             let ap = a.as_ptr().add(r * a_cols + kc);
@@ -443,94 +371,51 @@ pub(crate) fn simd_available() -> bool {
     }
 }
 
-/// Portable dense strip: `W` unconditional accumulators per A row. Only
-/// dispatched for rows with no zero entries, where it accumulates exactly
-/// the reference's term sequence.
+/// Portable strip of `cw <= W` columns: `W` accumulators that receive the
+/// terms in the order given — the reference's per-cell sequence.
 #[inline]
-fn strip_dense_scalar<const W: usize>(
-    a_row: &[f32],
+fn strip_scalar<const W: usize>(
+    terms: impl Iterator<Item = (usize, f32)>,
     panel: &[f32],
     w: usize,
-    c0: usize,
+    (c0, cw): (usize, usize),
     out: &mut [f32],
 ) {
     let mut acc = [0.0f32; W];
-    for (k, &av) in a_row.iter().enumerate() {
-        let brow = &panel[k * w + c0..k * w + c0 + W];
-        for c in 0..W {
-            acc[c] += av * brow[c];
-        }
-    }
-    out[..W].copy_from_slice(&acc);
-}
-
-/// Portable strip over a compacted nonzero list: same `k`-increasing
-/// per-cell order as the reference, with its `a == 0.0` skips already
-/// applied by the compaction.
-#[inline]
-fn strip_nz_scalar<const W: usize>(
-    nz: &[(u32, f32)],
-    panel: &[f32],
-    w: usize,
-    c0: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [0.0f32; W];
-    for &(k, av) in nz {
-        let brow = &panel[k as usize * w + c0..k as usize * w + c0 + W];
-        for c in 0..W {
-            acc[c] += av * brow[c];
-        }
-    }
-    out[..W].copy_from_slice(&acc);
-}
-
-/// Variable-width tail strip (`cw < STRIP`), nonzero-list driven.
-#[inline]
-fn strip_tail(nz: &[(u32, f32)], panel: &[f32], w: usize, c0: usize, cw: usize, out: &mut [f32]) {
-    let mut acc = [0.0f32; STRIP];
-    for &(k, av) in nz {
-        let brow = &panel[k as usize * w + c0..k as usize * w + c0 + cw];
-        for c in 0..cw {
-            acc[c] += av * brow[c];
+    for (k, av) in terms {
+        let brow = &panel[k * w + c0..k * w + c0 + cw];
+        for (a, &bv) in acc.iter_mut().zip(brow) {
+            *a += av * bv;
         }
     }
     out[..cw].copy_from_slice(&acc[..cw]);
 }
 
-/// All strips of one output row against one packed panel.
-fn matmul_row(
-    a_row: &[f32],
-    nz: &[(u32, f32)],
+/// All strips of one output row against one packed panel, over the row's
+/// terms `(k, a[k])` in increasing `k`: 64- then 32-wide strips (AVX when
+/// `simd`, else portable), then a variable-width tail.
+#[inline(always)]
+fn strips(
+    terms: impl Iterator<Item = (usize, f32)> + Clone,
     panel: &[f32],
     w: usize,
     simd: bool,
     out_row: &mut [f32],
 ) {
-    let dense = nz.len() == a_row.len();
     let mut c0 = 0;
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only true after `is_x86_feature_detected!`,
-        // and each strip stays inside `panel` because `c0 + width <= w`
-        // and the panel holds `a_row.len() · w` floats.
+        // and each strip stays inside `panel` because `c0 + width <= w`,
+        // every term's `k` is below `k_dim` and the panel holds `k_dim · w`
+        // floats.
         unsafe {
             while c0 + STRIP_WIDE <= w {
-                let dst = &mut out_row[c0..c0 + STRIP_WIDE];
-                if dense {
-                    avx::strip_dense64(a_row, panel, w, c0, dst);
-                } else {
-                    avx::strip_nz64(nz, panel, w, c0, dst);
-                }
+                avx::strip::<{ STRIP_WIDE / 8 }>(terms.clone(), panel, w, c0, &mut out_row[c0..]);
                 c0 += STRIP_WIDE;
             }
             while c0 + STRIP <= w {
-                let dst = &mut out_row[c0..c0 + STRIP];
-                if dense {
-                    avx::strip_dense32(a_row, panel, w, c0, dst);
-                } else {
-                    avx::strip_nz32(nz, panel, w, c0, dst);
-                }
+                avx::strip::<{ STRIP / 8 }>(terms.clone(), panel, w, c0, &mut out_row[c0..]);
                 c0 += STRIP;
             }
         }
@@ -538,16 +423,11 @@ fn matmul_row(
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
     while c0 + STRIP <= w {
-        let dst = &mut out_row[c0..c0 + STRIP];
-        if dense {
-            strip_dense_scalar::<STRIP>(a_row, panel, w, c0, dst);
-        } else {
-            strip_nz_scalar::<STRIP>(nz, panel, w, c0, dst);
-        }
+        strip_scalar::<STRIP>(terms.clone(), panel, w, (c0, STRIP), &mut out_row[c0..]);
         c0 += STRIP;
     }
     if c0 < w {
-        strip_tail(nz, panel, w, c0, w - c0, &mut out_row[c0..]);
+        strip_scalar::<STRIP>(terms, panel, w, (c0, w - c0), &mut out_row[c0..]);
     }
 }
 
@@ -567,20 +447,24 @@ fn matmul_block(
 ) {
     let rows_here = out_block.len().checked_div(n).unwrap_or(0);
     let panels = n.div_ceil(tile);
-    // Compact each A row's nonzeros once per block; the lists are reused
-    // across every panel. Order within a row is `k` increasing, so the
-    // strips replay the reference's exact term sequence.
-    let mut nz: Vec<(u32, f32)> = Vec::with_capacity(rows_here * k_dim);
-    let mut bounds = [(0usize, 0usize); ROW_BLOCK];
+    let a_row = |ir: usize| &a[(i0 + ir) * k_dim..(i0 + ir + 1) * k_dim];
+    // Compact the nonzeros of each A row that holds a zero once per block;
+    // the lists are reused across every panel. Order within a row is `k`
+    // increasing, so the strips replay the reference's exact term
+    // sequence. The zero test is a fold without an early exit, so it
+    // vectorizes, and `-0.0 == 0.0` makes a `-0.0` count as a zero, as in
+    // the reference's skip. Zero-free rows (the common case for dense
+    // activations) take the unconditional strips without a list.
+    let mut nz: Vec<(u32, f32)> = Vec::new();
+    let mut bounds = [None; ROW_BLOCK];
     for (ir, bound) in bounds.iter_mut().enumerate().take(rows_here) {
-        let a_row = &a[(i0 + ir) * k_dim..(i0 + ir + 1) * k_dim];
-        let start = nz.len();
-        for (k, &v) in a_row.iter().enumerate() {
-            if v != 0.0 {
-                nz.push((k as u32, v));
-            }
+        let row = a_row(ir);
+        if row.iter().fold(false, |zero, &v| zero | (v == 0.0)) {
+            let start = nz.len();
+            let nonzero = row.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+            nz.extend(nonzero.map(|(k, &v)| (k as u32, v)));
+            *bound = Some((start, nz.len()));
         }
-        *bound = (start, nz.len());
     }
     // Panel-outer, row-inner: the packed panel (k_dim·tile floats) stays
     // cache-resident across the whole row block.
@@ -588,11 +472,21 @@ fn matmul_block(
         let j0 = p * tile;
         let w = tile.min(n - j0);
         let panel = &packed[starts[p]..starts[p] + k_dim * w];
-        for ir in 0..rows_here {
-            let a_row = &a[(i0 + ir) * k_dim..(i0 + ir + 1) * k_dim];
-            let (s0, s1) = bounds[ir];
+        for (ir, bound) in bounds.iter().enumerate().take(rows_here) {
             let out_row = &mut out_block[ir * n + j0..ir * n + j0 + w];
-            matmul_row(a_row, &nz[s0..s1], panel, w, simd, out_row);
+            match *bound {
+                Some((s0, s1)) => {
+                    let terms = nz[s0..s1].iter().map(|&(k, v)| (k as usize, v));
+                    strips(terms, panel, w, simd, out_row);
+                }
+                None => strips(
+                    a_row(ir).iter().copied().enumerate(),
+                    panel,
+                    w,
+                    simd,
+                    out_row,
+                ),
+            }
         }
     }
 }
@@ -708,8 +602,20 @@ fn dot_panel_scalar(a_row: &[f32], panel: &[f32], out: &mut [f32; PANEL]) {
     }
 }
 
+/// The rows of one [`ROW_BLOCK`] that `block` lists (ascending, global
+/// indices), or every row of the block when `rows` is `None`.
+fn block_rows(rows: Option<&[usize]>, i0: usize) -> Option<&[usize]> {
+    rows.map(|rows| {
+        let lo = rows.partition_point(|&r| r < i0);
+        let hi = rows.partition_point(|&r| r < i0 + ROW_BLOCK);
+        &rows[lo..hi]
+    })
+}
+
 /// One row block of the tiled `A · Bᵀ`: tiles of `tile_panels` packed
-/// panels stay L1-resident across the [`ROW_BLOCK`] `a` rows.
+/// panels stay L1-resident across the block's `a` rows — all of them, or
+/// the listed `rows` (global indices inside the block) only, leaving the
+/// other output rows as they are.
 #[allow(clippy::too_many_arguments)]
 fn matmul_transpose_block(
     a: &[f32],
@@ -719,6 +625,7 @@ fn matmul_transpose_block(
     tile_panels: usize,
     simd: bool,
     i0: usize,
+    rows: Option<&[usize]>,
     out_block: &mut [f32],
 ) {
     let rows_here = out_block.len().checked_div(n).unwrap_or(0);
@@ -727,7 +634,7 @@ fn matmul_transpose_block(
     let mut p0 = 0;
     while p0 < panels {
         let p1 = (p0 + tile_panels).min(panels);
-        for ir in 0..rows_here {
+        let mut pass = |ir: usize| {
             let a_row = &a[(i0 + ir) * k_dim..(i0 + ir + 1) * k_dim];
             let out_row = &mut out_block[ir * n..(ir + 1) * n];
             for p in p0..p1 {
@@ -750,6 +657,10 @@ fn matmul_transpose_block(
                 let w = PANEL.min(n - j);
                 out_row[j..j + w].copy_from_slice(&cells[..w]);
             }
+        };
+        match rows {
+            None => (0..rows_here).for_each(&mut pass),
+            Some(rows) => rows.iter().for_each(|&r| pass(r - i0)),
         }
         p0 = p1;
     }
@@ -768,6 +679,26 @@ pub fn matmul_transpose_tiled(
     matmul_transpose_tiled_impl(a, m, k_dim, b, n, out, simd_available());
 }
 
+/// [`matmul_transpose_tiled`] for the listed output rows only (ascending,
+/// each below `m`): row `i` of `out` becomes row `i` of `A · Bᵀ`, cell by
+/// cell the same [`dot`]s, and every unlisted row of `out` is left as it
+/// is. The backward pass uses it to skip zero gradient rows in place.
+///
+/// # Panics
+/// Panics if `rows` is not strictly ascending or lists a row `>= m`.
+pub fn matmul_transpose_rows(
+    a: &[f32],
+    m: usize,
+    k_dim: usize,
+    b: &[f32],
+    n: usize,
+    rows: &[usize],
+    out: &mut [f32],
+) {
+    check_rows(rows, m);
+    matmul_transpose_into(a, m, k_dim, b, n, Some(rows), out, simd_available());
+}
+
 /// [`matmul_transpose_tiled`] with SIMD dispatch forced on or off, like
 /// [`matmul_tiled_impl`]. Forcing `simd: true` without AVX support is
 /// rejected at dispatch.
@@ -781,22 +712,29 @@ pub fn matmul_transpose_tiled_impl(
     out: &mut [f32],
     simd: bool,
 ) {
+    matmul_transpose_into(a, m, k_dim, b, n, None, out, simd);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn matmul_transpose_into(
+    a: &[f32],
+    m: usize,
+    k_dim: usize,
+    b: &[f32],
+    n: usize,
+    rows: Option<&[usize]>,
+    out: &mut [f32],
+    simd: bool,
+) {
     let simd = simd && simd_available();
     let tile_panels = tile_width().div_ceil(PANEL);
     let mut packed = TrackedScratch::zeroed(n.div_ceil(PANEL) * PANEL * k_dim);
     pack_bt_into(b, k_dim, n, &mut packed.data);
     let packed = &packed.data;
     let block = |bi: usize, out_block: &mut [f32]| {
-        matmul_transpose_block(
-            a,
-            k_dim,
-            packed,
-            n,
-            tile_panels,
-            simd,
-            bi * ROW_BLOCK,
-            out_block,
-        );
+        let i0 = bi * ROW_BLOCK;
+        let rows = block_rows(rows, i0);
+        matmul_transpose_block(a, k_dim, packed, n, tile_panels, simd, i0, rows, out_block);
     };
     if m >= PAR_ROW_THRESHOLD {
         out.par_chunks_mut((ROW_BLOCK * n).max(1))
@@ -807,6 +745,15 @@ pub fn matmul_transpose_tiled_impl(
             block(bi, out_block);
         }
     }
+}
+
+/// The row-list contract of the `_rows` kernels: strictly ascending, each
+/// below `m`.
+fn check_rows(rows: &[usize], m: usize) {
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < m),
+        "row list must be strictly ascending and below {m}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -837,7 +784,7 @@ fn tm_tile_scalar(
     k0: usize,
     b: &[f32],
     n: usize,
-    rs: std::ops::Range<usize>,
+    rs: impl Iterator<Item = usize>,
     (q0, qh): (usize, usize),
     (j0, jw): (usize, usize),
     out: &mut [f32],
@@ -863,15 +810,16 @@ fn tm_tile_scalar(
     }
 }
 
-/// One block of output rows `[k0, k0 + kw)`. `A` rows stream in
-/// [`TM_R_CHUNK`] chunks; within a chunk every register tile carries its
-/// partial sums in from `out`, adds the chunk's rows in increasing `r`
-/// and stores them back (an exact f32 round trip), so each cell sees the
-/// reference's sequence whatever the chunking.
+/// One block of output rows `[k0, k0 + kw)` over the `listed` rows of
+/// `A` (all `rows` of them when `None`). Rows stream in [`TM_R_CHUNK`]
+/// chunks; within a chunk every register tile carries its partial sums in
+/// from `out`, adds the chunk's rows in increasing `r` and stores them
+/// back (an exact f32 round trip), so each cell sees the reference's
+/// sequence whatever the chunking.
 #[allow(clippy::too_many_arguments)]
 fn transpose_matmul_block(
     a: &[f32],
-    rows: usize,
+    (rows, listed): (usize, Option<&[usize]>),
     a_cols: usize,
     b: &[f32],
     n: usize,
@@ -879,36 +827,62 @@ fn transpose_matmul_block(
     k0: usize,
     out_block: &mut [f32],
 ) {
-    let kw = out_block.len().checked_div(n).unwrap_or(0);
-    for r0 in (0..rows).step_by(TM_R_CHUNK) {
-        let rs = r0..(r0 + TM_R_CHUNK).min(rows);
-        for j0 in (0..n).step_by(TM_COLS) {
-            let jw = TM_COLS.min(n - j0);
-            for q0 in (0..kw).step_by(TM_ROWS) {
-                let qh = TM_ROWS.min(kw - q0);
-                #[cfg(target_arch = "x86_64")]
-                if simd && qh == TM_ROWS && jw == TM_COLS {
-                    // SAFETY: `simd` is only true after AVX detection; the
-                    // tile's rows and columns lie inside
-                    // `a`, `b` and `out_block` because `qh`/`jw` are full
-                    // widths here.
-                    unsafe {
-                        avx::tm_tile4x16(a, a_cols, k0 + q0, b, n, rs.clone(), q0, j0, out_block)
-                    };
-                    continue;
-                }
-                tm_tile_scalar(
-                    a,
-                    a_cols,
-                    k0,
-                    b,
-                    n,
-                    rs.clone(),
-                    (q0, qh),
-                    (j0, jw),
-                    out_block,
-                );
+    match listed {
+        Some(listed) => {
+            for c in listed.chunks(TM_R_CHUNK) {
+                transpose_matmul_chunk(a, a_cols, b, n, simd, k0, c.iter().copied(), out_block);
             }
+        }
+        None => {
+            for r0 in (0..rows).step_by(TM_R_CHUNK) {
+                let rs = r0..(r0 + TM_R_CHUNK).min(rows);
+                transpose_matmul_chunk(a, a_cols, b, n, simd, k0, rs, out_block);
+            }
+        }
+    }
+}
+
+/// Every register tile of one block over one streamed chunk of `A` rows
+/// `rs` (increasing).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn transpose_matmul_chunk(
+    a: &[f32],
+    a_cols: usize,
+    b: &[f32],
+    n: usize,
+    simd: bool,
+    k0: usize,
+    rs: impl Iterator<Item = usize> + Clone,
+    out_block: &mut [f32],
+) {
+    let kw = out_block.len().checked_div(n).unwrap_or(0);
+    for j0 in (0..n).step_by(TM_COLS) {
+        let jw = TM_COLS.min(n - j0);
+        for q0 in (0..kw).step_by(TM_ROWS) {
+            let qh = TM_ROWS.min(kw - q0);
+            #[cfg(target_arch = "x86_64")]
+            if simd && qh == TM_ROWS && jw == TM_COLS {
+                // SAFETY: `simd` is only true after AVX detection; the
+                // tile's rows and columns lie inside `a`, `b` and
+                // `out_block` because `qh`/`jw` are full widths here and
+                // every streamed row is below the operands' row count.
+                unsafe {
+                    avx::tm_tile4x16(a, a_cols, k0 + q0, b, n, rs.clone(), q0, j0, out_block)
+                };
+                continue;
+            }
+            tm_tile_scalar(
+                a,
+                a_cols,
+                k0,
+                b,
+                n,
+                rs.clone(),
+                (q0, qh),
+                (j0, jw),
+                out_block,
+            );
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -928,6 +902,28 @@ pub fn transpose_matmul_blocked(
     transpose_matmul_blocked_impl(a, rows, a_cols, b, n, out, simd_available());
 }
 
+/// [`transpose_matmul_blocked`] summing over the listed rows only
+/// (ascending, each below `rows`): cell by cell the reference's
+/// increasing-`r` sequence with the unlisted rows' terms left out. The
+/// backward pass uses it to skip zero gradient rows without gathering.
+///
+/// # Panics
+/// Panics on buffer lengths that do not match the shapes, or if `listed`
+/// is not strictly ascending or names a row `>= rows`.
+#[allow(clippy::too_many_arguments)]
+pub fn transpose_matmul_rows(
+    a: &[f32],
+    rows: usize,
+    a_cols: usize,
+    b: &[f32],
+    n: usize,
+    listed: &[usize],
+    out: &mut [f32],
+) {
+    check_rows(listed, rows);
+    transpose_matmul_into(a, rows, a_cols, b, n, Some(listed), out, simd_available());
+}
+
 /// [`transpose_matmul_blocked`] with SIMD dispatch forced on or off, like
 /// [`matmul_tiled_impl`].
 #[doc(hidden)]
@@ -940,15 +936,38 @@ pub fn transpose_matmul_blocked_impl(
     out: &mut [f32],
     simd: bool,
 ) {
-    // The AVX tile reads through raw pointers: these lengths are what
-    // keeps it in bounds.
+    transpose_matmul_into(a, rows, a_cols, b, n, None, out, simd);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn transpose_matmul_into(
+    a: &[f32],
+    rows: usize,
+    a_cols: usize,
+    b: &[f32],
+    n: usize,
+    listed: Option<&[usize]>,
+    out: &mut [f32],
+    simd: bool,
+) {
+    // The AVX tile reads through raw pointers: these lengths (and the row
+    // list's bound, checked by the caller) are what keep it in bounds.
     assert!(
         a.len() == rows * a_cols && b.len() == rows * n && out.len() == a_cols * n,
         "transpose_matmul: buffer lengths do not match {rows}x{a_cols} and {rows}x{n}"
     );
     let simd = simd && simd_available();
     let block = |bi: usize, out_block: &mut [f32]| {
-        transpose_matmul_block(a, rows, a_cols, b, n, simd, bi * ROW_BLOCK, out_block);
+        transpose_matmul_block(
+            a,
+            (rows, listed),
+            a_cols,
+            b,
+            n,
+            simd,
+            bi * ROW_BLOCK,
+            out_block,
+        );
     };
     if a_cols >= PAR_ROW_THRESHOLD {
         out.par_chunks_mut((ROW_BLOCK * n).max(1))

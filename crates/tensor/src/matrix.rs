@@ -310,6 +310,32 @@ impl Matrix {
         }
     }
 
+    /// [`Matrix::matmul_transpose`] for the listed rows of `self` only
+    /// (strictly ascending): row `i` of the result is row `i` of
+    /// `self · otherᵀ` when `rows` lists `i`, and `+0.0` otherwise. Each
+    /// computed cell is the same [`dot`], written in place.
+    ///
+    /// # Panics
+    /// Panics on a column-count mismatch or a row list that is not
+    /// strictly ascending within `self`'s rows.
+    pub fn matmul_transpose_rows(&self, other: &Matrix, rows: &[usize]) -> Matrix {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_transpose needs matching column counts"
+        );
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        kernels::matmul_transpose_rows(
+            &self.data,
+            self.rows,
+            self.cols,
+            &other.data,
+            other.rows,
+            rows,
+            &mut out.data,
+        );
+        out
+    }
+
     /// `selfᵀ · other`, used by matmul backward passes.
     ///
     /// Runs the register-tiled kernel
@@ -329,6 +355,31 @@ impl Matrix {
             self.cols,
             &other.data,
             other.cols,
+            &mut out.data,
+        );
+        out
+    }
+
+    /// [`Matrix::transpose_matmul`] over the listed rows of `self` and
+    /// `other` only (strictly ascending): each cell adds the listed rows'
+    /// terms in the same increasing-`r` order and leaves the others out.
+    ///
+    /// # Panics
+    /// Panics on a row-count mismatch or a row list that is not strictly
+    /// ascending within the operands' rows.
+    pub fn transpose_matmul_rows(&self, other: &Matrix, rows: &[usize]) -> Matrix {
+        assert_eq!(
+            self.rows, other.rows,
+            "transpose_matmul needs matching row counts"
+        );
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        kernels::transpose_matmul_rows(
+            &self.data,
+            self.rows,
+            self.cols,
+            &other.data,
+            other.cols,
+            rows,
             &mut out.data,
         );
         out
@@ -512,39 +563,73 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn row_l1_distances(&self, other: &Matrix) -> Matrix {
-        self.row_reduce(other, |a_row, b_row| {
-            a_row.iter().zip(b_row).map(|(&x, &y)| (x - y).abs()).sum()
-        })
+        assert_eq!(self.shape(), other.shape(), "row_reduce shape mismatch");
+        self.row_reduce(other, self.rows, |i| (i, i), row_l1)
+    }
+
+    /// [`Matrix::row_l1_distances`] between gathered rows: entry `i` is
+    /// `‖self[rows[i]] − other[other_rows[i]]‖₁`, bitwise the distances of
+    /// the two [`Matrix::gather_rows`] results without building either.
+    ///
+    /// # Panics
+    /// Panics if the lists differ in length, the column counts differ, or
+    /// an index is out of range.
+    pub(crate) fn row_l1_distances_gathered(
+        &self,
+        rows: &[usize],
+        other: &Matrix,
+        other_rows: &[usize],
+    ) -> Matrix {
+        assert_eq!(
+            rows.len(),
+            other_rows.len(),
+            "gathered row lists differ in length"
+        );
+        assert_eq!(self.cols, other.cols, "row_reduce shape mismatch");
+        assert!(
+            rows.iter().all(|&r| r < self.rows) && other_rows.iter().all(|&r| r < other.rows),
+            "gather index out of range"
+        );
+        self.row_reduce(other, rows.len(), |i| (rows[i], other_rows[i]), row_l1)
     }
 
     /// Per-row squared L2 distances as an n×1 column (same ordering
     /// contract as [`Matrix::row_l1_distances`]).
     pub fn row_l2_sq_distances(&self, other: &Matrix) -> Matrix {
-        self.row_reduce(other, |a_row, b_row| {
-            a_row
-                .iter()
-                .zip(b_row)
-                .map(|(&x, &y)| (x - y) * (x - y))
-                .sum()
-        })
+        assert_eq!(self.shape(), other.shape(), "row_reduce shape mismatch");
+        self.row_reduce(
+            other,
+            self.rows,
+            |i| (i, i),
+            |a_row, b_row| {
+                a_row
+                    .iter()
+                    .zip(b_row)
+                    .map(|(&x, &y)| (x - y) * (x - y))
+                    .sum()
+            },
+        )
     }
 
-    /// Shared driver for the per-row distance reductions: applies `f` to
-    /// matched rows, writing an n×1 column, parallel in fixed
-    /// [`ROW_BLOCK`]-row blocks.
-    fn row_reduce(&self, other: &Matrix, f: impl Fn(&[f32], &[f32]) -> f32 + Sync) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "row_reduce shape mismatch");
-        let mut out = Matrix::zeros(self.rows, 1);
-        let cols = self.cols;
-        let (a, b) = (&self.data, &other.data);
+    /// Shared driver for the per-row distance reductions: entry `i` of the
+    /// `n`×1 result applies `f` to the rows `pair(i)` of `self` and
+    /// `other`, parallel in fixed [`ROW_BLOCK`]-row blocks.
+    fn row_reduce(
+        &self,
+        other: &Matrix,
+        n: usize,
+        pair: impl Fn(usize) -> (usize, usize) + Sync,
+        f: impl Fn(&[f32], &[f32]) -> f32 + Sync,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(n, 1);
         let fill_block = |(bi, block): (usize, &mut [f32])| {
             let r0 = bi * ROW_BLOCK;
             for (i, o) in block.iter_mut().enumerate() {
-                let start = (r0 + i) * cols;
-                *o = f(&a[start..start + cols], &b[start..start + cols]);
+                let (ra, rb) = pair(r0 + i);
+                *o = f(self.row(ra), other.row(rb));
             }
         };
-        if self.rows >= PAR_ROW_THRESHOLD {
+        if n >= PAR_ROW_THRESHOLD {
             out.data
                 .par_chunks_mut(ROW_BLOCK)
                 .enumerate()
@@ -684,9 +769,10 @@ impl Matrix {
 
     /// Whether every element is finite (no NaN, no ±∞). A cheap linear
     /// scan — the numeric-health guard the training loop runs on losses
-    /// and gradients before accepting an optimizer step.
+    /// and gradients before accepting an optimizer step. A fold without an
+    /// early exit, so it vectorizes.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        self.data.iter().fold(true, |all, v| all & v.is_finite())
     }
 
     /// Position `(row, col)` and value of the first non-finite element,
@@ -723,6 +809,11 @@ impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         &mut self.data[r * self.cols + c]
     }
+}
+
+/// `‖a − b‖₁`, summed left to right.
+fn row_l1(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
 }
 
 /// Dot product of two equal-length slices.
@@ -875,6 +966,25 @@ mod tests {
         let (r, c, v) = m.first_non_finite().unwrap();
         assert_eq!((r, c), (1, 2));
         assert!(v.is_nan());
+    }
+
+    #[test]
+    fn all_finite_sees_a_bad_value_at_every_position() {
+        // The scan is a fold without an early exit, so it runs in vector
+        // lanes plus a scalar tail: a value at each position mod 16, and in
+        // the tail, must count. `-0.0` is finite.
+        let len = 3 * 16 + 7;
+        for pos in 0..len {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut m = Matrix::filled(1, len, 1.0);
+                m[(0, pos)] = bad;
+                assert!(!m.all_finite(), "{bad} at {pos}");
+            }
+            let mut m = Matrix::filled(1, len, 1.0);
+            m[(0, pos)] = -0.0;
+            assert!(m.all_finite(), "-0.0 at {pos}");
+        }
+        assert!(Matrix::zeros(0, 0).all_finite());
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! exercise the tiled path too. Each kernel's `_impl` entry point forces
 //! the AVX or the portable path, so both are held to the reference.
 
+use ceaff_graph::CsrMatrix;
+use ceaff_tensor::graph::matmul_grads;
 use ceaff_tensor::kernels::{
     self, matmul_tiled, matmul_tiled_impl, matmul_transpose_tiled, matmul_transpose_tiled_impl,
     reference, transpose_matmul_blocked, transpose_matmul_blocked_impl, with_tile,
@@ -376,4 +378,192 @@ fn special_values_match_reference_on_both_paths() {
             0,
         );
     }
+}
+
+/// A `kinds.len() × k` matrix whose row `r` is, by `kinds[r] % 6`: all
+/// nonzero, one `0.0`, one `-0.0`, one NaN, one `±∞`, or all `±0`. Each
+/// special value sits in its own row, so no product row meets two NaN
+/// sources and the NaN payload is defined.
+fn mixed_rows(kinds: &[u8], k: usize, seed: u32) -> Matrix {
+    let mut a = lcg_matrix(kinds.len(), k, seed);
+    for v in a.as_mut_slice() {
+        if *v == 0.0 {
+            *v = 0.25;
+        }
+    }
+    for (r, &kind) in kinds.iter().enumerate() {
+        let c = (r * 7 + 3) % k;
+        let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
+        match kind % 6 {
+            0 => {}
+            1 => a[(r, c)] = 0.0,
+            2 => a[(r, c)] = -0.0,
+            3 => a[(r, c)] = f32::NAN,
+            4 => a[(r, c)] = sign * f32::INFINITY,
+            _ => a.row_mut(r).fill(sign * 0.0),
+        }
+    }
+    a
+}
+
+/// `m` with stored value `idx` replaced by `bad` — a value
+/// `CsrMatrix::from_triplets` refuses, reachable through deserialization.
+fn with_stored_value(m: &CsrMatrix, idx: usize, bad: f32) -> CsrMatrix {
+    use serde::{Deserialize, Serialize};
+    let mut v = m.to_value();
+    let serde::Value::Object(entries) = &mut v else {
+        panic!("a CSR matrix serializes to an object")
+    };
+    let (_, values) = entries
+        .iter_mut()
+        .find(|(key, _)| key == "values")
+        .expect("values field");
+    let serde::Value::Array(values) = values else {
+        panic!("values is an array")
+    };
+    values[idx] = serde::Value::Number(serde::Number::F64(f64::from(bad)));
+    CsrMatrix::from_value(&v).expect("a CSR matrix with one value replaced")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tiled matmul takes the unconditional strips for zero-free rows and
+    /// the compacted nonzero list for rows holding a `0.0` or `-0.0`; rows
+    /// mixing every kind must still equal the reference bitwise, on both
+    /// the AVX and the portable strips, also against a `B` holding `∞`
+    /// (where evaluating a skipped `0 · ∞` would give NaN).
+    #[test]
+    fn matmul_mixed_rows_parity(
+        kinds in proptest::collection::vec(0u8..6, 1..150),
+        k in 1usize..40,
+        n in 1usize..100,
+        tile in 8usize..128,
+        seed in 1u32..10_000,
+        b_inf in 0u8..2,
+    ) {
+        let a = mixed_rows(&kinds, k, seed);
+        let mut b = lcg_matrix(k, n, seed.wrapping_add(1));
+        if b_inf == 1 {
+            b[(k / 2, n / 2)] = f32::INFINITY;
+        }
+        let want = reference::matmul(&a, &b);
+        for simd in [false, true] {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            with_tile(tile, || {
+                matmul_tiled_impl(
+                    a.as_slice(), a.rows(), a.cols(),
+                    b.as_slice(), b.cols(),
+                    out.as_mut_slice(), simd,
+                );
+            });
+            assert_bitwise(&path_label("matmul mixed rows", simd), &out, &want, tile);
+        }
+        assert_bitwise("Matrix::matmul mixed rows", &a.matmul(&b), &want, 0);
+    }
+
+    /// The live-row `MatMul` backward equals both full products bitwise
+    /// for any pattern of `±0` gradient rows. A non-finite `B`, or a
+    /// non-finite value in a skipped row of `A`, must take the full
+    /// products (the row skip would drop a `0 · ∞ = NaN`); one in a live
+    /// row of `A` is read either way. The row kernels leave every
+    /// unlisted output row as it was.
+    #[test]
+    fn live_row_backward_matches_the_full_products(
+        rows in 1usize..150,
+        k in 1usize..40,
+        n in 1usize..40,
+        seed in 1u32..10_000,
+        dead in proptest::collection::vec(0u8..4, 150),
+        bad in 0u8..4,
+    ) {
+        let mut a = lcg_matrix(rows, k, seed);
+        let mut b = lcg_matrix(k, n, seed.wrapping_add(1));
+        let mut grad = lcg_matrix(rows, n, seed.wrapping_add(2));
+        for (r, &kind) in dead.iter().enumerate().take(rows) {
+            match kind {
+                0 => grad.row_mut(r).fill(0.0),
+                1 => grad.row_mut(r).fill(-0.0),
+                _ => {}
+            }
+        }
+        let live: Vec<usize> = (0..rows)
+            .filter(|&r| grad.row(r).iter().any(|&g| g != 0.0))
+            .collect();
+        match bad {
+            0 => b[(k / 2, n / 2)] = f32::INFINITY,
+            1 => {
+                let r = (0..rows).find(|r| !live.contains(r)).unwrap_or(0);
+                a[(r, k / 2)] = f32::NAN;
+            }
+            2 => a[(live.first().copied().unwrap_or(0), k / 2)] = f32::NEG_INFINITY,
+            _ => {}
+        }
+        let (ga, gb) = matmul_grads(&grad, &a, &b);
+        assert_bitwise("grad·Bᵀ", &ga, &reference::matmul_transpose(&grad, &b), 0);
+        assert_bitwise("Aᵀ·grad", &gb, &reference::transpose_matmul(&a, &grad), 0);
+
+        // The row kernels on their own, over an output that is not zero.
+        let sentinel = -7.5f32;
+        let mut out = Matrix::filled(rows, k, sentinel);
+        kernels::matmul_transpose_rows(
+            grad.as_slice(), rows, n, b.as_slice(), k, &live, out.as_mut_slice(),
+        );
+        let full = reference::matmul_transpose(&grad, &b);
+        for r in 0..rows {
+            if live.contains(&r) {
+                prop_assert_eq!(bits(out.row(r)), bits(full.row(r)));
+            } else {
+                prop_assert!(out.row(r).iter().all(|&v| v == sentinel));
+            }
+        }
+        let a_live = a.gather_rows(&live);
+        let g_live = grad.gather_rows(&live);
+        assert_bitwise(
+            "transpose_matmul_rows",
+            &a.transpose_matmul_rows(&grad, &live),
+            &reference::transpose_matmul(&a_live, &g_live),
+            0,
+        );
+    }
+
+    /// The GCN backward's `Aᵀ` gather (`transpose().mul_dense`) equals the
+    /// scatter it replaces (`transpose_mul_dense`, with its zero-row skip)
+    /// bitwise: zero rows written as `0.0` and `-0.0`, widths through every
+    /// register chunk, and a non-finite adjacency value whose `∞ · 0` the
+    /// skip must not drop.
+    #[test]
+    fn transpose_gather_matches_the_scatter(
+        rows in 1usize..60,
+        cols in 1usize..60,
+        d in 1usize..70,
+        seed in 1u32..10_000,
+        zero_every in 1usize..5,
+        bad in 0u8..4,
+    ) {
+        let dense_vals = lcg_matrix(rows + cols, cols.max(rows), seed);
+        let triplets: Vec<(usize, usize, f32)> = (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| (r, c)))
+            .filter(|&(r, c)| (r * 31 + c * 17 + seed as usize).is_multiple_of(3))
+            .map(|(r, c)| (r, c, dense_vals[(r, c)] + 0.75))
+            .collect();
+        let mut m = CsrMatrix::from_triplets(rows, cols, &triplets).expect("finite triplets");
+        if m.nnz() > 0 && bad < 3 {
+            let bad_value = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bad as usize];
+            m = with_stored_value(&m, seed as usize % m.nnz(), bad_value);
+        }
+        let mut dense = lcg_matrix(rows, d, seed.wrapping_add(9));
+        for r in (0..rows).step_by(zero_every) {
+            dense.row_mut(r).fill(if r % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let mut want = vec![0.0f32; cols * d];
+        m.transpose_mul_dense(dense.as_slice(), d, &mut want);
+        let mut got = vec![f32::NAN; cols * d];
+        m.transpose().mul_dense(dense.as_slice(), d, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
