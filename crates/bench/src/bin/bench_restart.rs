@@ -1,7 +1,7 @@
 //! Restart benchmark for durable incremental serving: how fast does a
 //! `--wal-dir` server come back, warm (newest snapshot + WAL tail
-//! replay, deciding once) versus cold (full feature extraction + fusion
-//! + replay of the *entire* log)?
+//! replay, deciding once) versus cold (full feature extraction + replay
+//! of the *entire* log, deciding once)?
 //!
 //! The cold baseline is not synthetic: it is the same recovery code
 //! path with the snapshots removed, which is exactly what a server
@@ -382,7 +382,7 @@ fn main() {
         "modes": modes,
         "notes": [
             "warm_restart_ms is WarmState::load_dir over an intact WAL dir: newest snapshot decoded, tail frames patched into the feature stores, then fusion + matching run once; no feature extraction",
-            "cold_restart_ms is the same recovery code path with every snapshot removed: full feature extraction + fusion, then replay of the entire log (one more fusion + matching) — what an all-snapshots-corrupt restart costs",
+            "cold_restart_ms is the same recovery code path with every snapshot removed: full feature extraction, then replay of the entire log and one fusion + matching — what an all-snapshots-corrupt restart costs",
             "both recoveries are asserted bitwise-identical to the pre-restart state before timing is reported; the bench aborts on divergence",
             "replayed_warm < replayed_cold is enforced: a warm restart that replays the whole log is a recovery bug, not a slow run",
             "speedup is gated (> 1.0) only on full runs; --check runs are too small to be meaningful",

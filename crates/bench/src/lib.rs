@@ -1,8 +1,8 @@
 //! # ceaff-bench
 //!
 //! The experiment harness regenerating every table of the paper's
-//! evaluation section (see the `src/bin` binaries) plus criterion
-//! component benches (`benches/`).
+//! evaluation section (see the `src/bin` binaries) plus the `bench_*`
+//! harnesses that write the committed `BENCH_*.json` files.
 //!
 //! Binaries (run with `cargo run --release -p ceaff-bench --bin <name>`):
 //!

@@ -377,8 +377,9 @@ fn ckpt_err(file: impl Into<String>, reason: impl Into<String>) -> CeaffError {
 
 /// Fingerprint of a configuration: CRC32 of its canonical JSON form.
 /// Resuming under a different configuration would silently change the
-/// result, so a mismatch is a hard error.
-pub(crate) fn config_fingerprint(cfg: &CeaffConfig) -> Result<u32, CeaffError> {
+/// result, so a mismatch is a hard error. It also seeds a fresh
+/// [`crate::DeltaState`]'s fingerprint chain.
+pub fn config_fingerprint(cfg: &CeaffConfig) -> Result<u32, CeaffError> {
     let json = serde_json::to_string(cfg)
         .map_err(|e| ckpt_err("config.json", format!("cannot serialize config: {e}")))?;
     Ok(crc32(json.as_bytes()))

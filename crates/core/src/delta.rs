@@ -47,7 +47,7 @@
 //! commit, so an edit allocates in proportion to what it touches.
 //!
 //! The trained GCN couples all entities through shared weights — there is
-//! no dirty region smaller than the whole KG — so [`DeltaState::new`]
+//! no dirty region smaller than the whole KG — so [`DeltaFeatures::new`]
 //! rejects it with [`CeaffError::Delta`]. The matcher is likewise re-run
 //! in full each delta: warm-starting deferred acceptance from the
 //! previous matching is unsound (a single changed preference can cascade
@@ -55,18 +55,20 @@
 //! re-run and the other global stages are a large share of what an edit
 //! costs.
 //!
-//! A stream of deltas whose intermediate decisions nobody reads — a WAL
-//! tail on warm restart — goes through [`DeltaState::replay`] instead: it
-//! patches and commits every delta exactly as `apply` does and runs the
-//! global stages once, over the final stores. Nothing a patch or the
-//! fingerprint chain computes reads a decision, so the result is bitwise
-//! that of applying the deltas one by one.
+//! A [`DeltaState`] is its [`DeltaFeatures`] plus the decision over them,
+//! and every path composes [`DeltaFeatures::new`] (a snapshot decodes the
+//! features instead) with [`DeltaFeatures::decide`]. A stream of deltas
+//! whose intermediate decisions nobody reads — a WAL tail on restart — is
+//! patched and committed exactly as `apply` does
+//! ([`DeltaFeatures::replay`]) and decided once, over the final stores.
+//! Nothing a patch or the fingerprint chain computes reads a decision, so
+//! the result is bitwise that of applying the deltas one by one.
 
 use std::collections::{BTreeSet, HashMap};
 
 use ceaff_embed::{embed_name, WordEmbedder};
 use ceaff_graph::{DeltaOp, EntityId, KgDelta, KgPair, KnowledgeGraph, Side};
-use ceaff_sim::{BlockingConfig, LevPattern, SimStore, SimilarityMatrix, SparseTopK, TargetIndex};
+use ceaff_sim::{LevPattern, SimStore, SimilarityMatrix, SparseTopK, TargetIndex};
 use ceaff_telemetry::Telemetry;
 use ceaff_tensor::{dot, Matrix};
 
@@ -122,65 +124,50 @@ impl AlignmentDiff {
     }
 }
 
-/// Warm pipeline state for one evolving alignment task.
+/// Warm pipeline state for one evolving alignment task: the cached
+/// [`DeltaFeatures`] and the decision made over them.
 ///
-/// Built once from a full run ([`DeltaState::new`]), then advanced edit
-/// batch by edit batch with [`DeltaState::apply`]. On any error the state
-/// is left exactly as it was (deltas are atomic end to end); a failure
-/// past the graph edit only drops the derived blocking indexes, which the
-/// next apply rebuilds.
+/// Built once from a full run ([`DeltaState::new`]: features, then the
+/// decision), then advanced edit batch by edit batch with
+/// [`DeltaState::apply`]. On any error the state is left exactly as it
+/// was (deltas are atomic end to end); a failure past the graph edit only
+/// drops the warm blocking indexes, which the next apply rebuilds.
 pub struct DeltaState {
-    cfg: CeaffConfig,
-    pair: KgPair,
-    features: FeatureSet,
-    /// All propagation layers `[H₀…H_L]` per graph — the structural
-    /// patcher's cache. Empty when the structural feature is off.
-    prop_source: Vec<Matrix>,
-    prop_target: Vec<Matrix>,
-    output: CeaffOutput,
-    fingerprint: u32,
-    step: usize,
+    pub(crate) parts: DeltaFeatures,
+    /// The decision over `parts`: what a from-scratch run on the current
+    /// pair outputs.
+    pub(crate) output: CeaffOutput,
     /// The handle the state was built with; every apply records on a
     /// fresh child of it.
-    telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
+}
+
+/// Everything a [`DeltaState`] caches apart from its decision: the
+/// configuration, the evolved pair, the raw feature stores, the
+/// propagation layers, the chained fingerprint and step, and — in blocked
+/// mode — the warm blocking indexes. Deltas patch and commit these parts;
+/// [`DeltaFeatures::decide`] runs fusion and matching over them.
+pub struct DeltaFeatures {
+    pub(crate) cfg: CeaffConfig,
+    pub(crate) pair: KgPair,
+    pub(crate) features: FeatureSet,
+    /// All propagation layers `[H₀…H_L]` per graph — the structural
+    /// patcher's cache. Empty when the structural feature is off.
+    pub(crate) prop_source: Vec<Matrix>,
+    pub(crate) prop_target: Vec<Matrix>,
+    pub(crate) fingerprint: u32,
+    pub(crate) step: usize,
     /// Blocking indexes over the current test split (blocked mode only),
-    /// built on the first apply and patched in place after that.
-    blocking: Option<WarmIndexes>,
+    /// built with the parts and patched in place by every apply.
+    pub(crate) blocking: Option<WarmIndexes>,
 }
 
 impl DeltaState {
     /// Run the pipeline from scratch and retain everything the delta
-    /// patcher needs. Rejects configurations that cannot be updated
-    /// incrementally (structural feature in [`StructuralMode::Trained`]).
+    /// patcher needs: [`DeltaFeatures::new`], then
+    /// [`DeltaFeatures::decide`] on the input's telemetry.
     pub fn new(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<Self, CeaffError> {
-        cfg.validate()?;
-        if cfg.use_structural && matches!(cfg.structural, StructuralMode::Trained) {
-            return Err(CeaffError::Delta(
-                "the trained-GCN structural mode cannot be updated incrementally \
-                 (every epoch couples all entities through shared weights); \
-                 configure StructuralMode::Propagation or disable the structural feature"
-                    .into(),
-            ));
-        }
-        // The batch pipeline's own feature body, keeping the propagation
-        // layers it computed: the structural patcher's cache.
-        let mut layers = PropagationLayers::default();
-        let features =
-            FeatureSet::compute_stages(input, cfg, &RunOptions::default(), Some(&mut layers))?;
-        let output = try_run_with_features(input.pair, &features, cfg, &input.telemetry)?;
-        let (prop_source, prop_target) = layers;
-        let state = Self::from_parts(
-            cfg.clone(),
-            input.pair.clone(),
-            features,
-            prop_source,
-            prop_target,
-            output,
-            config_fingerprint(cfg)?,
-            0,
-        )
-        .with_telemetry(input.telemetry.clone());
-        Ok(state)
+        DeltaFeatures::new(input, cfg)?.decide(input.telemetry.clone())
     }
 
     /// Apply one edit batch: patch the dirty region of every feature
@@ -222,15 +209,16 @@ impl DeltaState {
         budget: &ExecBudget,
     ) -> Result<AlignmentDiff, CeaffError> {
         let telemetry = self.telemetry.child();
-        let patch = self.patch(delta, source_embedder, target_embedder, &telemetry)?;
-        let mut output = self.decide_pending(&patch, &telemetry, budget)?;
+        let parts = &mut self.parts;
+        let patch = parts.patch(delta, source_embedder, target_embedder, &telemetry)?;
+        let mut output = parts.decide_pending(&patch, &telemetry, budget)?;
 
         let span = telemetry.span("delta.diff");
         let (added, removed, changed) = diff_matchings(
             &self.output.matching,
             &output.matching,
             &patch.maps,
-            &self.pair,
+            &parts.pair,
             &patch.pair,
         );
         span.finish();
@@ -240,10 +228,10 @@ impl DeltaState {
 
         // Every fallible step is behind us.
         let recompute_fraction = patch.recompute_fraction;
-        self.commit(patch);
+        parts.commit(patch);
         let diff = AlignmentDiff {
-            step: self.step,
-            fingerprint: self.fingerprint,
+            step: parts.step,
+            fingerprint: parts.fingerprint,
             accuracy: output.accuracy,
             matched: output.matching.len(),
             added,
@@ -255,14 +243,11 @@ impl DeltaState {
         Ok(diff)
     }
 
-    /// Apply a stream of edit batches and decide once, at the end: each
-    /// delta is patched and committed exactly as [`DeltaState::apply`]
-    /// does, but fusion and matching run a single time, over the final
-    /// stores, through [`try_run_with_features`]. The result is bitwise
-    /// the state sequential applies reach — the decision is a pure
-    /// function of the committed stores, and no patch or fingerprint
-    /// reads it — at the cost of one decision instead of one per delta.
-    /// This is how a warm restart replays its log tail.
+    /// Apply a stream of edit batches and decide once, at the end:
+    /// [`DeltaFeatures::replay`], then [`DeltaFeatures::decide`]. The
+    /// result is bitwise the state sequential applies reach, at the cost
+    /// of one decision instead of one per delta. This is how a warm
+    /// restart replays its log tail.
     ///
     /// The state is consumed, so one whose output trails its stores is
     /// never observable; on error it is dropped. The returned output's
@@ -274,16 +259,111 @@ impl DeltaState {
         source_embedder: &dyn WordEmbedder,
         target_embedder: &dyn WordEmbedder,
     ) -> Result<Self, CeaffError> {
-        let telemetry = self.telemetry.child();
-        let start = self.step;
+        let (start, run) = (self.parts.step, self.telemetry.child());
+        self.parts
+            .replay(deltas, source_embedder, target_embedder, &run)?;
+        if self.parts.step == start {
+            return Ok(self);
+        }
+        self.parts.decide(run)
+    }
+
+    /// Record every later apply on fresh children of `telemetry` — for a
+    /// state decoded from a snapshot, which starts with telemetry
+    /// disabled, so it reports like one built by [`DeltaState::new`].
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// The most recent pipeline output (full [`CeaffOutput`], exactly what
+    /// a from-scratch run on the current pair would produce).
+    pub fn output(&self) -> &CeaffOutput {
+        &self.output
+    }
+
+    /// The current (post-deltas) pair.
+    pub fn pair(&self) -> &KgPair {
+        &self.parts.pair
+    }
+
+    /// The configuration the state was built with.
+    pub fn config(&self) -> &CeaffConfig {
+        &self.parts.cfg
+    }
+
+    /// Chained (config, edit history) fingerprint — see
+    /// [`AlignmentDiff::fingerprint`].
+    pub fn fingerprint(&self) -> u32 {
+        self.parts.fingerprint
+    }
+
+    /// Number of deltas applied so far.
+    pub fn step(&self) -> usize {
+        self.parts.step
+    }
+}
+
+impl DeltaFeatures {
+    /// Compute every feature store from scratch, deciding nothing — the
+    /// one constructor of computed parts (a snapshot decodes its parts
+    /// instead). Rejects configurations that cannot be updated
+    /// incrementally (structural feature in [`StructuralMode::Trained`]).
+    /// Feature spans record on the input's telemetry.
+    pub fn new(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<Self, CeaffError> {
+        cfg.validate()?;
+        if cfg.use_structural && matches!(cfg.structural, StructuralMode::Trained) {
+            return Err(CeaffError::Delta(
+                "the trained-GCN structural mode cannot be updated incrementally \
+                 (every epoch couples all entities through shared weights); \
+                 configure StructuralMode::Propagation or disable the structural feature"
+                    .into(),
+            ));
+        }
+        // The batch pipeline's own feature body, keeping the propagation
+        // layers it computed: the structural patcher's cache.
+        let mut layers = PropagationLayers::default();
+        let features =
+            FeatureSet::compute_stages(input, cfg, &RunOptions::default(), Some(&mut layers))?;
+        let (prop_source, prop_target) = layers;
+        Ok(Self {
+            blocking: WarmIndexes::build(cfg, input.pair),
+            cfg: cfg.clone(),
+            pair: input.pair.clone(),
+            features,
+            prop_source,
+            prop_target,
+            fingerprint: config_fingerprint(cfg)?,
+            step: 0,
+        })
+    }
+
+    /// Patch and commit each delta in turn, exactly as
+    /// [`DeltaState::apply`] does, deciding nothing. On error the parts
+    /// stay at the last delta committed.
+    pub fn replay<'d>(
+        &mut self,
+        deltas: impl IntoIterator<Item = &'d KgDelta>,
+        source_embedder: &dyn WordEmbedder,
+        target_embedder: &dyn WordEmbedder,
+        telemetry: &Telemetry,
+    ) -> Result<(), CeaffError> {
         for delta in deltas {
-            let patch = self.patch(delta, source_embedder, target_embedder, &telemetry)?;
+            let patch = self.patch(delta, source_embedder, target_embedder, telemetry)?;
             self.commit(patch);
         }
-        if self.step > start {
-            self.output = try_run_with_features(&self.pair, &self.features, &self.cfg, &telemetry)?;
-        }
-        Ok(self)
+        Ok(())
+    }
+
+    /// Decide over the parts through the batch pipeline's decision body,
+    /// recording on `telemetry`, which the state keeps for its applies.
+    pub fn decide(self, telemetry: Telemetry) -> Result<DeltaState, CeaffError> {
+        let output = try_run_with_features(&self.pair, &self.features, &self.cfg, &telemetry)?;
+        Ok(DeltaState {
+            parts: self,
+            output,
+            telemetry,
+        })
     }
 
     /// Everything `delta` changes, computed against the current state but
@@ -320,15 +400,15 @@ impl DeltaState {
 
         // One blocking context shared by every sparse store, mirroring the
         // single `block_candidates` call of the batch pipeline. The warm
-        // indexes leave `self` here and come back only at commit.
+        // indexes leave `self` here and come back only at commit; only an
+        // earlier apply that failed past this point leaves none to take.
         let blocked = match &cfg.candidates {
             CandidateStrategy::Dense => None,
-            CandidateStrategy::Blocked { k, blocking } => {
+            CandidateStrategy::Blocked { k, .. } => {
                 let _span = telemetry.span("delta.blocking");
-                let mut warm = self
-                    .blocking
-                    .take()
-                    .unwrap_or_else(|| WarmIndexes::build(&self.pair, blocking));
+                let mut warm = self.blocking.take().unwrap_or_else(|| {
+                    WarmIndexes::build(cfg, &self.pair).expect("blocked config")
+                });
                 warm.patch(&maps, &new_pair);
                 let stored = stored_structure(&self.features).expect("blocked stores are sparse");
                 let rows = base_dirty_rows(&warm, &maps, stored, &new_pair, *k);
@@ -577,84 +657,6 @@ impl DeltaState {
         self.step += 1;
         self.fingerprint = fingerprint;
     }
-
-    /// Record every later apply on fresh children of `telemetry` — for a
-    /// state decoded from a snapshot, which starts with telemetry
-    /// disabled, so it reports like one built by [`DeltaState::new`].
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The most recent pipeline output (full [`CeaffOutput`], exactly what
-    /// a from-scratch run on the current pair would produce).
-    pub fn output(&self) -> &CeaffOutput {
-        &self.output
-    }
-
-    /// The current (post-deltas) pair.
-    pub fn pair(&self) -> &KgPair {
-        &self.pair
-    }
-
-    /// The configuration the state was built with.
-    pub fn config(&self) -> &CeaffConfig {
-        &self.cfg
-    }
-
-    /// Chained (config, edit history) fingerprint — see
-    /// [`AlignmentDiff::fingerprint`].
-    pub fn fingerprint(&self) -> u32 {
-        self.fingerprint
-    }
-
-    /// Number of deltas applied so far.
-    pub fn step(&self) -> usize {
-        self.step
-    }
-
-    /// The cached feature set (the snapshot codec's view).
-    pub(crate) fn features(&self) -> &FeatureSet {
-        &self.features
-    }
-
-    /// The cached propagation layers per graph (empty when the
-    /// structural feature is off).
-    pub(crate) fn prop_layers(&self) -> (&[Matrix], &[Matrix]) {
-        (&self.prop_source, &self.prop_target)
-    }
-
-    /// Reassemble a state from snapshot-decoded parts (the durability
-    /// layer's constructor — see [`crate::snapshot`]). The caller passes
-    /// back exactly what [`crate::snapshot::encode_delta_state`]
-    /// captured; nothing is recomputed, so a decoded state is bitwise
-    /// the state that was encoded. The derived blocking indexes are
-    /// rebuilt on the first apply, and telemetry starts disabled (see
-    /// [`DeltaState::with_telemetry`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        cfg: CeaffConfig,
-        pair: KgPair,
-        features: FeatureSet,
-        prop_source: Vec<Matrix>,
-        prop_target: Vec<Matrix>,
-        output: CeaffOutput,
-        fingerprint: u32,
-        step: usize,
-    ) -> Self {
-        Self {
-            cfg,
-            pair,
-            features,
-            prop_source,
-            prop_target,
-            output,
-            fingerprint,
-            step,
-            telemetry: Telemetry::disabled(),
-            blocking: None,
-        }
-    }
 }
 
 /// One delta's effect on a [`DeltaState`], computed but not committed:
@@ -833,18 +835,23 @@ fn unit(row: &[f32]) -> Vec<f32> {
 /// The blocking indexes a [`DeltaState`] keeps warm across edits: target
 /// names → test columns (for candidate rows) and source names → test rows
 /// (for the rows an added target qualifies for).
-struct WarmIndexes {
+pub(crate) struct WarmIndexes {
     targets: TargetIndex,
     sources: TargetIndex,
 }
 
 impl WarmIndexes {
-    fn build(pair: &KgPair, blocking: &BlockingConfig) -> Self {
+    /// The indexes a state under `cfg` keeps over `pair`'s split, built
+    /// with its parts; `None` when dense.
+    pub(crate) fn build(cfg: &CeaffConfig, pair: &KgPair) -> Option<Self> {
+        let CandidateStrategy::Blocked { blocking, .. } = &cfg.candidates else {
+            return None;
+        };
         let (sources, targets) = test_names(pair);
-        Self {
+        Some(Self {
             targets: TargetIndex::build(&targets, blocking),
             sources: TargetIndex::build(&sources, blocking),
-        }
+        })
     }
 
     /// Patch both indexes to `new`'s split in place.
@@ -1421,6 +1428,7 @@ fn diff_matchings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceaff_sim::BlockingConfig;
     use proptest::prelude::*;
 
     fn dataset() -> ceaff_datagen::GeneratedDataset {
@@ -1503,9 +1511,8 @@ mod tests {
         assert!(diff.recompute_fraction < 1.0, "nothing stayed clean");
 
         let edited = delta.apply(&ds.pair).expect("delta valid").pair;
-        let fresh_features = FeatureSet::compute(&EaInput::new(&edited, &src, &tgt), &cfg);
-        let fresh = try_run_with_features(&edited, &fresh_features, &cfg, &Telemetry::disabled())
-            .expect("fresh run");
+        let fresh =
+            crate::pipeline::try_run(&EaInput::new(&edited, &src, &tgt), &cfg).expect("fresh run");
 
         assert_eq!(state.output().matching.pairs(), fresh.matching.pairs());
         assert_eq!(
@@ -1513,17 +1520,10 @@ mod tests {
             fresh.accuracy.to_bits(),
             "accuracy must be bitwise-identical"
         );
-        match (&state.output().fused, &fresh.fused) {
-            (SimStore::Dense(a), SimStore::Dense(b)) => {
-                let (am, bm) = (a.as_matrix().as_slice(), b.as_matrix().as_slice());
-                assert_eq!(am.len(), bm.len());
-                for (x, y) in am.iter().zip(bm) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "fused store diverged");
-                }
-            }
-            (SimStore::Sparse(a), SimStore::Sparse(b)) => assert_eq!(a, b),
-            _ => panic!("store kinds diverged"),
-        }
+        assert!(
+            store_bits(&state.output().fused) == store_bits(&fresh.fused),
+            "fused store diverged"
+        );
     }
 
     #[test]
@@ -1637,8 +1637,8 @@ mod tests {
         let fresh =
             DeltaState::new(&EaInput::new(state.pair(), src, tgt), state.config()).expect("fresh");
         for (a, b) in [
-            (&state.prop_source, &fresh.prop_source),
-            (&state.prop_target, &fresh.prop_target),
+            (&state.parts.prop_source, &fresh.parts.prop_source),
+            (&state.parts.prop_target, &fresh.parts.prop_target),
         ] {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
@@ -1646,7 +1646,7 @@ mod tests {
                 assert!(bits(x) == bits(y), "propagation layer diverged");
             }
         }
-        let (f, g) = (&state.features, &fresh.features);
+        let (f, g) = (&state.parts.features, &fresh.parts.features);
         if let (Some(a), Some(b)) = (&f.structural, &g.structural) {
             assert!(bits(a.source_embeddings()) == bits(b.source_embeddings()));
             assert!(bits(a.target_embeddings()) == bits(b.target_embeddings()));
@@ -1741,6 +1741,12 @@ mod tests {
         let tgt = ds.target_embedder(32);
         let mut state =
             DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg(true)).expect("warm state");
+        // A blocked state holds its warm indexes before its first apply,
+        // whether it was built or decoded from a snapshot.
+        assert_indexes_are_fresh(&state);
+        let bytes = crate::snapshot::encode_delta_state(&state).expect("encode");
+        let decoded = crate::snapshot::decode_delta_state(&bytes, state.config()).expect("decode");
+        assert_indexes_are_fresh(&decoded);
         // Move the first test link to the end of the split: kept rows and
         // columns change order, so the warm indexes re-sort their postings
         // and every row's candidate list is compared. The last move takes a
@@ -1756,13 +1762,16 @@ mod tests {
             };
             state.apply(&delta, &src, &tgt).expect("relink applies");
             assert_state_is_fresh(&state, &src, &tgt);
-            let warm = state.blocking.as_ref().expect("warm indexes");
-            let CandidateStrategy::Blocked { blocking, .. } = &state.cfg.candidates else {
-                unreachable!("blocked config")
-            };
-            let rebuilt = WarmIndexes::build(&state.pair, blocking);
-            assert!(warm.targets == rebuilt.targets && warm.sources == rebuilt.sources);
+            assert_indexes_are_fresh(&state);
         }
+    }
+
+    /// The state's warm indexes equal a rebuild over its current split.
+    fn assert_indexes_are_fresh(state: &DeltaState) {
+        let warm = state.parts.blocking.as_ref().expect("warm indexes");
+        let rebuilt = WarmIndexes::build(state.config(), state.pair()).expect("blocked config");
+        assert!(warm.targets == rebuilt.targets, "target index diverged");
+        assert!(warm.sources == rebuilt.sources, "source index diverged");
     }
 
     /// A tail touching structure, the split order (a link moved to the
@@ -1866,7 +1875,12 @@ mod tests {
     /// The lower column of the first pair of adjacent stored cells with
     /// equal scores in the blocked string store.
     fn tied_column(state: &DeltaState) -> usize {
-        let string = state.features.string.as_ref().expect("string feature");
+        let string = state
+            .parts
+            .features
+            .string
+            .as_ref()
+            .expect("string feature");
         let store = string.test_store().as_sparse().expect("blocked store");
         (0..store.sources())
             .find_map(|i| {
@@ -1976,9 +1990,9 @@ mod tests {
         );
         let deltas = std::iter::once(recreate).chain(stream.into_iter().map(|td| td.delta));
         for delta in deltas {
-            let before = named(&state.output.matching, &state.pair);
+            let before = named(&state.output.matching, state.pair());
             let diff = state.apply(&delta, &src, &tgt).expect("delta applies");
-            let after = named(&state.output.matching, &state.pair);
+            let after = named(&state.output.matching, state.pair());
             let mut added = Vec::new();
             let mut changed = Vec::new();
             for (s, t) in &after {
@@ -2005,7 +2019,7 @@ mod tests {
     /// candidate list differs from their stored columns renumbered (a
     /// stored column whose target left the split never matches).
     fn brute_force_dirty(state: &DeltaState, new: &KgPair, k: usize, b: &BlockingConfig) -> u64 {
-        let (src_old, tgt_old) = test_names(&state.pair);
+        let (src_old, tgt_old) = test_names(state.pair());
         let (src_new, tgt_new) = test_names(new);
         let index = TargetIndex::build(&tgt_new, b);
         let row_of: HashMap<&str, usize> =
@@ -2015,7 +2029,7 @@ mod tests {
             .enumerate()
             .map(|(j, t)| (*t, j as u32))
             .collect();
-        let stored = stored_structure(&state.features).expect("sparse stores");
+        let stored = stored_structure(&state.parts.features).expect("sparse stores");
         let dirty = (0..src_new.len()).filter(|&i| {
             let Some(&oi) = row_of.get(src_new[i]) else {
                 return true;
@@ -2049,18 +2063,16 @@ mod tests {
             let cfg = cfg(true);
             let mut state =
                 DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg).expect("warm state");
+            assert_indexes_are_fresh(&state);
             let stream = ceaff_datagen::evolve(
                 &ds.pair,
                 &ceaff_datagen::EvolveConfig { steps: 12, seed, ..Default::default() },
             );
             for td in &stream {
-                let next = td.delta.apply(&state.pair).expect("stream replays").pair;
+                let next = td.delta.apply(state.pair()).expect("stream replays").pair;
                 let expected = brute_force_dirty(&state, &next, k, &blocking);
                 state.apply(&td.delta, &src, &tgt).expect("delta applies");
-                let warm = state.blocking.as_ref().expect("warm indexes");
-                let rebuilt = WarmIndexes::build(&next, &blocking);
-                prop_assert!(warm.targets == rebuilt.targets, "target index diverged");
-                prop_assert!(warm.sources == rebuilt.sources, "source index diverged");
+                assert_indexes_are_fresh(&state);
                 prop_assert_eq!(
                     state.output().trace.counter("delta", "base_dirty_rows"),
                     Some(expected)

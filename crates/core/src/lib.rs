@@ -72,7 +72,7 @@ pub use ceaff_telemetry::{
     TraceEvent,
 };
 pub use checkpoint::{CheckpointPolicy, Checkpointer};
-pub use delta::{chain_fingerprint, AlignmentDiff, DeltaState};
+pub use delta::{chain_fingerprint, AlignmentDiff, DeltaFeatures, DeltaState};
 pub use error::CeaffError;
 pub use eval::{
     accuracy, hits_at_k_store, mrr_store, precision_recall, ranking_metrics_store, PrecisionRecall,

@@ -20,7 +20,7 @@ use crate::budget::{ExecBudget, StopReason};
 use crate::checkpoint::{self, Checkpointer, FeatureCodec};
 use crate::error::CeaffError;
 use crate::eval::{accuracy, ranking_metrics_store, RankingMetrics};
-use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
+use crate::features::{test_names, Feature, SemanticFeature, StringFeature, StructuralFeature};
 
 use crate::fusion::{
     adaptive_fuse_store, fuse_store, two_stage_fuse_store, FusionConfig, FusionReport,
@@ -559,16 +559,7 @@ fn block_candidates(
     telemetry: &Telemetry,
 ) -> CandidateSet {
     let _span = telemetry.span("blocking");
-    let src_names: Vec<&str> = pair
-        .test_sources()
-        .iter()
-        .map(|&e| pair.source.entity_name(e).expect("interned"))
-        .collect();
-    let tgt_names: Vec<&str> = pair
-        .test_targets()
-        .iter()
-        .map(|&e| pair.target.entity_name(e).expect("interned"))
-        .collect();
+    let (src_names, tgt_names) = test_names(pair);
     let candidates = ceaff_sim::build_candidates(&src_names, &tgt_names, blocking, k);
     let gold: Vec<(usize, usize)> = (0..src_names.len().min(tgt_names.len()))
         .map(|i| (i, i))

@@ -9,7 +9,7 @@
 //! feature is the very block its stage artifact holds, see
 //! [`crate::checkpoint`]), so every `f32`/`f64` round-trips bitwise and
 //! a decoded state is *indistinguishable* from the state that was
-//! encoded. Nothing is
+//! encoded. No feature or decision is
 //! recomputed on decode: that is what makes a warm restart cheap (no
 //! feature extraction, no fusion) and provable (bit-identical answers).
 //!
@@ -31,13 +31,13 @@
 //! stale timings.
 
 use ceaff_graph::{Alignment, EntityId, KgPair, KnowledgeGraph, RelationId, SeedSplit, Triple};
-use ceaff_telemetry::RunTrace;
+use ceaff_telemetry::{RunTrace, Telemetry};
 use ceaff_tensor::Matrix;
 
 use crate::checkpoint::{
     check_rows, config_fingerprint, get_store, put_store, ByteReader, ByteWriter, FeatureCodec,
 };
-use crate::delta::DeltaState;
+use crate::delta::{DeltaFeatures, DeltaState, WarmIndexes};
 use crate::error::CeaffError;
 use crate::eval::RankingMetrics;
 use crate::fusion::FusionReport;
@@ -120,7 +120,7 @@ fn put_fusion_report(w: &mut ByteWriter, report: &FusionReport) {
 /// arbitrary trait objects the codec cannot round-trip, and the serving
 /// path — the only producer of snapshots — never sets them.
 pub fn encode_delta_state(state: &DeltaState) -> Result<Vec<u8>, CeaffError> {
-    let features = state.features();
+    let features = &state.parts.features;
     if !features.extra.is_empty() {
         return Err(snap_err(
             "states with extra (plugin) features cannot be snapshotted",
@@ -135,8 +135,7 @@ pub fn encode_delta_state(state: &DeltaState) -> Result<Vec<u8>, CeaffError> {
 
     put_pair(&mut w, state.pair());
 
-    let (prop_source, prop_target) = state.prop_layers();
-    for layers in [prop_source, prop_target] {
+    for layers in [&state.parts.prop_source, &state.parts.prop_target] {
         w.usize(layers.len());
         for m in layers {
             w.matrix(m);
@@ -278,7 +277,8 @@ fn check_layers(
     Ok(())
 }
 
-/// Reassemble a [`DeltaState`] from a snapshot payload.
+/// Reassemble a [`DeltaState`] from a snapshot payload: its parts (the
+/// warm blocking indexes rebuilt) and its decision, telemetry disabled.
 ///
 /// `cfg` is the configuration the caller is serving under (rebuilt from
 /// its own flags); decode verifies it fingerprints to the configuration
@@ -362,16 +362,20 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
     };
     r.finish()?;
 
-    Ok(DeltaState::from_parts(
-        cfg.clone(),
-        pair,
-        features,
-        prop_source,
-        prop_target,
+    Ok(DeltaState {
+        parts: DeltaFeatures {
+            cfg: cfg.clone(),
+            blocking: WarmIndexes::build(cfg, &pair),
+            pair,
+            features,
+            prop_source,
+            prop_target,
+            fingerprint,
+            step,
+        },
         output,
-        fingerprint,
-        step,
-    ))
+        telemetry: Telemetry::disabled(),
+    })
 }
 
 #[cfg(test)]
@@ -571,11 +575,8 @@ mod tests {
         // Crafted stores in place of the structural one — the first store
         // of the payload — fail typed instead of panicking the store
         // constructors.
-        let mut w = ByteWriter::new();
-        put_store(
-            &mut w,
-            state.features().structural.as_ref().unwrap().test_store(),
-        );
+        let (features, mut w) = (&state.parts.features, ByteWriter::new());
+        put_store(&mut w, features.structural.as_ref().unwrap().test_store());
         let store = w.into_bytes();
         let at = bytes
             .windows(store.len())
@@ -604,9 +605,9 @@ mod tests {
         };
         let first_row = |m: &Matrix| Matrix::from_vec(1, m.cols(), m.row(0).to_vec());
         let wider = |m: &Matrix| Matrix::zeros(m.rows(), m.cols() + 1);
-        let semantic = state.features().semantic.as_ref().unwrap();
+        let semantic = features.semantic.as_ref().unwrap();
         let (ns, nt) = (semantic.source_embeddings(), semantic.target_embeddings());
-        let (layers_s, layers_t) = state.prop_layers();
+        let (layers_s, layers_t) = (&state.parts.prop_source, &state.parts.prop_target);
         for (want, from, to) in [
             ("semantic source matrix has 1 rows", ns, first_row(ns)),
             ("semantic embedding widths differ", nt, wider(nt)),

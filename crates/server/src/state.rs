@@ -5,12 +5,12 @@
 use crate::wal::{self, Wal, WalOptions, WalStatus};
 use crate::ServerError;
 use ceaff_core::{
-    run_decision_budgeted, AlignmentDiff, CeaffConfig, CeaffError, DecisionOutput, DeltaState,
-    EaInput, ExecBudget, MatcherKind, Telemetry,
+    run_decision_budgeted, AlignmentDiff, CeaffConfig, CeaffError, DecisionOutput, DeltaFeatures,
+    DeltaState, EaInput, ExecBudget, MatcherKind, Telemetry,
 };
 use ceaff_embed::{BilingualLexicon, LexiconEmbedder, SubwordEmbedder, WordEmbedder};
 use ceaff_graph::io::{self, LoadMode};
-use ceaff_graph::KgDelta;
+use ceaff_graph::{KgDelta, KgPair, KnowledgeGraph};
 use ceaff_sim::SimStore;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -63,17 +63,7 @@ impl ServeCore {
 
     /// Cut a snapshot from warm incremental state.
     fn of_delta_state(state: &DeltaState) -> Self {
-        let pair = state.pair();
-        let source_names = pair
-            .test_sources()
-            .iter()
-            .map(|&e| pair.source.entity_name(e).expect("interned").to_owned())
-            .collect();
-        let target_names = pair
-            .test_targets()
-            .iter()
-            .map(|&e| pair.target.entity_name(e).expect("interned").to_owned())
-            .collect();
+        let (source_names, target_names) = test_names(state.pair());
         ServeCore::from_parts(
             state.output().fused.clone(),
             source_names,
@@ -310,12 +300,8 @@ impl WarmState {
                     (DeltaState::new(&input, &cfg)?, None, None)
                 }
                 Some(walopts) => {
-                    let target: &dyn WordEmbedder = match &lexicon_embedder {
-                        Some(l) => l,
-                        None => &base,
-                    };
                     let (state, wal, report) =
-                        recover_durable(walopts, &cfg, &pair, &base, target, telemetry)?;
+                        recover_durable(walopts, &cfg, &pair, &base, target_embedder, telemetry)?;
                     (state, Some(wal), Some(report))
                 }
             };
@@ -337,17 +323,7 @@ impl WarmState {
 
         let input = EaInput::new(&pair, &base, target_embedder).with_telemetry(telemetry.child());
         let out = ceaff_core::try_run(&input, &cfg)?;
-
-        let sources = pair.test_sources();
-        let targets = pair.test_targets();
-        let source_names = sources
-            .iter()
-            .map(|&e| pair.source.entity_name(e).expect("interned").to_owned())
-            .collect();
-        let target_names = targets
-            .iter()
-            .map(|&e| pair.target.entity_name(e).expect("interned").to_owned())
-            .collect();
+        let (source_names, target_names) = test_names(&pair);
         Ok(WarmState::from_parts(
             out.fused,
             opts.matcher,
@@ -435,53 +411,49 @@ impl WarmState {
     }
 }
 
+/// The test split's source and target names, in row and column order.
+fn test_names(pair: &KgPair) -> (Vec<String>, Vec<String>) {
+    let name = |kg: &KnowledgeGraph, e| kg.entity_name(e).expect("interned").to_owned();
+    pair.test_pairs()
+        .iter()
+        .map(|&(u, v)| (name(&pair.source, u), name(&pair.target, v)))
+        .unzip()
+}
+
 /// Rebuild warm state from a WAL directory: newest valid snapshot (with
 /// fallback to the previous generation), then the WAL tail. The tail's
 /// fingerprint chain is proven frame by frame before any delta is
-/// replayed, and the tail is then replayed in one [`DeltaState::replay`],
-/// which decides once. Falls back to a cold pipeline run only when no
-/// snapshot is usable — and even then replays whatever contiguous history
-/// the log holds. Returns the recovered state, an opened log positioned
-/// for the next append, and the report.
+/// replayed, and the replay decides once ([`DeltaState::replay`]). Only
+/// when no snapshot is usable are the features computed
+/// ([`DeltaFeatures::new`]) — and even then the log's contiguous history
+/// is replayed into them before the one decision. Returns the recovered
+/// state, an opened log positioned for the next append, and the report.
 fn recover_durable(
     walopts: &WalOptions,
     cfg: &CeaffConfig,
-    pair: &ceaff_graph::KgPair,
+    pair: &KgPair,
     base: &SubwordEmbedder,
     target: &dyn WordEmbedder,
     telemetry: &Telemetry,
 ) -> Result<(DeltaState, Wal, RecoveryReport), ServerError> {
-    let load_err = |msg: String| ServerError::Load(msg);
-    let rec = wal::recover(&walopts.dir).map_err(|e| load_err(e.to_string()))?;
+    let rec = wal::recover(&walopts.dir).map_err(|e| ServerError::Load(e.to_string()))?;
 
     let mut snapshots_skipped = rec.skipped_snapshots;
-    let mut chosen: Option<(usize, DeltaState)> = None;
-    for (step, payload) in &rec.snapshots {
-        match ceaff_core::snapshot::decode_delta_state(payload, cfg) {
-            Ok(state) => {
-                chosen = Some((*step, state.with_telemetry(telemetry.child())));
-                break;
-            }
-            Err(_) => snapshots_skipped += 1,
-        }
-    }
-    let (snapshot_step, state) = match chosen {
-        Some((step, state)) => (Some(step), state),
-        None => {
-            let input = EaInput::new(pair, base, target).with_telemetry(telemetry.child());
-            (None, DeltaState::new(&input, cfg)?)
-        }
+    let chosen = rec.snapshots.iter().find_map(|(step, payload)| {
+        let state = ceaff_core::snapshot::decode_delta_state(payload, cfg);
+        snapshots_skipped += usize::from(state.is_err());
+        Some((*step, state.ok()?.with_telemetry(telemetry.child())))
+    });
+    // A cold start is at step 0 under the configuration's fingerprint, so
+    // the chain is proven before anything is computed.
+    let (mut step, mut fingerprint) = match &chosen {
+        Some((_, state)) => (state.step(), state.fingerprint()),
+        None => (0, ceaff_core::checkpoint::config_fingerprint(cfg)?),
     };
-
-    let tail: Vec<&wal::Frame> = rec
-        .frames
-        .iter()
-        .filter(|f| f.step > state.step())
-        .collect();
-    let (mut step, mut fingerprint) = (state.step(), state.fingerprint());
+    let tail: Vec<&wal::Frame> = rec.frames.iter().filter(|f| f.step > step).collect();
     for frame in &tail {
         if frame.step != step + 1 {
-            return Err(load_err(format!(
+            return Err(ServerError::Load(format!(
                 "wal replay gap: recovered state is at step {step} but the next durable frame \
                  is step {} — the log no longer reaches back to a usable snapshot",
                 frame.step
@@ -490,7 +462,7 @@ fn recover_durable(
         fingerprint = ceaff_core::chain_fingerprint(fingerprint, &frame.delta)?;
         step += 1;
         if fingerprint != frame.fingerprint {
-            return Err(load_err(format!(
+            return Err(ServerError::Load(format!(
                 "fingerprint chain broke at replayed step {step}: frame recorded {:#010x}, \
                  replay produced {fingerprint:#010x}",
                 frame.fingerprint
@@ -498,7 +470,19 @@ fn recover_durable(
         }
     }
     let replayed = tail.len();
-    let state = state.replay(tail.iter().map(|f| &f.delta), base, target)?;
+    let deltas = tail.iter().map(|f| &f.delta);
+    let (snapshot_step, state) = match chosen {
+        Some((step, state)) => (Some(step), state.replay(deltas, base, target)?),
+        None => {
+            // No usable snapshot: compute the features, replay the whole
+            // log into them, and decide once.
+            let run = telemetry.child();
+            let input = EaInput::new(pair, base, target).with_telemetry(run.clone());
+            let mut features = DeltaFeatures::new(&input, cfg)?;
+            features.replay(deltas, base, target, &run)?;
+            (None, features.decide(run)?)
+        }
+    };
 
     let gen = rec.max_gen.unwrap_or(0).max(snapshot_step.unwrap_or(0));
     let mut wal = Wal::open(
@@ -507,7 +491,7 @@ fn recover_durable(
         state.step(),
         snapshot_step.unwrap_or(0),
     )
-    .map_err(|e| load_err(e.to_string()))?;
+    .map_err(|e| ServerError::Load(e.to_string()))?;
     // Guarantee a usable base on disk: first durable start writes
     // snap-0, and a recovery that replayed a full interval's worth of
     // frames (or fell back cold) re-snapshots immediately.
@@ -518,7 +502,7 @@ fn recover_durable(
     if needs_snapshot {
         let payload = ceaff_core::snapshot::encode_delta_state(&state)?;
         wal.install_snapshot(&payload)
-            .map_err(|e| load_err(e.to_string()))?;
+            .map_err(|e| ServerError::Load(e.to_string()))?;
     }
     let report = RecoveryReport {
         cold: snapshot_step.is_none(),

@@ -3,7 +3,7 @@
 //! corruption, and the `/status` durability fields — all asserting
 //! *bitwise* parity with an uninterrupted in-memory run.
 
-use ceaff_core::{ExecBudget, Telemetry};
+use ceaff_core::{EventKind, ExecBudget, InMemorySink, Telemetry};
 use ceaff_graph::{DeltaOp, KgDelta, Side};
 use ceaff_server::{
     Client, ClientConfig, LoadOptions, Server, ServerConfig, WalOptions, WarmState,
@@ -299,6 +299,56 @@ fn corrupt_snapshot_falls_back_to_the_previous_generation() {
         "fallback + replay must reproduce the exact pre-restart state"
     );
 
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_cold_recovery_replays_the_log_and_decides_once() {
+    let root = scratch("cold-decides-once");
+    let data = dataset_dir(&root);
+    let wal_dir = root.join("wal");
+    let walopts = WalOptions {
+        dir: wal_dir.clone(),
+        snapshot_every: 10,
+    };
+    // One snapshot at step 0 and a three-frame log; then every snapshot
+    // is removed, so the restart must rebuild features and replay the log.
+    let durable = load(&data, Some(walopts.clone()));
+    for i in 1..=3 {
+        apply(&durable, i);
+    }
+    let before = served_bits(&durable);
+    drop(durable);
+    for entry in std::fs::read_dir(&wal_dir).expect("list wal dir") {
+        let path = entry.expect("dir entry").path();
+        if path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("snap-")
+        {
+            std::fs::remove_file(path).expect("remove snapshot");
+        }
+    }
+
+    let sink = Arc::new(InMemorySink::default());
+    let telemetry = Telemetry::with_sink(sink.clone());
+    let recovered =
+        WarmState::load_dir(&data, &opts(Some(walopts)), &telemetry).expect("cold recovery");
+    let report = recovered.recovery_report().expect("durable report").clone();
+    assert!(report.cold, "no snapshot is left to warm from");
+    assert_eq!(report.replayed, 3, "the whole log is replayed");
+    let fusions = sink
+        .take()
+        .iter()
+        .filter(|e| e.kind == EventKind::Span && e.stage == "fusion")
+        .count();
+    assert_eq!(fusions, 1, "a cold recovery decides once, after the replay");
+    assert_eq!(
+        served_bits(&recovered),
+        before,
+        "cold recovery must reproduce the exact pre-restart state"
+    );
     std::fs::remove_dir_all(&root).ok();
 }
 
