@@ -6,16 +6,11 @@
 //! bitwise-identical to the from-scratch run before the report is
 //! written.
 //!
-//! ```text
-//! bench_delta [--scale F]   dataset size multiplier (default 1.0)
-//!             [--steps N]   edits in the stream (default 20)
-//!             [--check]     smoke mode: scale 0.08, 5 steps, 1 scratch rep
-//!             [--out PATH]  report path (default BENCH_delta.json)
-//! ```
+//! Flags and their `--check` overrides: the table in the [`ceaff_bench`]
+//! crate docs.
 //!
-//! Honest-reporting rules (shared with `bench_server`):
-//! * `detected_cores` is reported verbatim; thread count comes from
-//!   `CEAFF_THREADS` / the default pool, and is reported.
+//! Reporting rules (the thread count comes from `CEAFF_THREADS` or the
+//! default pool, and is reported):
 //! * `speedup` is from-scratch median over incremental mean. In `--check`
 //!   mode the dataset is tiny and the ratio is noise — it is reported but
 //!   not gated; a full run fails validation unless incremental wins.
@@ -25,13 +20,10 @@
 use ceaff::datagen::{evolve, EvolveConfig, Preset};
 use ceaff::delta::DeltaState;
 use ceaff::pipeline::{try_run_with_features, CeaffConfig, CeaffOutput, EaInput, FeatureSet};
-use ceaff::sim::SimStore;
 use ceaff::{GcnConfig, Telemetry};
-use ceaff_bench::median;
+use ceaff_bench::harness::{self, median, store_bits, timed, write_report, Args};
 use serde_json::{json, Value};
-use std::time::Instant;
 
-const SCHEMA_VERSION: u64 = 1;
 /// Embedding dimension for both paths — matches the parity suite.
 const EMBED_DIM: usize = 32;
 /// Propagation layers for the training-free structural encoder.
@@ -67,28 +59,6 @@ fn from_scratch(
     try_run_with_features(pair, &features, cfg, &Telemetry::disabled()).expect("fresh run")
 }
 
-/// Bitwise comparison of the warm and from-scratch outputs; `false` means
-/// the incremental path is broken and the whole bench is invalid.
-fn outputs_identical(warm: &CeaffOutput, fresh: &CeaffOutput) -> bool {
-    if warm.matching.pairs() != fresh.matching.pairs()
-        || warm.accuracy.to_bits() != fresh.accuracy.to_bits()
-    {
-        return false;
-    }
-    match (&warm.fused, &fresh.fused) {
-        (SimStore::Dense(a), SimStore::Dense(b)) => {
-            a.sources() == b.sources()
-                && a.as_matrix()
-                    .as_slice()
-                    .iter()
-                    .zip(b.as_matrix().as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        (SimStore::Sparse(a), SimStore::Sparse(b)) => a == b,
-        _ => false,
-    }
-}
-
 fn bench_mode(
     mode: &str,
     ds: &ceaff::datagen::GeneratedDataset,
@@ -109,9 +79,9 @@ fn bench_mode(
     );
     assert_eq!(stream.len(), steps, "evolve produced a short stream");
 
-    let started = Instant::now();
-    let mut state = DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg).expect("warm state");
-    let warm_build_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (warm_build_secs, state) =
+        timed(|| DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg));
+    let (warm_build_ms, mut state) = (warm_build_secs * 1e3, state.expect("warm state"));
 
     // Replay the stream, timing each incremental apply. The edited pair is
     // tracked alongside so from-scratch runs see the exact same final KG.
@@ -122,11 +92,9 @@ fn bench_mode(
     let mut fractions = Vec::with_capacity(steps);
     for td in &stream {
         cur = td.delta.apply(&cur).expect("stream replays").pair;
-        let started = Instant::now();
-        let diff = state
-            .apply(&td.delta, &src, &tgt)
-            .unwrap_or_else(|e| panic!("delta step {} must apply: {e}", td.step));
-        apply_ms.push(started.elapsed().as_secs_f64() * 1e3);
+        let (secs, diff) = timed(|| state.apply(&td.delta, &src, &tgt));
+        let diff = diff.unwrap_or_else(|e| panic!("delta step {} must apply: {e}", td.step));
+        apply_ms.push(secs * 1e3);
         fractions.push(diff.recompute_fraction);
         // Each apply's own spans split its wall time.
         let span_ms = |stages: &[&str]| {
@@ -150,11 +118,16 @@ fn bench_mode(
     let mut scratch_ms = Vec::with_capacity(scratch_reps);
     let mut fresh = None;
     for _ in 0..scratch_reps {
-        let started = Instant::now();
-        fresh = Some(from_scratch(&cur, &cfg, ds));
-        scratch_ms.push(started.elapsed().as_secs_f64() * 1e3);
+        let (secs, out) = timed(|| from_scratch(&cur, &cfg, ds));
+        scratch_ms.push(secs * 1e3);
+        fresh = Some(out);
     }
-    let parity = outputs_identical(state.output(), &fresh.expect("at least one scratch rep"));
+    // Bitwise comparison of the warm and from-scratch outputs; a mismatch
+    // means the incremental path is broken and the whole bench is invalid.
+    let (warm, fresh) = (state.output(), fresh.expect("at least one scratch rep"));
+    let parity = warm.matching.pairs() == fresh.matching.pairs()
+        && warm.accuracy.to_bits() == fresh.accuracy.to_bits()
+        && store_bits(&warm.fused) == store_bits(&fresh.fused);
     assert!(
         parity,
         "{mode}: warm output diverged from from-scratch — bench invalid"
@@ -190,100 +163,19 @@ fn bench_mode(
     })
 }
 
-/// Validate a delta-bench report; first problem as a readable message.
-fn validate_report(doc: &Value) -> Result<(), String> {
-    if doc.get("schema_version").and_then(Value::as_u64) != Some(SCHEMA_VERSION) {
-        return Err(format!("schema_version must be {SCHEMA_VERSION}"));
-    }
-    if doc.get("bench").and_then(Value::as_str) != Some("delta") {
-        return Err("bench must be \"delta\"".into());
-    }
-    for key in ["detected_cores", "threads", "steps", "scratch_reps"] {
-        if doc.get(key).and_then(Value::as_u64).is_none_or(|v| v == 0) {
-            return Err(format!("{key} must be a positive integer"));
-        }
-    }
-    let check_mode = doc.get("check_mode").and_then(Value::as_bool) == Some(true);
-    let modes = doc
-        .get("modes")
-        .and_then(Value::as_array)
-        .ok_or("modes must be an array")?;
-    if modes.len() != 2 {
-        return Err("expected 2 modes (dense, blocked)".into());
-    }
-    for mode in modes {
-        for key in [
-            "warm_build_ms",
-            "incremental_mean_ms",
-            "incremental_median_ms",
-            "incremental_max_ms",
-            "feature_patch_mean_ms",
-            "global_stages_mean_ms",
-            "bookkeeping_mean_ms",
-            "from_scratch_ms",
-            "speedup",
-        ] {
-            let v = mode
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("mode.{key} must be a number"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("mode.{key} must be finite and non-negative"));
-            }
-        }
-        let frac = mode
-            .get("mean_recompute_fraction")
-            .and_then(Value::as_f64)
-            .ok_or("mode.mean_recompute_fraction must be a number")?;
-        if !(0.0..=1.0).contains(&frac) {
-            return Err("mode.mean_recompute_fraction must be in [0, 1]".into());
-        }
-        if mode.get("parity_bitwise").and_then(Value::as_bool) != Some(true) {
-            return Err("mode.parity_bitwise must be true".into());
-        }
-        // The headline claim — incremental beats from-scratch — is only
-        // gated on full runs; a --check run is too small to be meaningful.
-        if !check_mode {
-            let speedup = mode.get("speedup").and_then(Value::as_f64).unwrap_or(0.0);
-            if speedup <= 1.0 {
-                return Err(format!(
-                    "full run must show incremental beating from-scratch (speedup {speedup:.2})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() {
-    let mut scale = 1.0f64;
-    let mut steps = 20usize;
-    let mut check = false;
-    let mut out_path = "BENCH_delta.json".to_owned();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--scale" => scale = value("--scale").parse().expect("--scale takes a number"),
-            "--steps" => steps = value("--steps").parse().expect("--steps takes an integer"),
-            "--check" => check = true,
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown flag {other}; known: --scale --steps --check --out"),
-        }
-    }
-    let scratch_reps = if check { 1 } else { 3 };
-    if check {
-        scale = 0.08;
-        steps = 5;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = ceaff_parallel::default_threads();
+    let args = Args::from_env(&["--scale", "--steps", "--out"], &["--check"]);
+    let check = args.switch("--check");
+    let (scale, steps, scratch_reps) = if check {
+        (0.08, 5, 1)
+    } else {
+        (args.get("--scale", 1.0), args.get("--steps", 20), 3)
+    };
     eprintln!(
-        "bench_delta: {cores} detected core(s), {threads} pipeline thread(s); \
-         scale {scale}, {steps}-edit stream, from-scratch median of {scratch_reps} rep(s)"
+        "bench_delta: {} detected core(s), {} pipeline thread(s); \
+         scale {scale}, {steps}-edit stream, from-scratch median of {scratch_reps} rep(s)",
+        harness::detected_cores(),
+        ceaff_parallel::default_threads()
     );
 
     let ds = Preset::SrprsDbpWd.generate(scale);
@@ -292,18 +184,18 @@ fn main() {
         .map(|mode| bench_mode(mode, &ds, steps, scratch_reps))
         .collect();
 
-    let report = json!({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "delta",
-        "detected_cores": cores,
-        "threads": threads,
-        "preset": "srprs-dbp-wd",
-        "scale": scale,
-        "steps": steps,
-        "scratch_reps": scratch_reps,
-        "check_mode": check,
-        "modes": modes,
-        "notes": [
+    let report = harness::report(
+        "delta",
+        check,
+        json!({
+            "threads": ceaff_parallel::default_threads(),
+            "preset": "srprs-dbp-wd",
+            "scale": scale,
+            "steps": steps,
+            "scratch_reps": scratch_reps,
+            "modes": modes,
+        }),
+        &[
             "both paths use the same training-free propagation encoder (DeltaState rejects trained GCNs), so timings compare like for like",
             "from_scratch_ms is FeatureSet::compute + try_run_with_features on the final edited pair — the cost of refreshing after one edit without delta support",
             "each apply re-runs the global stages (CSLS, normalisation, fusion, matching, accuracy and ranking metrics) in full: global_stages_mean_ms, from the fusion, matcher and eval spans of each apply's trace",
@@ -312,9 +204,6 @@ fn main() {
             "parity_bitwise asserts the final warm output equals from-scratch bit-for-bit; the bench aborts on divergence",
             "speedup is gated (> 1.0) only on full runs; --check runs are too small to be meaningful",
         ],
-    });
-    validate_report(&report).expect("bench_delta produced a schema-invalid report");
-    let pretty = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, pretty + "\n").expect("write report");
-    eprintln!("wrote {out_path}");
+    );
+    write_report(&args.get("--out", "BENCH_delta.json".to_owned()), &report);
 }

@@ -3,59 +3,26 @@
 //! [`ceaff_bench::kernels`] for the methodology (warm-up, median-of-N,
 //! the 10 ms speedup floor, honest core reporting).
 //!
-//! ```text
-//! bench_kernels [--scale S]...   shape scales (repeatable; default 0.2 1 5)
-//!               [--reps N]       timed reps per measurement (default 5)
-//!               [--threads N]    parallel measurement threads (default 4)
-//!               [--check]        smoke mode: 2 reps, validate, exit
-//!               [--out PATH]     report path (default BENCH_kernels.json)
-//! ```
-//!
-//! The report is validated against the schema before it is written; a
-//! schema violation is a crash, not a malformed artifact.
+//! Flags and their `--check` overrides: the table in the [`ceaff_bench`]
+//! crate docs.
 
-use ceaff_bench::kernels::{run_kernel_bench, validate_report, KernelBenchOpts};
+use ceaff_bench::harness::{write_report, Args};
+use ceaff_bench::kernels::{run_kernel_bench, KernelBenchOpts};
 
 fn main() {
-    let mut opts = KernelBenchOpts::default();
-    let mut scales = Vec::new();
-    let mut out_path = "BENCH_kernels.json".to_owned();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--scale" => scales.push(
-                value("--scale")
-                    .parse()
-                    .expect("--scale takes a positive float"),
-            ),
-            "--reps" => opts.reps = value("--reps").parse().expect("--reps takes an integer"),
-            "--threads" => {
-                opts.parallel_threads = value("--threads")
-                    .parse()
-                    .expect("--threads takes an integer")
-            }
-            "--check" => opts.check = true,
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown flag {other}; known: --scale --reps --threads --check --out"),
-        }
-    }
-    opts.scales = if scales.is_empty() {
-        if opts.check {
-            vec![0.2]
-        } else {
-            vec![0.2, 1.0, 5.0]
-        }
-    } else {
-        scales
+    let args = Args::from_env(&["--scale", "--reps", "--threads", "--out"], &["--check"]);
+    let check = args.switch("--check");
+    let scales = match args.all("--scale") {
+        given if !given.is_empty() => given,
+        _ if check => vec![0.2],
+        _ => vec![0.2, 1.0, 5.0],
     };
-
+    let opts = KernelBenchOpts {
+        scales,
+        reps: args.get("--reps", 5),
+        check,
+        parallel_threads: args.get("--threads", 4),
+    };
     let report = run_kernel_bench(&opts);
-    validate_report(&report).expect("bench_kernels produced a schema-invalid report");
-    let pretty = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, pretty + "\n").expect("write report");
-    eprintln!("wrote {out_path}");
+    write_report(&args.get("--out", "BENCH_kernels.json".to_owned()), &report);
 }

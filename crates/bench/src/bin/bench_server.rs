@@ -3,23 +3,19 @@
 //! set** at two concurrency levels. Reports p50/p99 latency, shed rate,
 //! and degraded fraction, each the median of 5 rounds.
 //!
-//! ```text
-//! bench_server [--reps N]      rounds per level (default 5, median taken)
-//!              [--requests N]  requests per round (default 48)
-//!              [--check]      smoke mode: 1 round, 16 requests, validate
-//!              [--out PATH]   report path (default BENCH_server.json)
-//! ```
+//! Flags and their `--check` overrides: the table in the [`ceaff_bench`]
+//! crate docs.
 //!
-//! Honest-reporting rules (shared with `bench_kernels`):
-//! * `detected_cores` is reported verbatim; the server always runs the
-//!   fixed worker count below, so numbers are comparable across hosts.
+//! Reporting rules:
+//! * the server always runs the fixed worker count below, whatever the
+//!   host's `detected_cores`, so numbers are comparable across hosts.
 //! * Latency percentiles below `min_meaningful_secs` are timer noise —
 //!   they are still reported, but flagged in `notes`.
 //! * Shed rate is a *load* property, not a throughput score: it depends
 //!   on how fast the host drains the queue. Zero sheds on a fast host is
 //!   the honest result, not a bug.
 
-use ceaff_bench::{median, percentile};
+use ceaff_bench::harness::{self, median, percentile, write_report, Args};
 use ceaff_core::{MatcherKind, Telemetry};
 use ceaff_server::{Client, ClientConfig, Server, ServerConfig, WarmState};
 use ceaff_sim::{SimStore, SimilarityMatrix};
@@ -28,7 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-const SCHEMA_VERSION: u64 = 1;
 /// Percentiles under 50 µs are dominated by loopback + timer jitter.
 const MIN_MEANINGFUL_SECS: f64 = 0.000_05;
 /// Entities per side of the synthetic warm state.
@@ -59,38 +54,27 @@ fn warm_state(n: usize) -> Arc<WarmState> {
 }
 
 /// One request of the fixed set: method, path, body.
-struct Req {
-    method: &'static str,
-    path: String,
-    body: &'static [u8],
-}
+type Req = (&'static str, String, &'static [u8]);
 
 /// The deterministic request set: a 4-way cycle of full-align runs under
 /// three matchers and a top-k lookup, so latency covers both the
 /// decision path and the read path.
 fn request_set(total: usize) -> Vec<Req> {
+    const ALIGN_BODIES: [&[u8]; 3] = [
+        b"",
+        b"{\"matcher\":\"greedy1to1\"}",
+        b"{\"matcher\":\"greedy\"}",
+    ];
     (0..total)
-        .map(|i| match i % 4 {
-            0 => Req {
-                method: "POST",
-                path: "/align".to_owned(),
-                body: b"",
-            },
-            1 => Req {
-                method: "POST",
-                path: "/align".to_owned(),
-                body: b"{\"matcher\":\"greedy1to1\"}",
-            },
-            2 => Req {
-                method: "POST",
-                path: "/align".to_owned(),
-                body: b"{\"matcher\":\"greedy\"}",
-            },
-            _ => Req {
-                method: "GET",
-                path: format!("/topk?entity=e{}&k=10", (i * 7) % STATE_SIZE),
-                body: b"",
-            },
+        .map(|i| -> Req {
+            match ALIGN_BODIES.get(i % 4) {
+                Some(body) => ("POST", "/align".to_owned(), body),
+                None => (
+                    "GET",
+                    format!("/topk?entity=e{}&k=10", (i * 7) % STATE_SIZE),
+                    b"",
+                ),
+            }
         })
         .collect()
 }
@@ -121,9 +105,11 @@ fn run_round(addr: &str, requests: &[Req], concurrency: usize) -> RoundStats {
                 );
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(req) = requests.get(i) else { break };
+                    let Some((method, path, body)) = requests.get(i) else {
+                        break;
+                    };
                     let started = Instant::now();
-                    let outcome = client.request(req.method, &req.path, &[], req.body, false);
+                    let outcome = client.request(method, path, &[], body, false);
                     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
                     let mut stats = stats.lock().expect("stats lock");
                     match outcome {
@@ -161,119 +147,52 @@ fn bench_level(concurrency: usize, reps: usize, total_requests: usize) -> Value 
     // code, settle the allocator — same discipline as bench_kernels.
     run_round(&addr, &requests, concurrency);
 
-    let mut p50s = Vec::new();
-    let mut p99s = Vec::new();
-    let mut shed_rates = Vec::new();
-    let mut degraded_fracs = Vec::new();
-    let mut totals = RoundStats::default();
-    for rep in 0..reps {
-        let round = run_round(&addr, &requests, concurrency);
-        let mut lat = round.latencies_ms.clone();
-        assert!(!lat.is_empty(), "round {rep} had no successful request");
-        p50s.push(percentile(&mut lat, 0.50));
-        p99s.push(percentile(&mut lat, 0.99));
-        shed_rates.push(round.shed as f64 / total_requests as f64);
-        degraded_fracs.push(round.degraded as f64 / round.ok.max(1) as f64);
-        totals.ok += round.ok;
-        totals.shed += round.shed;
-        totals.degraded += round.degraded;
-        totals.errors += round.errors;
-        eprintln!(
-            "  concurrency {concurrency} round {rep}: ok {} shed {} degraded {} err {}",
-            round.ok, round.shed, round.degraded, round.errors
-        );
-    }
+    let rounds: Vec<RoundStats> = (0..reps)
+        .map(|rep| {
+            let round = run_round(&addr, &requests, concurrency);
+            assert!(
+                !round.latencies_ms.is_empty(),
+                "round {rep} had no successful request"
+            );
+            eprintln!(
+                "  concurrency {concurrency} round {rep}: ok {} shed {} degraded {} err {}",
+                round.ok, round.shed, round.degraded, round.errors
+            );
+            round
+        })
+        .collect();
     server.drain();
     server.join();
 
+    // Per-round figures, median across rounds; counts summed.
+    let med =
+        |f: &dyn Fn(&RoundStats) -> f64| median(&mut rounds.iter().map(f).collect::<Vec<_>>());
+    let sum = |f: fn(&RoundStats) -> usize| rounds.iter().map(f).sum::<usize>();
     json!({
         "concurrency": concurrency,
-        "p50_ms": median(&mut p50s),
-        "p99_ms": median(&mut p99s),
-        "shed_rate": median(&mut shed_rates),
-        "degraded_fraction": median(&mut degraded_fracs),
-        "ok": totals.ok,
-        "shed": totals.shed,
-        "degraded": totals.degraded,
-        "errors": totals.errors,
+        "p50_ms": med(&|r| percentile(&mut r.latencies_ms.clone(), 0.50)),
+        "p99_ms": med(&|r| percentile(&mut r.latencies_ms.clone(), 0.99)),
+        "shed_rate": med(&|r| r.shed as f64 / total_requests as f64),
+        "degraded_fraction": med(&|r| r.degraded as f64 / r.ok.max(1) as f64),
+        "ok": sum(|r| r.ok),
+        "shed": sum(|r| r.shed),
+        "degraded": sum(|r| r.degraded),
+        "errors": sum(|r| r.errors),
     })
 }
 
-/// Validate a server-bench report; first problem as a readable message.
-fn validate_report(doc: &Value) -> Result<(), String> {
-    if doc.get("schema_version").and_then(Value::as_u64) != Some(SCHEMA_VERSION) {
-        return Err(format!("schema_version must be {SCHEMA_VERSION}"));
-    }
-    if doc.get("bench").and_then(Value::as_str) != Some("server") {
-        return Err("bench must be \"server\"".into());
-    }
-    for key in [
-        "detected_cores",
-        "workers",
-        "queue_capacity",
-        "reps",
-        "requests_per_round",
-    ] {
-        if doc.get(key).and_then(Value::as_u64).is_none_or(|v| v == 0) {
-            return Err(format!("{key} must be a positive integer"));
-        }
-    }
-    let levels = doc
-        .get("levels")
-        .and_then(Value::as_array)
-        .ok_or("levels must be an array")?;
-    if levels.len() != CONCURRENCY_LEVELS.len() {
-        return Err(format!("expected {} levels", CONCURRENCY_LEVELS.len()));
-    }
-    for level in levels {
-        for key in ["p50_ms", "p99_ms", "shed_rate", "degraded_fraction"] {
-            let v = level
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("level.{key} must be a number"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("level.{key} must be finite and non-negative"));
-            }
-        }
-        let errors = level.get("errors").and_then(Value::as_u64);
-        if errors != Some(0) {
-            return Err(format!("level reported transport/5xx errors: {errors:?}"));
-        }
-    }
-    Ok(())
-}
-
 fn main() {
-    let mut reps = 5usize;
-    let mut total_requests = 48usize;
-    let mut check = false;
-    let mut out_path = "BENCH_server.json".to_owned();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--reps" => reps = value("--reps").parse().expect("--reps takes an integer"),
-            "--requests" => {
-                total_requests = value("--requests")
-                    .parse()
-                    .expect("--requests takes an integer")
-            }
-            "--check" => check = true,
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown flag {other}; known: --reps --requests --check --out"),
-        }
-    }
-    if check {
-        reps = 1;
-        total_requests = 16;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let args = Args::from_env(&["--reps", "--requests", "--out"], &["--check"]);
+    let check = args.switch("--check");
+    let (reps, total_requests) = if check {
+        (1, 16)
+    } else {
+        (args.get("--reps", 5), args.get("--requests", 48))
+    };
     eprintln!(
-        "bench_server: {cores} detected core(s); {WORKERS} server worker(s), queue {QUEUE_CAPACITY}; \
-         {total_requests} requests/round, median of {reps} round(s) after warm-up"
+        "bench_server: {} detected core(s); {WORKERS} server worker(s), queue {QUEUE_CAPACITY}; \
+         {total_requests} requests/round, median of {reps} round(s) after warm-up",
+        harness::detected_cores()
     );
 
     let levels: Vec<Value> = CONCURRENCY_LEVELS
@@ -281,27 +200,24 @@ fn main() {
         .map(|&c| bench_level(c, reps, total_requests))
         .collect();
 
-    let report = json!({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "server",
-        "detected_cores": cores,
-        "workers": WORKERS,
-        "queue_capacity": QUEUE_CAPACITY,
-        "reps": reps,
-        "requests_per_round": total_requests,
-        "check_mode": check,
-        "min_meaningful_secs": MIN_MEANINGFUL_SECS,
-        "levels": levels,
-        "notes": [
+    let report = harness::report(
+        "server",
+        check,
+        json!({
+            "workers": WORKERS,
+            "queue_capacity": QUEUE_CAPACITY,
+            "reps": reps,
+            "requests_per_round": total_requests,
+            "min_meaningful_secs": MIN_MEANINGFUL_SECS,
+            "levels": levels,
+        }),
+        &[
             "fixed request set: POST /align under three matchers + GET /topk, cycled deterministically",
             "latency percentiles cover 200 responses only; sheds answer immediately and are reported as shed_rate instead",
             "percentiles below min_meaningful_secs are loopback/timer noise",
             "shed_rate and degraded_fraction depend on host speed at fixed workers/queue; 0.0 on a fast host is the honest result",
             "errors counts transport failures and untyped statuses; the run is invalid (and validation fails) unless it is 0",
         ],
-    });
-    validate_report(&report).expect("bench_server produced a schema-invalid report");
-    let pretty = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, pretty + "\n").expect("write report");
-    eprintln!("wrote {out_path}");
+    );
+    write_report(&args.get("--out", "BENCH_server.json".to_owned()), &report);
 }

@@ -14,40 +14,18 @@
 //! Writes `BENCH_sparse.json` (override with `--out PATH`).
 
 use ceaff::prelude::*;
+use ceaff_bench::harness::{self, timed, write_report, Args};
 use serde_json::json;
-use std::time::Instant;
 
 fn main() {
-    let mut scale = 10.0f64;
-    let mut small_scale = 1.0f64;
-    let mut cap_mb = 512usize;
-    let mut topk = 50usize;
-    let mut out_path = "BENCH_sparse.json".to_owned();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--scale" => scale = value("--scale").parse().expect("--scale takes a float"),
-            "--small-scale" => {
-                small_scale = value("--small-scale")
-                    .parse()
-                    .expect("--small-scale takes a float");
-            }
-            "--cap-mb" => {
-                cap_mb = value("--cap-mb")
-                    .parse()
-                    .expect("--cap-mb takes an integer")
-            }
-            "--topk" => topk = value("--topk").parse().expect("--topk takes an integer"),
-            "--out" => out_path = value("--out"),
-            other => {
-                panic!("unknown flag {other}; known: --scale --small-scale --cap-mb --topk --out")
-            }
-        }
-    }
+    let args = Args::from_env(
+        &["--scale", "--small-scale", "--cap-mb", "--topk", "--out"],
+        &[],
+    );
+    let scale = args.get("--scale", 10.0);
+    let small_scale = args.get("--small-scale", 1.0);
+    let cap_mb = args.get("--cap-mb", 512usize);
+    let topk = args.get("--topk", 50);
 
     let mut cfg = CeaffConfig::default();
     cfg.gcn.dim = 32;
@@ -64,13 +42,10 @@ fn main() {
     let task = DatasetTask::from_preset(Preset::Dbp100kDbpWd, small_scale, 32);
     let n = task.dataset.pair.test_pairs().len();
 
-    let start = Instant::now();
-    let dense_out = ceaff::try_run(&task.input(), &cfg).expect("dense run completes");
-    let dense_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let blocked_out = ceaff::try_run(&task.input(), &blocked_cfg).expect("blocked run completes");
-    let blocked_secs = start.elapsed().as_secs_f64();
+    let (dense_secs, dense_out) = timed(|| ceaff::try_run(&task.input(), &cfg));
+    let dense_out = dense_out.expect("dense run completes");
+    let (blocked_secs, blocked_out) = timed(|| ceaff::try_run(&task.input(), &blocked_cfg));
+    let blocked_out = blocked_out.expect("blocked run completes");
 
     assert!(
         blocked_out.fused.is_sparse(),
@@ -120,17 +95,15 @@ fn main() {
         (n * n * 4) as f64 / 1e6
     );
     let budget = ceaff::ExecBudget::unlimited().with_max_mem_bytes(cap_mb * 1024 * 1024);
-
-    let start = Instant::now();
-    let dense_result = ceaff::run(
-        &task.input(),
-        &cfg,
-        &ceaff::RunOptions {
+    let capped = |cfg: &CeaffConfig| {
+        let opts = ceaff::RunOptions {
             budget: &budget,
             checkpoint: None,
-        },
-    );
-    let dense_secs = start.elapsed().as_secs_f64();
+        };
+        timed(|| ceaff::run(&task.input(), cfg, &opts))
+    };
+
+    let (dense_secs, dense_result) = capped(&cfg);
     let dense_report = match dense_result {
         Err(ceaff::CeaffError::BudgetExceeded {
             stage,
@@ -158,17 +131,8 @@ fn main() {
         Err(e) => panic!("dense path failed for the wrong reason: {e}"),
     };
 
-    let start = Instant::now();
-    let blocked_out = ceaff::run(
-        &task.input(),
-        &blocked_cfg,
-        &ceaff::RunOptions {
-            budget: &budget,
-            checkpoint: None,
-        },
-    )
-    .expect("blocked path must complete under the cap");
-    let blocked_secs = start.elapsed().as_secs_f64();
+    let (blocked_secs, blocked_out) = capped(&blocked_cfg);
+    let blocked_out = blocked_out.expect("blocked path must complete under the cap");
     // The budget scope re-bases the tensor ledger's high-water mark when
     // it is installed and leaves it in place on drop, so this is the
     // blocked run's peak footprint.
@@ -201,12 +165,18 @@ fn main() {
         },
     });
 
-    let doc = json!({
-        "bench": "sparse",
-        "threads": ceaff_parallel::default_threads(),
-        "results": [parity, scale_report],
-    });
-    let pretty = serde_json::to_string_pretty(&doc).expect("serialize bench output");
-    std::fs::write(&out_path, pretty + "\n").expect("write bench output");
-    eprintln!("wrote {out_path}");
+    let doc = harness::report(
+        "sparse",
+        false,
+        json!({
+            "threads": ceaff_parallel::default_threads(),
+            "results": [parity, scale_report],
+        }),
+        &[
+            "parity: both strategies complete at --small-scale; fused_bytes compares the dense n x n matrix with the blocked top-k store",
+            "scale: both strategies run under a --cap-mb tensor-memory budget; the dense path must fail with a typed BudgetExceeded and the blocked path must complete, or the bench aborts",
+            "peak_bytes of the blocked run is the tensor ledger's high-water mark inside its budget scope",
+        ],
+    );
+    write_report(&args.get("--out", "BENCH_sparse.json".to_owned()), &doc);
 }

@@ -12,11 +12,11 @@ use ceaff::matching::{Hungarian, Matcher, StableMarriage};
 use ceaff::prelude::*;
 use ceaff::sim::{SimStore, SimilarityMatrix};
 use ceaff::tensor::Matrix;
+use ceaff_bench::harness::timed;
 use ceaff_bench::{maybe_write_json, HarnessOpts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-use std::time::Instant;
 
 /// Side of the random matrix the matchers are timed on.
 const RANDOM_N: usize = 400;
@@ -24,12 +24,9 @@ const RANDOM_N: usize = 400;
 /// Wall-clock seconds of deferred acceptance and Hungarian on `store`.
 fn time_matchers(store: &SimStore) -> (f64, f64) {
     let store = std::hint::black_box(store);
-    let t = Instant::now();
-    std::hint::black_box(StableMarriage.matching_store(store));
-    let t_daa = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    std::hint::black_box(Hungarian.matching_store(store));
-    (t_daa, t.elapsed().as_secs_f64())
+    let (t_daa, _) = timed(|| std::hint::black_box(StableMarriage.matching_store(store)));
+    let (t_hun, _) = timed(|| std::hint::black_box(Hungarian.matching_store(store)));
+    (t_daa, t_hun)
 }
 
 fn main() {
@@ -47,14 +44,10 @@ fn main() {
         );
         let cfg = opts.ceaff_config();
 
-        let t0 = Instant::now();
-        let features = FeatureSet::compute_all(&task.input(), &cfg);
-        let t_features = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let out = try_run_with_features(pair, &features, &cfg, &Telemetry::disabled())
-            .expect("pipeline runs");
-        let t_decide = t1.elapsed().as_secs_f64();
+        let (t_features, features) = timed(|| FeatureSet::compute_all(&task.input(), &cfg));
+        let (t_decide, out) =
+            timed(|| try_run_with_features(pair, &features, &cfg, &Telemetry::disabled()));
+        let out = out.expect("pipeline runs");
         println!(
             "CEAFF: features {t_features:.2}s + fusion/matching {t_decide:.3}s  \
              (accuracy {:.3})",

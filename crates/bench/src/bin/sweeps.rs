@@ -15,32 +15,15 @@
 //! ```
 
 use ceaff::prelude::*;
+use ceaff_bench::harness::Args;
 use ceaff_bench::{maybe_write_json, run_ceaff, HarnessOpts};
 use rand::SeedableRng;
 use serde_json::json;
 
 fn main() {
-    let sweep = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--sweep")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "theta".to_string());
-    // Strip `--sweep X` before the common parser sees it.
-    let filtered: Vec<String> = {
-        let mut out = Vec::new();
-        let mut args = std::env::args().skip(1).peekable();
-        while let Some(a) = args.next() {
-            if a == "--sweep" {
-                args.next();
-            } else {
-                out.push(a);
-            }
-        }
-        out
-    };
-    let opts = parse_opts(&filtered);
-    match sweep.as_str() {
+    let args = Args::from_env(&[&HarnessOpts::FLAGS[..], &["--sweep"]].concat(), &[]);
+    let opts = HarnessOpts::from_parsed(&args);
+    match args.get("--sweep", "theta".to_owned()).as_str() {
         "seed" => sweep_seed_fraction(&opts),
         "theta" => sweep_theta(&opts),
         "dim" => sweep_dim(&opts),
@@ -50,25 +33,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn parse_opts(args: &[String]) -> HarnessOpts {
-    // Reuse HarnessOpts parsing by faking argv is not possible; parse the
-    // few flags directly.
-    let mut opts = HarnessOpts::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_default();
-        match flag.as_str() {
-            "--scale" => opts.scale = val().parse().expect("--scale takes a float"),
-            "--dim" => opts.dim = val().parse().expect("--dim takes an integer"),
-            "--epochs" => opts.epochs = val().parse().expect("--epochs takes an integer"),
-            "--json" => opts.json = Some(val()),
-            "--trace" => opts.trace = Some(val()),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    opts
 }
 
 /// Accuracy vs seed fraction on one cross-lingual pair: how much training

@@ -2,12 +2,10 @@
 //!
 //! Methodology — the rules that make the numbers trustworthy:
 //!
-//! * every measurement is one warm-up run plus the **median** of `reps`
-//!   timed runs (median, not mean: one scheduler hiccup on a small box
-//!   must not invent a regression);
-//! * a speedup is only reported when **both** sides of the ratio took at
-//!   least [`MIN_MEANINGFUL_SECS`] — timer noise on sub-10 ms workloads
-//!   produces fiction, so those speedups are `null` in the JSON;
+//! * every measurement is a [`warm_median`] (median, not mean: one
+//!   scheduler hiccup on a small box must not invent a regression);
+//! * a speedup is an [`honest_speedup`]: `null` unless both sides took at
+//!   least [`MIN_MEANINGFUL_SECS`];
 //! * the detected core count is recorded verbatim. Parallel speedups are
 //!   measured at a fixed thread count (default 4) even on a 1-core host,
 //!   where values near 1.0× are the *correct* result, not a failure;
@@ -27,17 +25,11 @@
 //! feature's `lev*` (DP against bit-parallel), fused
 //! elementwise+normalize, CSLS adjustment, and the full decision stage.
 
+use crate::harness::{self, honest_speedup, warm_median, MIN_MEANINGFUL_SECS};
 use ceaff::prelude::*;
 use ceaff::tensor::{graph::matmul_grads, kernels::reference, Matrix};
 use ceaff_sim::SimilarityMatrix;
 use serde_json::{json, Value};
-use std::time::Instant;
-
-/// Below this median wall-clock, a speedup ratio is noise and is refused.
-pub const MIN_MEANINGFUL_SECS: f64 = 0.010;
-
-/// Schema version stamped into (and required from) the JSON report.
-pub const KERNEL_SCHEMA_VERSION: u64 = 1;
 
 /// Options for one `bench_kernels` invocation.
 pub struct KernelBenchOpts {
@@ -49,17 +41,6 @@ pub struct KernelBenchOpts {
     pub check: bool,
     /// Thread count for the parallel measurements.
     pub parallel_threads: usize,
-}
-
-impl Default for KernelBenchOpts {
-    fn default() -> Self {
-        Self {
-            scales: vec![1.0],
-            reps: 5,
-            check: false,
-            parallel_threads: 4,
-        }
-    }
 }
 
 /// A reproducible pseudo-random matrix (no RNG dependency needed).
@@ -74,31 +55,6 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
     Matrix::from_vec(rows, cols, data)
 }
 
-/// One warm-up call, then the median of `reps` timed calls under
-/// `threads` threads. Returns the median seconds and the last result.
-fn warm_median<R>(threads: usize, reps: usize, f: impl Fn() -> R) -> (f64, R) {
-    let _ = ceaff_parallel::with_threads(threads, &f);
-    let mut secs = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = ceaff_parallel::with_threads(threads, &f);
-        secs.push(start.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    (secs[secs.len() / 2], last.expect("reps >= 1"))
-}
-
-/// `a / b`, or `null` when either side is too fast to trust.
-fn honest_speedup(numer: f64, denom: f64) -> Value {
-    if numer < MIN_MEANINGFUL_SECS || denom < MIN_MEANINGFUL_SECS {
-        Value::Null
-    } else {
-        json!(numer / denom)
-    }
-}
-
 fn assert_bitwise(label: &str, got: &Matrix, want: &Matrix) {
     assert_eq!(got.shape(), want.shape(), "{label}: shape mismatch");
     let gb: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
@@ -106,14 +62,20 @@ fn assert_bitwise(label: &str, got: &Matrix, want: &Matrix) {
     assert_eq!(gb, wb, "{label}: tiled and naive kernels disagree bitwise");
 }
 
+/// How every workload of one run is measured: `reps` timed runs after a
+/// warm-up, at 1 thread and at `par_threads`.
+struct Timing {
+    reps: usize,
+    par_threads: usize,
+}
+
 /// Measure one product workload: naive reference (sequential) vs tiled at
 /// 1 thread vs tiled at `par_threads` threads, with bitwise parity
 /// asserted between all three.
 fn product_workload(
+    &Timing { reps, par_threads }: &Timing,
     name: &str,
     dims: String,
-    reps: usize,
-    par_threads: usize,
     naive: impl Fn() -> Matrix,
     tiled: impl Fn() -> Matrix,
 ) -> Value {
@@ -146,10 +108,9 @@ fn product_workload(
 /// Measure a workload with no naive counterpart: 1 thread vs
 /// `par_threads`, asserting the results agree via `same`.
 fn scaling_workload<R>(
+    &Timing { reps, par_threads }: &Timing,
     name: &str,
     dims: String,
-    reps: usize,
-    par_threads: usize,
     f: impl Fn() -> R,
     same: impl Fn(&R, &R) -> bool,
 ) -> Value {
@@ -170,7 +131,7 @@ fn scaling_workload<R>(
     })
 }
 
-fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
+fn bench_scale(scale: f64, t: Timing) -> Vec<Value> {
     let mut workloads = Vec::new();
 
     // The large square matmul — the headline cache-blocking shape
@@ -180,10 +141,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let a = lcg_matrix(c, c, 11);
         let b = lcg_matrix(c, c, 13);
         workloads.push(product_workload(
+            &t,
             "matmul_large",
             format!("{c}x{c} * {c}x{c}"),
-            reps,
-            par_threads,
             || reference::matmul(&a, &b),
             || a.matmul(&b),
         ));
@@ -195,10 +155,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let h = lcg_matrix(rows, 64, 5);
         let w = lcg_matrix(64, 64, 7);
         workloads.push(product_workload(
+            &t,
             "matmul_gcn_forward",
             format!("{rows}x64 * 64x64"),
-            reps,
-            par_threads,
             || reference::matmul(&h, &w),
             || h.matmul(&w),
         ));
@@ -210,10 +169,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let g = lcg_matrix(rows, 64, 37);
         let w = lcg_matrix(64, 64, 41);
         workloads.push(product_workload(
+            &t,
             "matmul_transpose_grad",
             format!("{rows}x64 * (64x64)^T"),
-            reps,
-            par_threads,
             || reference::matmul_transpose(&g, &w),
             || g.matmul_transpose(&w),
         ));
@@ -226,10 +184,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let h = lcg_matrix(gcn_rows, 64, 59);
         let w = lcg_matrix(64, 64, 61);
         workloads.push(product_workload(
+            &t,
             "matmul_gcn_forward_align",
             format!("{gcn_rows}x64 * 64x64"),
-            reps,
-            par_threads,
             || reference::matmul(&h, &w),
             || h.matmul(&w),
         ));
@@ -256,10 +213,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             Matrix::from_vec(ga.rows() + gb.rows(), 64, data)
         };
         workloads.push(product_workload(
+            &t,
             "gcn_backward_row_skip",
             format!("{gcn_rows}x64 grad ({live} live rows) through 64x64 MatMul"),
-            reps,
-            par_threads,
             || stacked((grad.matmul_transpose(&w), h.transpose_matmul(&grad))),
             || stacked(matmul_grads(&grad, &h, &w)),
         ));
@@ -287,10 +243,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             out
         };
         workloads.push(product_workload(
+            &t,
             "spmm_backward",
             format!("({n}x{n}, {} entries)^T * {n}x64 grad", adj.nnz()),
-            reps,
-            par_threads,
             || product(&|out| adj.transpose_mul_dense(grad.as_slice(), 64, out)),
             || product(&|out| adj_t.mul_dense(grad.as_slice(), 64, out)),
         ));
@@ -311,10 +266,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
             }
         };
         workloads.push(product_workload(
+            &t,
             "levenshtein_sub2",
             format!("{}x{} names", src.len(), tgt.len()),
-            reps,
-            par_threads,
             || {
                 let data = src
                     .iter()
@@ -331,10 +285,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
     {
         let z = lcg_matrix(ents, 64, 3);
         workloads.push(product_workload(
+            &t,
             "matmul_transpose_sim",
             format!("{ents}x64 * ({ents}x64)^T"),
-            reps,
-            par_threads,
             || reference::matmul_transpose(&z, &z),
             || z.matmul_transpose(&z),
         ));
@@ -345,10 +298,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let h = lcg_matrix(rows, 64, 17);
         let g = lcg_matrix(rows, 64, 19);
         workloads.push(product_workload(
+            &t,
             "transpose_matmul_grad",
             format!("({rows}x64)^T * {rows}x64"),
-            reps,
-            par_threads,
             || reference::transpose_matmul(&h, &g),
             || h.transpose_matmul(&g),
         ));
@@ -362,10 +314,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let x = lcg_matrix(n, n, 23);
         let y = lcg_matrix(n, n, 29);
         workloads.push(product_workload(
+            &t,
             "fusion_elementwise",
             format!("{n}x{n} hadamard + l2-normalize"),
-            reps,
-            par_threads,
             || {
                 // Unfused: materialize the product, clone, then
                 // normalize in place — the pre-fusion call pattern.
@@ -383,10 +334,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
     {
         let sim = SimilarityMatrix::new(lcg_matrix(csls_n, csls_n, 31));
         workloads.push(scaling_workload(
+            &t,
             "csls",
             format!("{csls_n}x{csls_n}, k=10"),
-            reps,
-            par_threads,
             || ceaff_sim::csls_adjusted(&sim, 10),
             |a, b| a.as_matrix().as_slice() == b.as_matrix().as_slice(),
         ));
@@ -406,10 +356,9 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
         let telemetry = Telemetry::disabled();
         let pairs = task.dataset.pair.source.num_entities();
         workloads.push(scaling_workload(
+            &t,
             "decision",
             format!("{pairs} entities (dataset scale {ds_scale:.2})"),
-            reps,
-            par_threads,
             || {
                 try_run_with_features(&task.dataset.pair, &features, &cfg, &telemetry)
                     .expect("pipeline runs")
@@ -423,175 +372,34 @@ fn bench_scale(scale: f64, reps: usize, par_threads: usize) -> Vec<Value> {
 
 /// Run the suite and return the JSON report (not yet written to disk).
 pub fn run_kernel_bench(opts: &KernelBenchOpts) -> Value {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps = if opts.check { 2 } else { opts.reps.max(1) };
     eprintln!(
         "bench_kernels: {} detected core(s); parallel measurements use {} thread(s); \
          median of {reps} rep(s) after warm-up",
-        cores, opts.parallel_threads
+        harness::detected_cores(),
+        opts.parallel_threads
     );
     let mut runs = Vec::new();
     for &scale in &opts.scales {
         eprintln!("scale {scale}:");
         runs.push(json!({
             "scale": scale,
-            "workloads": bench_scale(scale, reps, opts.parallel_threads),
+            "workloads": bench_scale(scale, Timing { reps, par_threads: opts.parallel_threads }),
         }));
     }
-    json!({
-        "schema_version": KERNEL_SCHEMA_VERSION,
-        "bench": "kernels",
-        "detected_cores": cores,
-        "parallel_threads": opts.parallel_threads,
-        "check_mode": opts.check,
-        "reps": reps,
-        "min_meaningful_secs": MIN_MEANINGFUL_SECS,
-        "runs": runs,
-        "notes": [
+    harness::report(
+        "kernels",
+        opts.check,
+        json!({
+            "parallel_threads": opts.parallel_threads,
+            "reps": reps,
+            "min_meaningful_secs": MIN_MEANINGFUL_SECS,
+            "runs": runs,
+        }),
+        &[
             "speedups are null when either side's median is below min_meaningful_secs (timer noise)",
             "parallel speedups are measured at parallel_threads regardless of detected_cores; ~1.0x on a single-core host is the honest result",
             "every product workload asserts bitwise parity between the tiled kernel, the naive reference, and the parallel run",
         ],
-    })
-}
-
-/// Validate a kernel-bench report against the schema this module emits.
-/// Returns the first problem found, as a human-readable message.
-pub fn validate_report(doc: &Value) -> Result<(), String> {
-    if doc.as_object().is_none() {
-        return Err("report is not a JSON object".into());
-    }
-    match doc.get("schema_version").and_then(Value::as_u64) {
-        Some(KERNEL_SCHEMA_VERSION) => {}
-        other => {
-            return Err(format!(
-                "schema_version must be {KERNEL_SCHEMA_VERSION}, got {other:?}"
-            ))
-        }
-    }
-    if doc.get("bench").and_then(Value::as_str) != Some("kernels") {
-        return Err("bench must be \"kernels\"".into());
-    }
-    for key in ["detected_cores", "parallel_threads", "reps"] {
-        if doc.get(key).and_then(Value::as_u64).is_none_or(|v| v == 0) {
-            return Err(format!("{key} must be a positive integer"));
-        }
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("runs must be an array")?;
-    if runs.is_empty() {
-        return Err("runs is empty".into());
-    }
-    for run in runs {
-        let scale = run
-            .get("scale")
-            .and_then(Value::as_f64)
-            .ok_or("run.scale must be a number")?;
-        if scale <= 0.0 {
-            return Err(format!("run.scale must be positive, got {scale}"));
-        }
-        let workloads = run
-            .get("workloads")
-            .and_then(Value::as_array)
-            .ok_or("run.workloads must be an array")?;
-        if workloads.is_empty() {
-            return Err(format!("run at scale {scale} has no workloads"));
-        }
-        for w in workloads {
-            let name = w
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("workload.name must be a string")?;
-            if w.get("dims").and_then(Value::as_str).is_none() {
-                return Err(format!("{name}: dims must be a string"));
-            }
-            match w.get("parity").and_then(Value::as_str) {
-                Some("bitwise" | "thread-invariant") => {}
-                other => return Err(format!("{name}: parity must be declared, got {other:?}")),
-            }
-            for key in ["seconds_tiled_1t", "seconds_tiled_par"] {
-                match w.get(key).and_then(Value::as_f64) {
-                    Some(v) if v > 0.0 => {}
-                    _ => return Err(format!("{name}: {key} must be a positive number")),
-                }
-            }
-            // Speedups must be present, and each is a number or an honest null.
-            for key in ["parallel_speedup"] {
-                match w.get(key) {
-                    Some(Value::Null) => {}
-                    Some(v) if v.as_f64().is_some_and(|s| s > 0.0) => {}
-                    other => {
-                        return Err(format!(
-                            "{name}: {key} must be number or null, got {other:?}"
-                        ))
-                    }
-                }
-            }
-            if w.get("parity").and_then(Value::as_str) == Some("bitwise") {
-                match w.get("single_thread_speedup") {
-                    Some(Value::Null) => {}
-                    Some(v) if v.as_f64().is_some_and(|s| s > 0.0) => {}
-                    other => {
-                        return Err(format!(
-                            "{name}: single_thread_speedup must be number or null, got {other:?}"
-                        ))
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn honest_speedup_refuses_fast_workloads() {
-        assert!(honest_speedup(0.005, 0.5).is_null());
-        assert!(honest_speedup(0.5, 0.005).is_null());
-        let v = honest_speedup(0.5, 0.25);
-        assert!((v.as_f64().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn validate_rejects_missing_fields() {
-        assert!(validate_report(&json!({})).is_err());
-        assert!(validate_report(&json!({
-            "schema_version": 1usize, "bench": "kernels",
-            "detected_cores": 1usize, "parallel_threads": 4usize, "reps": 5usize,
-            "runs": Value::Array(Vec::new()),
-        }))
-        .is_err());
-    }
-
-    #[test]
-    fn validate_accepts_minimal_valid_report() {
-        let workload = json!({
-            "name": "matmul_large",
-            "dims": "96x96 * 96x96",
-            "parity": "bitwise",
-            "seconds_naive_1t": 0.5,
-            "seconds_tiled_1t": 0.2,
-            "seconds_tiled_par": 0.2,
-            "single_thread_speedup": 2.5,
-            "parallel_speedup": null,
-        });
-        let run = json!({
-            "scale": 0.2,
-            "workloads": Value::Array(vec![workload]),
-        });
-        let doc = json!({
-            "schema_version": 1usize,
-            "bench": "kernels",
-            "detected_cores": 1usize,
-            "parallel_threads": 4usize,
-            "reps": 5usize,
-            "runs": Value::Array(vec![run]),
-        });
-        assert_eq!(validate_report(&doc), Ok(()));
-    }
+    )
 }

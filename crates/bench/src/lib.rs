@@ -1,30 +1,45 @@
 //! # ceaff-bench
 //!
-//! The experiment harness regenerating every table of the paper's
-//! evaluation section (see the `src/bin` binaries) plus the `bench_*`
-//! harnesses that write the committed `BENCH_*.json` files.
+//! The experiment binaries regenerating every table of the paper's
+//! evaluation section, and the `bench_*` binaries that write the
+//! committed `BENCH_*.json` files. All thirteen parse their flags through
+//! [`harness::Args`]; the `bench_*` ones also time, stamp, validate and
+//! write their reports through [`harness`].
 //!
-//! Binaries (run with `cargo run --release -p ceaff-bench --bin <name>`):
+//! Run one with `cargo run --release -p ceaff-bench --bin <name> --
+//! <flags>`. An unknown flag, a value flag with nothing after it, or a
+//! value that does not parse exits with status 2.
 //!
-//! | binary | paper artefact |
-//! |---|---|
-//! | `table2_stats` | Table II — dataset statistics |
-//! | `table3_cross_lingual` | Table III — cross-lingual accuracy |
-//! | `table4_mono_lingual` | Table IV — mono-lingual accuracy |
-//! | `table5_ablation` | Table V — ablation study |
-//! | `table6_ranking` | Table VI — ranking evaluation (Hits@k, MRR) |
-//! | `runtime` | §VII-C runtime comparison |
+//! | binary | artefact | flags (default) | `--check` runs |
+//! |---|---|---|---|
+//! | `table2_stats` | Table II — dataset statistics | experiment flags | |
+//! | `table3_cross_lingual` | Table III — cross-lingual accuracy | experiment flags | |
+//! | `table4_mono_lingual` | Table IV — mono-lingual accuracy | experiment flags | |
+//! | `table5_ablation` | Table V — ablation study | experiment flags | |
+//! | `table6_ranking` | Table VI — ranking evaluation (Hits@k, MRR) | experiment flags | |
+//! | `runtime` | §VII-C runtime comparison | experiment flags | |
+//! | `extensions` | §VIII future-work experiments | experiment flags | |
+//! | `sweeps` | design-choice sweeps | experiment flags, `--sweep seed\|theta\|dim\|budget` (theta) | |
+//! | `bench_delta` | `BENCH_delta.json` | `--scale` (1.0), `--steps` (20), `--out`, `--check` | scale 0.08, 5 steps, 1 rep |
+//! | `bench_restart` | `BENCH_restart.json` | `--scale` (1.0), `--steps` (10), `--out`, `--check` | scale 0.08, 5 steps, 1 rep |
+//! | `bench_server` | `BENCH_server.json` | `--reps` (5), `--requests` (48), `--out`, `--check` | 1 round of 16 requests |
+//! | `bench_kernels` | `BENCH_kernels.json` | `--scale`, repeatable (0.2 1 5), `--reps` (5), `--threads` (4), `--out`, `--check` | 2 reps; scale 0.2 unless given |
+//! | `bench_sparse` | `BENCH_sparse.json` | `--scale` (10), `--small-scale` (1.0), `--cap-mb` (512), `--topk` (50), `--out` | |
 //!
-//! Every binary accepts `--scale <f64>` (dataset size multiplier, default
-//! 0.3), `--dim <usize>` (GCN/TransE dimension, default 64), `--epochs
-//! <usize>` (encoder epochs, default 100), `--json <path>` (also dump
-//! machine-readable results) and `--trace <path>` (stream telemetry
-//! events as JSON lines).
+//! The experiment flags ([`HarnessOpts::FLAGS`]) are `--scale <f64>`
+//! (dataset size multiplier, default 0.3), `--dim <usize>` (GCN/TransE
+//! dimension, default 64), `--epochs <usize>` (encoder epochs, default
+//! 100), `--json <path>` (also dump machine-readable results) and
+//! `--trace <path>` (stream telemetry events as JSON lines). A `bench_*`
+//! binary's `--out` defaults to its `BENCH_*.json` in the working
+//! directory; `--check` is the smoke mode CI runs.
 
 use ceaff::baselines::*;
 use ceaff::prelude::*;
+use harness::Args;
 use serde_json::json;
 
+pub mod harness;
 pub mod kernels;
 
 /// Command-line options shared by all experiment binaries.
@@ -56,35 +71,25 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parse from `std::env::args` (flags: `--scale`, `--dim`, `--epochs`,
-    /// `--json`).
-    ///
-    /// # Panics
-    /// Panics with a usage message on malformed flags.
+    /// The value flags every experiment binary accepts.
+    pub const FLAGS: [&'static str; 5] = ["--scale", "--dim", "--epochs", "--json", "--trace"];
+
+    /// Parse this process's arguments (the [`HarnessOpts::FLAGS`]); a
+    /// malformed command line exits with status 2.
     pub fn from_args() -> Self {
-        let mut opts = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match flag.as_str() {
-                "--scale" => opts.scale = value("--scale").parse().expect("--scale takes a float"),
-                "--dim" => opts.dim = value("--dim").parse().expect("--dim takes an integer"),
-                "--epochs" => {
-                    opts.epochs = value("--epochs")
-                        .parse()
-                        .expect("--epochs takes an integer")
-                }
-                "--json" => opts.json = Some(value("--json")),
-                "--trace" => opts.trace = Some(value("--trace")),
-                other => {
-                    panic!("unknown flag {other}; known: --scale --dim --epochs --json --trace")
-                }
-            }
+        Self::from_parsed(&Args::from_env(&Self::FLAGS, &[]))
+    }
+
+    /// The options `args` sets, with the defaults for the rest.
+    pub fn from_parsed(args: &Args) -> Self {
+        let d = Self::default();
+        Self {
+            scale: args.get("--scale", d.scale),
+            dim: args.get("--dim", d.dim),
+            epochs: args.get("--epochs", d.epochs),
+            json: args.opt("--json"),
+            trace: args.opt("--trace"),
         }
-        opts
     }
 
     /// The CEAFF configuration these options imply.
@@ -274,22 +279,6 @@ pub fn maybe_write_json(opts: &HarnessOpts, experiment: &str, value: &serde_json
         .expect("write json output");
         println!("\n(json results written to {path})");
     }
-}
-
-/// Nearest-rank percentile of an unsorted sample, sorted in place.
-///
-/// # Panics
-/// Panics on an empty sample or a NaN.
-pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-/// Median of an unsorted sample, sorted in place.
-pub fn median(samples: &mut [f64]) -> f64 {
-    percentile(samples, 0.5)
 }
 
 #[cfg(test)]

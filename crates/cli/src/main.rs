@@ -17,11 +17,12 @@
 mod args;
 
 use args::Args;
-use ceaff::embed::{BilingualLexicon, LexiconEmbedder, SubwordEmbedder, WordEmbedder};
+use ceaff::embed::PairEmbedders;
 use ceaff::graph::io;
 use ceaff::prelude::*;
 use rand::SeedableRng;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
 ceaff — collective entity alignment via adaptive features (ICDE 2020)
@@ -469,28 +470,17 @@ fn cmd_align(args: &Args) {
     // Embedders: a subword embedder for the source side; the target side
     // routes through a lexicon when one is provided (or found in the
     // directory), otherwise uses the same subword embedder (mono-lingual).
-    let base = SubwordEmbedder::new(dim, 0x736f7572);
-    let lexicon_path = args.get("lexicon").map(str::to_owned).or_else(|| {
-        let candidate = std::path::Path::new(&dir).join("lexicon.tsv");
-        candidate.exists().then(|| candidate.display().to_string())
+    let lexicon = args
+        .get("lexicon")
+        .map(PathBuf::from)
+        .or_else(|| PairEmbedders::lexicon_in(Path::new(&dir)));
+    let embedders = PairEmbedders::load(dim, lexicon.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     });
-    let lexicon_embedder: Option<LexiconEmbedder> = lexicon_path.map(|path| {
-        let file = std::fs::File::open(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open lexicon {path}: {e}");
-            std::process::exit(1);
-        });
-        let lex =
-            BilingualLexicon::from_tsv_reader(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-                eprintln!("error: bad lexicon {path}: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("using lexicon {path} ({} entries)", lex.len());
-        LexiconEmbedder::new(base.clone(), lex, 0.0)
-    });
-    let target_embedder: &dyn WordEmbedder = match &lexicon_embedder {
-        Some(l) => l,
-        None => &base,
-    };
+    if let (Some(path), Some(lex)) = (&lexicon, embedders.lexicon()) {
+        eprintln!("using lexicon {} ({} entries)", path.display(), lex.len());
+    }
 
     let mut cfg = CeaffConfig::default();
     cfg.gcn.dim = dim;
@@ -545,7 +535,8 @@ fn cmd_align(args: &Args) {
     for (file, n) in &load_report.skipped {
         telemetry.counter_add("io", &format!("skipped_lines:{file}"), *n as u64);
     }
-    let input = EaInput::new(&pair, &base, target_embedder).with_telemetry(telemetry);
+    let input =
+        EaInput::new(&pair, embedders.source(), embedders.target()).with_telemetry(telemetry);
 
     // Every align run is cancellable (Ctrl-C and SIGTERM both degrade
     // gracefully); the deadline and memory cap are opt-in.
@@ -596,7 +587,7 @@ fn cmd_align(args: &Args) {
                     std::process::exit(1);
                 });
             let diff = state
-                .apply_budgeted(&td.delta, &base, target_embedder, &budget)
+                .apply_budgeted(&td.delta, embedders.source(), embedders.target(), &budget)
                 .unwrap_or_else(|e| {
                     eprintln!("error: delta {} failed: {e}", td.step);
                     std::process::exit(1);

@@ -6,7 +6,8 @@
 //! paper): a deterministic hashed-subword embedder standing in for fastText
 //! ([`SubwordEmbedder`]), a synthetic bilingual lexicon standing in for
 //! MUSE multilingual embeddings ([`BilingualLexicon`], [`LexiconEmbedder`]),
-//! and averaged entity-name embeddings ([`name`]).
+//! averaged entity-name embeddings ([`name`]), and the pair of them a
+//! benchmark directory's alignment embeds names with ([`PairEmbedders`]).
 //!
 //! Both substitutions are documented in the workspace DESIGN.md: the
 //! properties the pipeline relies on (subword surface similarity, shared
@@ -15,8 +16,10 @@
 
 pub mod lexicon;
 pub mod name;
+pub mod pair;
 pub mod subword;
 
 pub use lexicon::{BilingualLexicon, LexiconEmbedder};
 pub use name::{embed_name, name_embedding_matrix, tokenize, WordEmbedder};
+pub use pair::{LexiconError, PairEmbedders, SUBWORD_SEED};
 pub use subword::SubwordEmbedder;

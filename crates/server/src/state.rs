@@ -8,7 +8,7 @@ use ceaff_core::{
     run_decision_budgeted, AlignmentDiff, CeaffConfig, CeaffError, DecisionOutput, DeltaFeatures,
     DeltaState, EaInput, ExecBudget, MatcherKind, Telemetry,
 };
-use ceaff_embed::{BilingualLexicon, LexiconEmbedder, SubwordEmbedder, WordEmbedder};
+use ceaff_embed::{PairEmbedders, SubwordEmbedder, WordEmbedder};
 use ceaff_graph::io::{self, LoadMode};
 use ceaff_graph::{KgDelta, KgPair, KnowledgeGraph};
 use ceaff_sim::SimStore;
@@ -122,8 +122,7 @@ impl ServeCore {
 /// serving the previous snapshot until the swap.
 struct DeltaEngine {
     state: DeltaState,
-    base: SubwordEmbedder,
-    lexicon: Option<LexiconEmbedder>,
+    embedders: PairEmbedders,
     /// The write-ahead log, when the server was loaded durably. Appends
     /// happen under the engine mutex, between the in-memory apply and
     /// the snapshot swap — a delta is acknowledged only once durable.
@@ -261,21 +260,9 @@ impl WarmState {
         let (pair, _report) = io::load_pair_from_dir_with(dir, opts.seed_fraction, &mut rng, mode)
             .map_err(|e| ServerError::Load(format!("cannot load {}: {e}", dir.display())))?;
 
-        let base = SubwordEmbedder::new(opts.dim, 0x736f7572);
-        let lexicon_path = dir.join("lexicon.tsv");
-        let lexicon_embedder: Option<LexiconEmbedder> = if lexicon_path.exists() {
-            let file = std::fs::File::open(&lexicon_path)
-                .map_err(|e| ServerError::Load(format!("cannot open lexicon: {e}")))?;
-            let lex = BilingualLexicon::from_tsv_reader(std::io::BufReader::new(file))
-                .map_err(|e| ServerError::Load(format!("bad lexicon: {e}")))?;
-            Some(LexiconEmbedder::new(base.clone(), lex, 0.0))
-        } else {
-            None
-        };
-        let target_embedder: &dyn WordEmbedder = match &lexicon_embedder {
-            Some(l) => l,
-            None => &base,
-        };
+        let embedders = PairEmbedders::load(opts.dim, PairEmbedders::lexicon_in(dir).as_deref())
+            .map_err(|e| ServerError::Load(e.to_string()))?;
+        let (base, target_embedder) = (embedders.source(), embedders.target());
 
         let mut cfg = CeaffConfig::default();
         cfg.gcn.dim = opts.dim;
@@ -295,13 +282,13 @@ impl WarmState {
             let cfg = cfg.with_propagation(layers);
             let (state, wal, recovery) = match &opts.wal {
                 None => {
-                    let input = EaInput::new(&pair, &base, target_embedder)
+                    let input = EaInput::new(&pair, base, target_embedder)
                         .with_telemetry(telemetry.child());
                     (DeltaState::new(&input, &cfg)?, None, None)
                 }
                 Some(walopts) => {
                     let (state, wal, report) =
-                        recover_durable(walopts, &cfg, &pair, &base, target_embedder, telemetry)?;
+                        recover_durable(walopts, &cfg, &pair, base, target_embedder, telemetry)?;
                     (state, Some(wal), Some(report))
                 }
             };
@@ -312,8 +299,7 @@ impl WarmState {
                 matcher: opts.matcher,
                 engine: Some(Mutex::new(DeltaEngine {
                     state,
-                    base,
-                    lexicon: lexicon_embedder,
+                    embedders,
                     wal,
                 })),
                 wal_status: Mutex::new(wal_status),
@@ -321,7 +307,7 @@ impl WarmState {
             });
         }
 
-        let input = EaInput::new(&pair, &base, target_embedder).with_telemetry(telemetry.child());
+        let input = EaInput::new(&pair, base, target_embedder).with_telemetry(telemetry.child());
         let out = ceaff_core::try_run(&input, &cfg)?;
         let (source_names, target_names) = test_names(&pair);
         Ok(WarmState::from_parts(
@@ -365,15 +351,10 @@ impl WarmState {
         let mut engine = engine.lock().expect("engine lock");
         let DeltaEngine {
             state,
-            base,
-            lexicon,
+            embedders,
             wal,
         } = &mut *engine;
-        let target: &dyn WordEmbedder = match lexicon {
-            Some(l) => l,
-            None => base,
-        };
-        let diff = state.apply_budgeted(delta, base, target, budget)?;
+        let diff = state.apply_budgeted(delta, embedders.source(), embedders.target(), budget)?;
         // Durability before visibility: the frame (and, when due, a
         // snapshot) must be fsynced before readers — or the client ack —
         // can observe the new step. On failure the log poisons itself
