@@ -395,16 +395,10 @@ fn cmd_stats(args: &Args) {
 /// Map a CLI matcher label onto [`MatcherKind`], exiting on junk —
 /// shared by `align` and `serve`.
 fn parse_matcher(name: &str) -> MatcherKind {
-    match name {
-        "daa" => MatcherKind::StableMarriage,
-        "hungarian" => MatcherKind::Hungarian,
-        "greedy1to1" => MatcherKind::GreedyOneToOne,
-        "greedy" => MatcherKind::Greedy,
-        other => {
-            eprintln!("error: unknown matcher '{other}'");
-            std::process::exit(2);
-        }
-    }
+    MatcherKind::from_label(name).unwrap_or_else(|| {
+        eprintln!("error: unknown matcher '{name}'");
+        std::process::exit(2);
+    })
 }
 
 fn require_dir(args: &Args) -> String {

@@ -11,7 +11,6 @@
 //! when their fused score clears `threshold`.
 
 use crate::error::CeaffError;
-use crate::features::StructuralFeature;
 use crate::pipeline::{
     try_run_with_features, CeaffConfig, CeaffOutput, EaInput, FeatureSet, RunOptions,
 };
@@ -106,9 +105,20 @@ pub fn try_run_bootstrapped(
             None => FeatureSet::try_compute(&aug_input, cfg, &RunOptions::default())?,
             Some(mut prev) => {
                 if cfg.use_structural {
-                    prev.structural = Some(StructuralFeature::compute_traced(
-                        &augmented, &cfg.gcn, telemetry,
-                    ));
+                    // Through the pipeline's own feature body, so the
+                    // candidate strategy, the encoder mode and typed
+                    // errors all follow `cfg`.
+                    let structural_only = CeaffConfig {
+                        use_semantic: false,
+                        use_string: false,
+                        ..cfg.clone()
+                    };
+                    prev.structural = FeatureSet::try_compute(
+                        &aug_input,
+                        &structural_only,
+                        &RunOptions::default(),
+                    )?
+                    .structural;
                 }
                 prev
             }
@@ -248,6 +258,37 @@ mod tests {
         )
         .expect("runs");
         assert!((plain.accuracy - boot.final_output.accuracy).abs() < 1e-9);
+    }
+
+    #[test]
+    fn later_rounds_keep_the_blocked_candidate_stores() {
+        // Names that share trigrams, so blocking finds candidates.
+        let ds = ceaff_datagen::generate(&GenConfig {
+            aligned_entities: 150,
+            channel: NameChannel::Identical { typo_rate: 0.1 },
+            ..GenConfig::default()
+        });
+        let src = ds.source_embedder(32);
+        let tgt = ds.target_embedder(32);
+        let input = EaInput::new(&ds.pair, &src, &tgt);
+        let k = 8;
+        let out = try_run_bootstrapped(
+            &input,
+            &fast_cfg().with_blocking(k),
+            &BootstrapConfig {
+                rounds: 2,
+                ..BootstrapConfig::default()
+            },
+        )
+        .expect("runs");
+        assert!(out.promotions_per_round[0] > 0, "round 2 retrains");
+        let ceaff_sim::SimStore::Sparse(fused) = &out.final_output.fused else {
+            panic!("a blocked run fuses into a sparse store");
+        };
+        for i in 0..fused.sources() {
+            let (cols, _) = fused.row_entries(i);
+            assert!(cols.len() <= k, "row {i} holds {} entries", cols.len());
+        }
     }
 
     #[test]

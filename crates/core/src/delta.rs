@@ -79,7 +79,7 @@ use crate::features::{embedding_score, name_score, test_names, Feature};
 use crate::matching::Matching;
 use crate::pipeline::{
     fuse_and_match_active, select_active, try_run_with_features, CandidateStrategy, CeaffConfig,
-    CeaffOutput, EaInput, FeatureSet, PropagationLayers, RunOptions, StructuralMode,
+    CeaffOutput, EaInput, FeatureSet, RunOptions, StageCache, StructuralMode,
 };
 use crate::propagation;
 
@@ -321,13 +321,14 @@ impl DeltaFeatures {
             ));
         }
         // The batch pipeline's own feature body, keeping the propagation
-        // layers it computed: the structural patcher's cache.
-        let mut layers = PropagationLayers::default();
+        // layers it computed (the structural patcher's cache) and its
+        // blocking index over the target names.
+        let mut kept = StageCache::default();
         let features =
-            FeatureSet::compute_stages(input, cfg, &RunOptions::default(), Some(&mut layers))?;
-        let (prop_source, prop_target) = layers;
+            FeatureSet::compute_stages(input, cfg, &RunOptions::default(), Some(&mut kept))?;
+        let (prop_source, prop_target) = kept.layers;
         Ok(Self {
-            blocking: WarmIndexes::build(cfg, input.pair),
+            blocking: WarmIndexes::with_targets(cfg, input.pair, kept.targets),
             cfg: cfg.clone(),
             pair: input.pair.clone(),
             features,
@@ -844,12 +845,22 @@ impl WarmIndexes {
     /// The indexes a state under `cfg` keeps over `pair`'s split, built
     /// with its parts; `None` when dense.
     pub(crate) fn build(cfg: &CeaffConfig, pair: &KgPair) -> Option<Self> {
+        Self::with_targets(cfg, pair, None)
+    }
+
+    /// [`WarmIndexes::build`], taking the target index from `targets`
+    /// when the feature build already made it.
+    fn with_targets(
+        cfg: &CeaffConfig,
+        pair: &KgPair,
+        targets: Option<TargetIndex>,
+    ) -> Option<Self> {
         let CandidateStrategy::Blocked { blocking, .. } = &cfg.candidates else {
             return None;
         };
-        let (sources, targets) = test_names(pair);
+        let (sources, target_names) = test_names(pair);
         Some(Self {
-            targets: TargetIndex::build(&targets, blocking),
+            targets: targets.unwrap_or_else(|| TargetIndex::build(&target_names, blocking)),
             sources: TargetIndex::build(&sources, blocking),
         })
     }

@@ -315,6 +315,33 @@ pub enum MatcherKind {
 }
 
 impl MatcherKind {
+    /// Every kind: the one table [`MatcherKind::from_label`] searches.
+    const ALL: [MatcherKind; 4] = [
+        MatcherKind::Greedy,
+        MatcherKind::StableMarriage,
+        MatcherKind::Hungarian,
+        MatcherKind::GreedyOneToOne,
+    ];
+
+    /// The kind's name on the command line and in `/align` bodies:
+    /// `greedy`, `daa`, `hungarian` or `greedy1to1`.
+    pub fn label(self) -> &'static str {
+        match self {
+            MatcherKind::Greedy => "greedy",
+            MatcherKind::StableMarriage => "daa",
+            MatcherKind::Hungarian => "hungarian",
+            MatcherKind::GreedyOneToOne => "greedy1to1",
+        }
+    }
+
+    /// The kind named `label` (see [`MatcherKind::label`]); `None` for
+    /// any other name.
+    pub fn from_label(label: &str) -> Option<MatcherKind> {
+        MatcherKind::ALL
+            .into_iter()
+            .find(|kind| kind.label() == label)
+    }
+
     /// Instantiate the matcher.
     pub fn build(self) -> Box<dyn Matcher> {
         match self {
@@ -331,6 +358,15 @@ mod tests {
     use super::*;
     use ceaff_sim::SimilarityMatrix;
     use ceaff_tensor::Matrix;
+
+    #[test]
+    fn matcher_labels_round_trip() {
+        for kind in MatcherKind::ALL {
+            assert_eq!(MatcherKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(MatcherKind::from_label("quantum"), None);
+        assert_eq!(MatcherKind::from_label("DAA"), None);
+    }
 
     #[test]
     fn matching_accessors() {

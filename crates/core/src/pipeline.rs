@@ -30,7 +30,7 @@ use crate::lr::{learn_weights, LrConfig};
 use crate::matching::{MatcherKind, Matching};
 use ceaff_embed::WordEmbedder;
 use ceaff_graph::KgPair;
-use ceaff_sim::{BlockingConfig, CandidateSet, SimStore};
+use ceaff_sim::{BlockingConfig, CandidateSet, SimStore, TargetIndex};
 use ceaff_telemetry::{Degradation, RunTrace, Telemetry};
 use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -551,16 +551,18 @@ pub struct FeatureSet {
 /// `blocking/recall` (fraction of diagonal gold pairs surviving blocking —
 /// the recall ceiling of every downstream stage), `blocking/candidates`
 /// (total candidate pairs) and `blocking/scored_fraction` (fraction of
-/// the dense cross product that will be scored).
+/// the dense cross product that will be scored). Returns the index over
+/// the target names with the set.
 fn block_candidates(
     pair: &KgPair,
     blocking: &BlockingConfig,
     k: usize,
     telemetry: &Telemetry,
-) -> CandidateSet {
+) -> (CandidateSet, TargetIndex) {
     let _span = telemetry.span("blocking");
     let (src_names, tgt_names) = test_names(pair);
-    let candidates = ceaff_sim::build_candidates(&src_names, &tgt_names, blocking, k);
+    let index = TargetIndex::build(&tgt_names, blocking);
+    let candidates = index.candidates(&src_names, k);
     let gold: Vec<(usize, usize)> = (0..src_names.len().min(tgt_names.len()))
         .map(|i| (i, i))
         .collect();
@@ -572,12 +574,23 @@ fn block_candidates(
         None,
         candidates.stats().scored_fraction(),
     );
-    candidates
+    (candidates, index)
 }
 
 /// The propagation layers `[H₀…H_L]` of the source and target graphs —
 /// the cache the incremental pipeline patches.
 pub(crate) type PropagationLayers = (Vec<Matrix>, Vec<Matrix>);
+
+/// What a feature build computes on the way that the incremental
+/// pipeline keeps warm ([`FeatureSet::compute_stages`]).
+#[derive(Default)]
+pub(crate) struct StageCache {
+    /// The propagation layers of a [`StructuralMode::Propagation`] run.
+    pub(crate) layers: PropagationLayers,
+    /// The blocking index over the test split's target names, under
+    /// [`CandidateStrategy::Blocked`].
+    pub(crate) targets: Option<TargetIndex>,
+}
 
 /// How one pipeline run executes: under which budget, and whether its
 /// feature stages are checkpointed. The default — an unlimited budget and
@@ -760,14 +773,14 @@ impl FeatureSet {
         Self::compute_stages(input, cfg, opts, None)
     }
 
-    /// The body of [`FeatureSet::try_compute`]. `keep_layers` receives the
-    /// propagation layer stacks of a [`StructuralMode::Propagation`] run
-    /// (the incremental pipeline's patch cache).
+    /// The body of [`FeatureSet::try_compute`]. `keep` receives what the
+    /// incremental pipeline patches: the propagation layer stacks and
+    /// the blocking index.
     pub(crate) fn compute_stages(
         input: &EaInput<'_>,
         cfg: &CeaffConfig,
         opts: &RunOptions<'_>,
-        keep_layers: Option<&mut PropagationLayers>,
+        mut keep: Option<&mut StageCache>,
     ) -> Result<Self, CeaffError> {
         cfg.validate()?;
         let telemetry = &input.telemetry;
@@ -783,10 +796,13 @@ impl FeatureSet {
                 // Blocking is cheap relative to any feature; run it
                 // uninterrupted and let the memory check observe the
                 // candidate structure it allocated.
-                let cands = {
+                let (cands, index) = {
                     let _probe_off = crate::budget::uninterruptible_scope();
                     block_candidates(input.pair, blocking, *k, telemetry)
                 };
+                if let Some(keep) = keep.as_deref_mut() {
+                    keep.targets = Some(index);
+                }
                 opts.budget.check_mem("blocking")?;
                 Some((cands, *k))
             }
@@ -800,7 +816,7 @@ impl FeatureSet {
                 opts,
                 input,
                 trained.then_some(checkpoint::STAGE_STRUCTURAL),
-                || compute_structural(input, cfg, opts, blocked, keep_layers),
+                || compute_structural(input, cfg, opts, blocked, keep.map(|k| &mut k.layers)),
             )?
         } else {
             None

@@ -1,5 +1,7 @@
 //! The server proper: accept loop, bounded admission, worker pool,
 //! per-request budgets, panic containment, and graceful drain.
+//! The accept loop and the workers are the only threads: hang-ups,
+//! timed cancels and closing answered sockets are one `sweep`.
 
 use crate::admission::{AdmissionQueue, Admit};
 use crate::chaos::{ChaosConfig, ChaosKind};
@@ -8,11 +10,12 @@ use crate::state::WarmState;
 use ceaff_core::{CancelToken, CeaffError, ExecBudget, MatcherKind, Telemetry};
 use serde_json::{Number, Value};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,7 +42,7 @@ pub struct ServerConfig {
     /// Per-connection socket read timeout.
     pub read_timeout_ms: u64,
     /// Per-connection socket write timeout: a client that never reads
-    /// its response cannot pin a worker (or shed responder) forever.
+    /// its response cannot pin a worker forever.
     pub write_timeout_ms: u64,
     /// Honor test-only request knobs (`?debug-sleep-ms=` on `/align`).
     /// Off by default: a production server must not hand unauthenticated
@@ -107,13 +110,33 @@ struct Conn {
     request_id: u64,
 }
 
+/// A request between reading its head and writing its answer: what the
+/// sweep watches and may cancel.
+struct InFlight {
+    cancel: CancelToken,
+    /// A nonblocking clone of the request's stream, peeked for a hang-up;
+    /// `None` when the clone failed or once a hang-up was counted.
+    peek: Option<TcpStream>,
+    /// When the chaos harness cancels this request mid-flight.
+    cancel_at: Option<Instant>,
+}
+
+/// An answered, half-closed socket waiting for its peer to close.
+struct Lingering {
+    stream: TcpStream,
+    since: Instant,
+    last_data: Instant,
+    /// Answered by admission control rather than a worker.
+    shed: bool,
+}
+
 struct Shared {
     state: Arc<WarmState>,
     cfg: ServerConfig,
     counters: ServerCounters,
     telemetry: Telemetry,
-    inflight: Mutex<HashMap<u64, CancelToken>>,
-    shed_threads: AtomicU64,
+    inflight: Mutex<HashMap<u64, InFlight>>,
+    lingering: Mutex<Vec<Lingering>>,
     shutdown: AtomicBool,
     started: Instant,
     /// The admission queue, shared with the accept loop so `/status`
@@ -122,11 +145,10 @@ struct Shared {
     queue: Arc<AdmissionQueue<Conn>>,
 }
 
-/// The in-flight map, recovering from poisoning: a caught worker panic
+/// Lock a shared table, recovering from poisoning: a caught worker panic
 /// must never cascade into every other lock user panicking too.
-fn inflight(shared: &Shared) -> std::sync::MutexGuard<'_, HashMap<u64, CancelToken>> {
-    shared
-        .inflight
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -138,11 +160,11 @@ pub struct Server {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    queue: Arc<AdmissionQueue<Conn>>,
 }
 
 impl Server {
-    /// Bind, spawn the accept loop and workers, and start serving.
+    /// Bind, spawn the accept loop and workers, and start serving. These
+    /// are the only threads the server starts.
     pub fn start(
         state: Arc<WarmState>,
         cfg: ServerConfig,
@@ -158,29 +180,27 @@ impl Server {
             counters: ServerCounters::default(),
             telemetry,
             inflight: Mutex::new(HashMap::new()),
-            shed_threads: AtomicU64::new(0),
+            lingering: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            queue: queue.clone(),
+            queue,
         });
 
         let workers = (0..shared.cfg.workers.max(1))
             .map(|n| {
-                let queue = queue.clone();
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("ceaff-worker-{n}"))
-                    .spawn(move || worker_loop(&queue, &shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })
             .collect();
 
         let accept_thread = {
-            let queue = queue.clone();
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("ceaff-accept".to_owned())
-                .spawn(move || accept_loop(listener, &queue, &shared))
+                .spawn(move || accept_loop(listener, &shared))
                 .expect("spawn accept loop")
         };
 
@@ -189,7 +209,6 @@ impl Server {
             shared,
             accept_thread: Some(accept_thread),
             workers,
-            queue,
         })
     }
 
@@ -214,30 +233,24 @@ impl Server {
 
     /// Complete a drain: wait up to `drain_grace_ms` for in-flight work,
     /// then cancel the remaining requests' budgets (they degrade and
-    /// answer), join every thread, record the final `server/*` counter
-    /// totals, and flush telemetry. Returns the final counter snapshot.
+    /// answer), join every thread, wait for every answered socket to
+    /// close, record the final `server/*` counter totals, and flush
+    /// telemetry. Returns the final counter snapshot.
     pub fn join(mut self) -> Vec<(&'static str, u64)> {
         self.drain();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        // The accept loop closed the queue on its way out; wait out the
-        // grace period (skipping it when the server is already idle).
+        // The accept loop closed the queue on its way out, so the workers
+        // exit once it is empty. Sweep in its place meanwhile; past the
+        // grace period every sweep cancels what is still running, so
+        // requests admitted after an earlier sweep still stop.
         let grace_until = Instant::now() + Duration::from_millis(self.shared.cfg.drain_grace_ms);
-        while Instant::now() < grace_until {
-            let idle = self.queue.depth() == 0 && inflight(&self.shared).is_empty();
-            if idle {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Past the grace period: degrade whatever is still running, and
-        // keep sweeping so requests admitted after a sweep still stop.
-        while self.workers.iter().any(|w| !w.is_finished()) {
-            for token in inflight(&self.shared).values() {
-                token.cancel();
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        while self.workers.iter().any(|w| !w.is_finished())
+            || !lock(&self.shared.lingering).is_empty()
+        {
+            sweep(&self.shared, Instant::now() >= grace_until);
+            std::thread::sleep(TICK);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -266,106 +279,141 @@ impl DrainHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, queue: &AdmissionQueue<Conn>, shared: &Arc<Shared>) {
+/// How often the accept loop polls its listener and sweeps.
+const TICK: Duration = Duration::from_millis(2);
+
+fn accept_loop(listener: TcpListener, shared: &Shared) {
     let mut next_id: u64 = 0;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let request_id = next_id;
                 next_id += 1;
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nonblocking(false);
-                match queue.push(Conn { stream, request_id }) {
-                    Admit::Queued => {}
-                    Admit::Shed(conn) => shed(conn, shared),
+                if let Admit::Shed(conn) = shared.queue.push(Conn { stream, request_id }) {
+                    shed(conn.stream, shared);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => std::thread::sleep(TICK),
         }
+        sweep(shared, false);
     }
     // No more producers: drain the queued remainder, then workers exit.
-    queue.close();
+    shared.queue.close();
 }
 
-/// Most shed responders alive at once. Beyond this the connection is
-/// dropped unanswered: under that much overload a TCP reset is still a
-/// cheap, immediate backpressure signal, and a bounded pool is the whole
-/// point — admission control must not be its own resource exhaustion.
-const MAX_SHED_THREADS: u64 = 32;
+/// Most shed connections lingering at once. Beyond this a shed
+/// connection is dropped unanswered: under that much overload a TCP
+/// reset is still a cheap, immediate backpressure signal, and admission
+/// control must not be its own resource exhaustion.
+const MAX_LINGERING_SHEDS: usize = 32;
 
-/// Releases one shed-responder slot when dropped, whether the responder
-/// thread ran or its spawn failed.
-struct ShedSlot(Arc<Shared>);
-
-impl Drop for ShedSlot {
-    fn drop(&mut self) {
-        self.0.shed_threads.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Answer a shed connection immediately — the whole point of admission
-/// control is that overload costs one small write, not a queue slot.
-/// The write-and-drain happens on a detached thread (so a burst of
-/// sheds never stalls the accept loop) taken from a bounded pool (so a
-/// sustained burst of slow-reading peers cannot mint threads without
-/// limit).
-fn shed(conn: Conn, shared: &Arc<Shared>) {
+/// Answer a shed connection on the accept loop itself — the whole point
+/// of admission control is that overload costs one small write, not a
+/// queue slot or a thread.
+fn shed(stream: TcpStream, shared: &Shared) {
     shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-    if shared.shed_threads.fetch_add(1, Ordering::AcqRel) >= MAX_SHED_THREADS {
-        shared.shed_threads.fetch_sub(1, Ordering::AcqRel);
-        return; // dropping `conn` closes the socket
+    if lock(&shared.lingering).iter().filter(|l| l.shed).count() >= MAX_LINGERING_SHEDS {
+        return; // dropping `stream` closes the socket
     }
-    let slot = ShedSlot(shared.clone());
     let response = Response::error(503, "overloaded", "admission queue is full")
         .with_header("Retry-After", shared.cfg.retry_after_secs.to_string());
-    let write_timeout = Duration::from_millis(shared.cfg.write_timeout_ms.max(1));
-    let _ = std::thread::Builder::new()
-        .name("ceaff-shed".to_owned())
-        .spawn(move || {
-            let _slot = slot; // freed on thread exit — or here, if spawn failed
-            respond_and_close(conn.stream, &response, write_timeout);
-        });
+    respond(shared, stream, &response, true);
 }
 
-/// Hard cap on the post-response drain: a slow-dripping peer must not
-/// hold a responder for 256 × read-timeout.
-const DRAIN_CAP: Duration = Duration::from_secs(2);
-
-/// Write `response` (under a write timeout, so a never-reading peer
-/// cannot block forever on a full send buffer), half-close, then drain
-/// whatever request bytes the peer sent. Closing with unread data in
-/// the receive buffer makes the kernel RST the connection, which
-/// destroys the response before the client reads it — the drain is what
-/// makes a shed *observable* as a 503 rather than a reset.
-fn respond_and_close(mut stream: TcpStream, response: &Response, write_timeout: Duration) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(write_timeout));
+/// Write `response`, half-close, and hand the socket to the sweep,
+/// which closes it once the peer has. A worker writes blocking, under
+/// the write timeout (a never-reading peer cannot pin it on a full send
+/// buffer); a shed is written nonblocking, since a fresh socket's send
+/// buffer has room for its ~150 bytes.
+///
+/// Closing with unread request bytes in the receive buffer makes the
+/// kernel RST the connection, which destroys the response before the
+/// client reads it — the lingering drain is what makes a shed
+/// *observable* as a 503 rather than a reset.
+fn respond(shared: &Shared, mut stream: TcpStream, response: &Response, shed: bool) {
+    let _ = stream.set_nonblocking(shed);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(
+        shared.cfg.write_timeout_ms.max(1),
+    )));
     if response.write_to(&mut stream).is_err() {
         return;
     }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut sink = [0u8; 4096];
-    let drain_until = Instant::now() + DRAIN_CAP;
-    for _ in 0..256 {
-        if Instant::now() >= drain_until {
-            break;
-        }
-        match std::io::Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let now = Instant::now();
+        lock(&shared.lingering).push(Lingering {
+            stream,
+            since: now,
+            last_data: now,
+            shed,
+        });
     }
 }
 
-fn worker_loop(queue: &AdmissionQueue<Conn>, shared: &Shared) {
-    while let Some(conn) = queue.pop() {
+/// A lingering socket is closed after this long without data from its
+/// peer.
+const LINGER_IDLE: Duration = Duration::from_millis(250);
+
+/// Hard cap on a socket's lingering: a slow-dripping peer must not hold
+/// it open forever.
+const DRAIN_CAP: Duration = Duration::from_secs(2);
+
+/// One pass over the in-flight table and the linger set. A request's
+/// budget is cancelled when its client has hung up (counted once as a
+/// disconnect), when its chaos `cancel_at` has passed, or for every
+/// request when `cancel_all` (a drain past its grace period). A
+/// lingering socket is closed on EOF, on an error, after
+/// [`LINGER_IDLE`] without data, or at [`DRAIN_CAP`].
+fn sweep(shared: &Shared, cancel_all: bool) {
+    let now = Instant::now();
+    for request in lock(&shared.inflight).values_mut() {
+        let hung_up = request.peek.as_ref().is_some_and(peer_closed);
+        if hung_up {
+            request.peek = None;
+            shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        if hung_up || cancel_all || request.cancel_at.is_some_and(|at| now >= at) {
+            request.cancel.cancel();
+        }
+    }
+    let mut sink = [0u8; 4096];
+    lock(&shared.lingering).retain_mut(|l| !drained(l, now, &mut sink));
+}
+
+/// Whether the client of an in-flight request has closed or errored.
+///
+/// EOF on the request stream is treated as the client abandoning the
+/// request. A half-closing client (`shutdown(Write)` after sending the
+/// full request, still reading) is indistinguishable from a full close
+/// at this end without writing, so half-close is explicitly
+/// *unsupported* by this one-request-per-connection protocol: such a
+/// client may get a degraded response. The bundled `Client` never
+/// half-closes.
+fn peer_closed(peek: &TcpStream) -> bool {
+    match peek.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() != ErrorKind::WouldBlock,
+    }
+}
+
+/// Read what a lingering socket's peer still sends; `true` once the
+/// socket is to be closed.
+fn drained(l: &mut Lingering, now: Instant, sink: &mut [u8]) -> bool {
+    let open = match (&l.stream).read(sink) {
+        Ok(0) => false,
+        Ok(_) => {
+            l.last_data = now;
+            true
+        }
+        Err(e) => e.kind() == ErrorKind::WouldBlock && now - l.last_data < LINGER_IDLE,
+    };
+    !open || now - l.since >= DRAIN_CAP
+}
+
+fn worker_loop(shared: &Shared) {
+    while let Some(conn) = shared.queue.pop() {
         let request_id = conn.request_id;
         // Backstop boundary: `handle_conn` has its own catch_unwind
         // around the handler, but a panic anywhere outside it (request
@@ -376,7 +424,7 @@ fn worker_loop(queue: &AdmissionQueue<Conn>, shared: &Shared) {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| handle_conn(conn, shared)));
         if outcome.is_err() {
             shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            inflight(shared).remove(&request_id);
+            lock(&shared.inflight).remove(&request_id);
         }
     }
 }
@@ -392,17 +440,14 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
         Ok(request) => request,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let status = if matches!(&e, http::ParseError::Io(io) if io.kind() == std::io::ErrorKind::WouldBlock || io.kind() == std::io::ErrorKind::TimedOut)
+            let status = if matches!(&e, http::ParseError::Io(io) if io.kind() == ErrorKind::WouldBlock || io.kind() == ErrorKind::TimedOut)
             {
                 408
             } else {
                 e.status()
             };
-            respond_and_close(
-                conn.stream,
-                &Response::error(status, "bad_request", &e.reason()),
-                Duration::from_millis(shared.cfg.write_timeout_ms.max(1)),
-            );
+            let response = Response::error(status, "bad_request", &e.reason());
+            respond(shared, conn.stream, &response, false);
             return;
         }
     };
@@ -425,18 +470,18 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
 
     // Per-request execution budget: this request's deadline, an equal
     // share of the global memory quota, and a private cancel token that
-    // a client disconnect, the chaos harness, or a drain can flip.
+    // the sweep flips on a client disconnect, a chaos cancel, or a drain.
     let cancel = CancelToken::new();
     let mem_share = (shared.cfg.mem_quota_mb * 1024 * 1024) / shared.cfg.workers.max(1);
     let budget = ExecBudget::unlimited()
         .with_deadline(Duration::from_millis(deadline_ms))
         .with_cancel(cancel.clone())
         .with_max_mem_bytes(mem_share.max(1));
-    inflight(shared).insert(conn.request_id, cancel.clone());
 
     // Arm this request's fault plan — thread-scoped, so concurrent
     // requests with different faults never race.
     let mut plan = ceaff_faultinject::FaultPlan::default();
+    let mut cancel_at = None;
     if let Some(kind) = chaos {
         match kind {
             ChaosKind::Panic => plan.panic_at_point = Some("server/handler".to_owned()),
@@ -445,58 +490,33 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                 plan.sleep_at_point = Some(("server/handler".to_owned(), deadline_ms + 50))
             }
             ChaosKind::FailIo => plan.io_error_substring = Some("ceaff-server/response".to_owned()),
+            // Mid-request cancellation: the sweep flips this request's
+            // token a quarter-deadline in; the anytime matcher then
+            // degrades cooperatively.
             ChaosKind::Cancel => {
-                // Mid-request cancellation: a detached timer flips this
-                // request's token a quarter-deadline in; the anytime
-                // matcher then degrades cooperatively.
-                let token = cancel.clone();
-                let delay = Duration::from_millis((deadline_ms / 4).max(1));
-                std::thread::spawn(move || {
-                    std::thread::sleep(delay);
-                    token.cancel();
-                });
+                cancel_at = Some(Instant::now() + Duration::from_millis((deadline_ms / 4).max(1)))
             }
         }
     }
     let _fault_scope = plan.activate_local();
 
-    // Watch for the client hanging up mid-request so its budget cancels
-    // and the work stops. The watcher peeks a nonblocking clone of the
-    // stream; O_NONBLOCK is shared with the worker's fd, so blocking
-    // mode is restored before the response is written.
-    //
-    // EOF on the request stream is treated as the client abandoning the
-    // request. A half-closing client (`shutdown(Write)` after sending
-    // the full request, still reading) is indistinguishable from a full
-    // close at this end without writing, so half-close is explicitly
-    // *unsupported* by this one-request-per-connection protocol: such a
-    // client may get a degraded response. The bundled `Client` never
-    // half-closes.
-    let watcher_stop = Arc::new(AtomicBool::new(false));
-    let watcher = conn.stream.try_clone().ok().map(|peek_stream| {
-        let stop = watcher_stop.clone();
-        let token = cancel.clone();
-        let _ = peek_stream.set_nonblocking(true);
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 1];
-            while !stop.load(Ordering::Relaxed) {
-                match peek_stream.peek(&mut buf) {
-                    Ok(0) => {
-                        token.cancel();
-                        return true;
-                    }
-                    Ok(_) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(_) => {
-                        token.cancel();
-                        return true;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            false
-        })
-    });
+    // Hand the request to the sweep. The peek clone shares O_NONBLOCK
+    // with this worker's fd, so the request registers only once it has
+    // been read, and leaves the table before blocking mode comes back
+    // for the write.
+    let peek = conn
+        .stream
+        .try_clone()
+        .ok()
+        .filter(|peek| peek.set_nonblocking(true).is_ok());
+    lock(&shared.inflight).insert(
+        conn.request_id,
+        InFlight {
+            cancel,
+            peek,
+            cancel_at,
+        },
+    );
 
     // The handler runs inside a panic boundary: an injected (or real)
     // worker panic becomes a typed 500, the worker thread survives, and
@@ -530,19 +550,8 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
         response = response.with_header("X-Chaos", kind.as_str().to_owned());
     }
 
-    watcher_stop.store(true, Ordering::Relaxed);
-    let disconnected = watcher.and_then(|w| w.join().ok()).unwrap_or(false);
-    if disconnected {
-        shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-    }
-    let _ = conn.stream.set_nonblocking(false);
-    respond_and_close(
-        conn.stream,
-        &response,
-        Duration::from_millis(shared.cfg.write_timeout_ms.max(1)),
-    );
-
-    inflight(shared).remove(&conn.request_id);
+    lock(&shared.inflight).remove(&conn.request_id);
+    respond(shared, conn.stream, &response, false);
 }
 
 /// Route a parsed request. Every path returns a `Response`; handler
@@ -575,7 +584,7 @@ fn status_response(shared: &Shared) -> Response {
         .collect();
     let core = shared.state.snapshot();
     let workers = shared.cfg.workers.max(1);
-    let busy = inflight(shared).len();
+    let busy = lock(&shared.inflight).len();
     let mut fields = vec![
         (
             "uptime_secs".to_owned(),
@@ -601,7 +610,7 @@ fn status_response(shared: &Shared) -> Response {
             ("step".to_owned(), junsigned(step as u64)),
             ("fingerprint".to_owned(), junsigned(fingerprint as u64)),
         ];
-        if let Some(wal) = shared.state.durability() {
+        if let Some(wal) = core.wal {
             incremental.push((
                 "wal".to_owned(),
                 Value::Object(vec![
@@ -693,16 +702,13 @@ fn align_response(
             Err(e) => return Response::error(400, "bad_request", &format!("bad JSON body: {e}")),
         };
         if let Some(name) = parsed.get("matcher").and_then(Value::as_str) {
-            matcher = match name {
-                "daa" => MatcherKind::StableMarriage,
-                "hungarian" => MatcherKind::Hungarian,
-                "greedy1to1" => MatcherKind::GreedyOneToOne,
-                "greedy" => MatcherKind::Greedy,
-                other => {
+            matcher = match MatcherKind::from_label(name) {
+                Some(kind) => kind,
+                None => {
                     return Response::error(
                         400,
                         "bad_request",
-                        &format!("unknown matcher '{other}'"),
+                        &format!("unknown matcher '{name}'"),
                     )
                 }
             };
@@ -774,7 +780,7 @@ fn align_response(
     let mut fields = vec![
         (
             "matcher".to_owned(),
-            Value::String(matcher_label(matcher).to_owned()),
+            Value::String(matcher.label().to_owned()),
         ),
         (
             "matched".to_owned(),
@@ -910,15 +916,6 @@ fn delta_response(request: &Request, shared: &Shared, budget: &ExecBudget) -> Re
         ),
     ]);
     Response::json(200, serde_json::to_string(&body).expect("delta json"))
-}
-
-fn matcher_label(kind: MatcherKind) -> &'static str {
-    match kind {
-        MatcherKind::StableMarriage => "daa",
-        MatcherKind::Hungarian => "hungarian",
-        MatcherKind::GreedyOneToOne => "greedy1to1",
-        MatcherKind::Greedy => "greedy",
-    }
 }
 
 fn jfloat(x: f64) -> Value {

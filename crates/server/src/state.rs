@@ -34,6 +34,9 @@ pub struct ServeCore {
     /// `(step, fingerprint)` of the incremental state this snapshot was
     /// cut from; `None` on a server without an incremental engine.
     pub incremental: Option<(usize, u32)>,
+    /// The write-ahead log's counters as of this snapshot; `None` on a
+    /// server loaded without a WAL directory.
+    pub wal: Option<WalStatus>,
     /// Source entity name → row index.
     source_index: HashMap<String, usize>,
 }
@@ -44,6 +47,7 @@ impl ServeCore {
         source_names: Vec<String>,
         target_names: Vec<String>,
         incremental: Option<(usize, u32)>,
+        wal: Option<WalStatus>,
     ) -> Self {
         assert_eq!(fused.sources(), source_names.len(), "row/name mismatch");
         assert_eq!(fused.targets(), target_names.len(), "col/name mismatch");
@@ -57,18 +61,20 @@ impl ServeCore {
             source_names,
             target_names,
             incremental,
+            wal,
             source_index,
         }
     }
 
-    /// Cut a snapshot from warm incremental state.
-    fn of_delta_state(state: &DeltaState) -> Self {
+    /// Cut a snapshot from warm incremental state and its log.
+    fn of_delta_state(state: &DeltaState, wal: Option<&Wal>) -> Self {
         let (source_names, target_names) = test_names(state.pair());
         ServeCore::from_parts(
             state.output().fused.clone(),
             source_names,
             target_names,
             Some((state.step(), state.fingerprint())),
+            wal.map(Wal::status),
         )
     }
 
@@ -140,10 +146,6 @@ pub struct WarmState {
     /// Matcher `/align` runs (per request, under that request's budget).
     pub matcher: MatcherKind,
     engine: Option<Mutex<DeltaEngine>>,
-    /// Durability counters mirrored out of the engine after every
-    /// durable apply, so `/status` never blocks behind an in-flight
-    /// delta holding the engine mutex.
-    wal_status: Mutex<Option<WalStatus>>,
     /// How this state came to be (cold build vs snapshot + replay);
     /// `None` when loaded without a WAL directory.
     recovery: Option<RecoveryReport>,
@@ -233,10 +235,10 @@ impl WarmState {
                 source_names,
                 target_names,
                 None,
+                None,
             ))),
             matcher,
             engine: None,
-            wal_status: Mutex::new(None),
             recovery: None,
         }
     }
@@ -292,8 +294,7 @@ impl WarmState {
                     (state, Some(wal), Some(report))
                 }
             };
-            let wal_status = wal.as_ref().map(|w| w.status());
-            let core = ServeCore::of_delta_state(&state);
+            let core = ServeCore::of_delta_state(&state, wal.as_ref());
             return Ok(WarmState {
                 core: RwLock::new(Arc::new(core)),
                 matcher: opts.matcher,
@@ -302,7 +303,6 @@ impl WarmState {
                     embedders,
                     wal,
                 })),
-                wal_status: Mutex::new(wal_status),
                 recovery,
             });
         }
@@ -371,18 +371,17 @@ impl WarmState {
                 let payload = ceaff_core::snapshot::encode_delta_state(state)?;
                 wal.install_snapshot(&payload).map_err(wal_err)?;
             }
-            *self.wal_status.lock().expect("wal status lock") = Some(wal.status());
         }
-        let core = Arc::new(ServeCore::of_delta_state(state));
+        let core = Arc::new(ServeCore::of_delta_state(state, wal.as_ref()));
         *self.core.write().expect("core lock") = core;
         Ok(diff)
     }
 
     /// Durability counters for `/status`; `None` when the state was
-    /// loaded without a WAL directory. Lock-free with respect to the
-    /// engine: an in-flight delta never blocks this.
+    /// loaded without a WAL directory. Read from the current snapshot,
+    /// so an in-flight delta holding the engine mutex never blocks this.
     pub fn durability(&self) -> Option<WalStatus> {
-        *self.wal_status.lock().expect("wal status lock")
+        self.snapshot().wal
     }
 
     /// How a durable load rebuilt this state; `None` without a WAL

@@ -261,6 +261,23 @@ impl TargetIndex {
         cols
     }
 
+    /// The candidate set of `sources` against the indexed targets,
+    /// keeping at most `k` candidates per row
+    /// ([`TargetIndex::candidate_row`]). Rows fan out across the pool;
+    /// each row's ranking is sequential, so the set is identical at any
+    /// thread count.
+    pub fn candidates<S: AsRef<str> + Sync>(&self, sources: &[S], k: usize) -> CandidateSet {
+        assert!(k > 0, "blocking needs k >= 1");
+        let n = sources.len();
+        let row_of = |i: usize| -> Vec<u32> { self.candidate_row(sources[i].as_ref(), k) };
+        let rows: Vec<Vec<u32>> = if n < 64 {
+            (0..n).map(row_of).collect()
+        } else {
+            ceaff_parallel::par_map(n, 16, row_of)
+        };
+        CandidateSet::from_rows(self.targets, rows)
+    }
+
     /// The candidate columns for one source name: targets sharing at least
     /// `min_shared_keys` keys, ranked (most shared keys first, ties toward
     /// the lower column), truncated to `k`, returned ascending.
@@ -285,24 +302,15 @@ impl TargetIndex {
 
 /// Build the candidate set for `sources × targets` under `cfg`, keeping
 /// at most `k` candidates per row (ranked by shared-key count, ties
-/// toward the lower column). Rows fan out across the pool; each row's
-/// ranking is sequential, so the set is identical at any thread count.
+/// toward the lower column): [`TargetIndex::build`], then
+/// [`TargetIndex::candidates`].
 pub fn build_candidates<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
     sources: &[S],
     targets: &[T],
     cfg: &BlockingConfig,
     k: usize,
 ) -> CandidateSet {
-    assert!(k > 0, "blocking needs k >= 1");
-    let index = TargetIndex::build(targets, cfg);
-    let n = sources.len();
-    let row_of = |i: usize| -> Vec<u32> { index.candidate_row(sources[i].as_ref(), k) };
-    let rows: Vec<Vec<u32>> = if n < 64 {
-        (0..n).map(row_of).collect()
-    } else {
-        ceaff_parallel::par_map(n, 16, row_of)
-    };
-    CandidateSet::from_rows(targets.len(), rows)
+    TargetIndex::build(targets, cfg).candidates(sources, k)
 }
 
 /// The blocking keys of one name under `cfg`: lowercase tokens and/or
